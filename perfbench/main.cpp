@@ -3,13 +3,13 @@
 // Usage: ksa_perfbench --workload NAME --seed N --seconds S --trace 0|1
 //                      --scratch DIR --report FILE [--threads T]
 //
-// Set-up (repeated kSetupRounds times; the first round is timed from
-// process start) builds the algorithm and configuration from the seed,
-// starts a TaskScheduler and makes one untimed, smaller warm-up call.
-// Then:
+// Set-up (timed from process start) builds the algorithm and
+// configuration from the seed, starts a TaskScheduler and makes one
+// untimed, smaller warm-up call.  Then:
 //
-//   --trace 0  repeats the workload's operation until S seconds have
-//              passed and reports the end-to-end metrics;
+//   --trace 0  repeats the workload's operation, each followed by a
+//              fresh timed set-up round, until S seconds have passed
+//              and reports the end-to-end metrics;
 //   --trace 1  alternates untraced and traced operations for S/2
 //              seconds, runs the operation once on 1 thread, runs the
 //              layer probes (probes.hpp), reports the per-layer metrics
@@ -43,7 +43,6 @@ namespace ksa::perfbench {
 
 namespace {
 
-constexpr int kSetupRounds = 7;
 constexpr std::int64_t kNsPerS = 1000 * 1000 * 1000;
 
 struct Args {
@@ -85,6 +84,21 @@ Ratio pct_over(Ratio a, Ratio b) {
     return {(a.num * b.den - b.num * a.den) * 100, b.num * a.den};
 }
 
+/// What one set-up round builds: the algorithm and configuration from
+/// the seed and a started TaskScheduler, after the untimed warm-up call.
+struct Session {
+    Prepared prepared;
+    std::unique_ptr<exec::TaskScheduler> sched;
+};
+
+Session set_up(const WorkloadSpec& spec, const Args& args, int threads) {
+    Session s;
+    s.prepared = prepare(spec, args.seed, threads, args.scratch);
+    s.sched = std::make_unique<exec::TaskScheduler>(threads);
+    warm_up(spec, s.prepared);
+    return s;
+}
+
 /// Operations of one run: attempted/failed tallies and the counts every
 /// exploration must repeat.
 struct Tally {
@@ -107,18 +121,31 @@ struct Tally {
     }
 };
 
-void report_untraced(Metrics& m, Tally& tally, double seconds, int threads,
-                     const std::vector<std::int64_t>& setup_ns) {
+/// The untraced run.  A fresh set-up round follows every operation, so
+/// the set-up samples, like the operations, span the whole run: the
+/// machine's speed drifts over seconds, and rounds made back to back
+/// would all see one moment of it.  `setup_ns` holds the first round,
+/// timed from process start.
+void report_untraced(Metrics& m, Tally& tally, const Args& args, int threads,
+                     std::vector<std::int64_t> setup_ns) {
     std::vector<std::int64_t> ns;
     OpResult last;
-    const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(seconds * kNsPerS);
+    const std::int64_t deadline =
+            now_ns() + static_cast<std::int64_t>(args.seconds * kNsPerS);
     do {
         last = tally.run(threads, nullptr);
         ns.push_back(last.ns);
+        const std::int64_t t0 = now_ns();
+        const Session fresh = set_up(tally.spec, args, threads);
+        setup_ns.push_back(now_ns() - t0);
     } while (now_ns() < deadline);
-    std::printf("  operations (s):");
-    for (std::int64_t t : ns) std::printf(" %.4f", static_cast<double>(t) / kNsPerS);
-    std::printf("\n");
+    auto print_seconds = [](const char* label, const std::vector<std::int64_t>& samples) {
+        std::printf("  %s (s):", label);
+        for (std::int64_t t : samples) std::printf(" %.4f", static_cast<double>(t) / kNsPerS);
+        std::printf("\n");
+    };
+    print_seconds("operations", ns);
+    print_seconds("set-ups", setup_ns);
     const Ratio verdict = median(ns);
     const std::string samples = "median of " + std::to_string(ns.size()) + " operations";
     m.put("verdict_s", "s", {verdict.num, verdict.den * kNsPerS}, samples);
@@ -306,30 +333,22 @@ int run(const Args& args) {
     const int nproc = exec::hardware_threads();
     const int threads = args.threads > 0 ? args.threads : std::min(4, nproc);
 
-    std::vector<std::int64_t> setup_ns;
-    Prepared prepared;
-    std::unique_ptr<exec::TaskScheduler> sched;
-    for (int round = 0; round < kSetupRounds; ++round) {
-        const std::int64_t t0 = round == 0 ? start : now_ns();
-        sched.reset();
-        prepared = prepare(*spec, args.seed, threads, args.scratch);
-        sched = std::make_unique<exec::TaskScheduler>(threads);
-        warm_up(*spec, prepared);
-        setup_ns.push_back(now_ns() - t0);
-    }
+    const Session session = set_up(*spec, args, threads);
+    const std::int64_t first_setup_ns = now_ns() - start;
+    exec::TaskScheduler& sched = *session.sched;
     std::printf("workload %s  seed %llu  nproc %d  threads requested %d  "
                 "effective TaskScheduler::size() %d%s\n",
                 spec->name.c_str(), static_cast<unsigned long long>(args.seed), nproc,
-                threads, sched->size(),
+                threads, sched.size(),
                 threads > nproc ? "  (oversubscribed: multi-thread numbers unmeasured)" : "");
 
     bench::BenchReport report("perfbench");
     Metrics m(report);
-    Tally tally{*spec, prepared, 0, 0, std::nullopt};
+    Tally tally{*spec, session.prepared, 0, 0, std::nullopt};
     if (args.trace == 0)
-        report_untraced(m, tally, args.seconds, threads, setup_ns);
+        report_untraced(m, tally, args, threads, {first_setup_ns});
     else
-        report_traced(m, tally, args, threads, *sched, prepared);
+        report_traced(m, tally, args, threads, sched, session.prepared);
     std::printf("  error_rate = %lld failed / %lld attempted\n",
                 static_cast<long long>(tally.failed), static_cast<long long>(tally.attempted));
     report.entry("run")
@@ -338,7 +357,7 @@ int run(const Args& args) {
             .num("failed", tally.failed)
             .num("nproc", nproc)
             .num("threads", threads)
-            .num("effective_threads", sched->size());
+            .num("effective_threads", sched.size());
     report.write(args.report);
     return 0;
 }

@@ -342,11 +342,20 @@ Ratio probe_canon(ProbeEnv& env, int depth) {
         }
         return now_ns() - t0;
     };
+    // Alternating rounds, so both sides see the same drift in machine
+    // speed; the median of each side.
+    constexpr int kRounds = 5;
     std::int64_t on_states = 0, off_states = 0;
-    const std::int64_t on_ns = timed(true, on_states);
-    const std::int64_t off_ns = timed(false, off_states);
-    // on_ns/on_states - off_ns/off_states, in microseconds.
-    return {on_ns * off_states - off_ns * on_states, on_states * off_states * 1000};
+    std::vector<std::int64_t> on_ns, off_ns;
+    for (int r = 0; r < kRounds; ++r) {
+        on_ns.push_back(timed(true, on_states));
+        off_ns.push_back(timed(false, off_states));
+    }
+    const Ratio on = median(std::move(on_ns));
+    const Ratio off = median(std::move(off_ns));
+    // on/on_states - off/off_states, in microseconds.
+    return {on.num * off.den * off_states - off.num * on.den * on_states,
+            on.den * off.den * on_states * off_states * 1000};
 }
 
 PerCall probe_region(ProbeEnv& env) {

@@ -68,7 +68,7 @@ StoreCosts probe_store(ProbeEnv& env, std::int64_t keys, Ratio accept);
 
 /// Per-state cost of symmetry canonicalization: the per-state wall time
 /// of a 1-thread kReduced exploration with symmetry on minus with it
-/// off, at `depth`.
+/// off, at `depth`, each side the median of five alternating rounds.
 Ratio probe_canon(ProbeEnv& env, int depth);
 
 /// One empty TaskScheduler::run_chunked round trip.
