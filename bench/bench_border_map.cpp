@@ -18,7 +18,7 @@
 #include <iostream>
 
 #include "core/border_map.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/task_scheduler.hpp"
 
 int main(int argc, char** argv) {
     using namespace ksa;

@@ -14,8 +14,8 @@
 #include "algo/initial_clique.hpp"
 #include "algo/paxos_consensus.hpp"
 #include "core/explorer.hpp"
-// The interner micro-benchmark measures the reduction layer's own
-// hot path, so it is a justified importer of the private header.
+// The message-digest micro-benchmark measures the reduction layer's
+// own hot path, so it is a justified importer of the private header.
 #include "core/reduction.hpp"  // ksa-lint: allow(layering)
 #include "fd/sources.hpp"
 #include "graph/generators.hpp"
@@ -29,7 +29,7 @@
 // This binary replaces the global operator new/delete with a counting
 // shim so benchmarks can report allocations-per-unit-of-work, the
 // metric the explorer's allocation-lean hot paths (ghost stepping,
-// interned message hashing, scratch reuse) are tuned against.  Wall
+// message hashing, scratch reuse) are tuned against.  Wall
 // time alone under-reports allocator pressure: a malloc that is cheap
 // in a micro-benchmark fragments and contends at exploration scale.
 //
@@ -289,20 +289,19 @@ BENCHMARK(BM_ExplorerPeakMemory)
     ->Arg(4)
     ->ArgName("frontier_kb");
 
-// The reduced message digest must be allocation-free after tag-intern
-// warm-up: the interner's thread-local front cache absorbs the lookup
-// and the hasher runs on the stack.
-void BM_ReducedMsgHashAllocs(benchmark::State& state) {
+// The message digest every state key folds must be allocation-free:
+// the hasher runs on the stack and Payload::fold walks the payload in
+// place.
+void BM_MessageDigestAllocs(benchmark::State& state) {
     Payload payload;
     payload.tag = "S2";
     payload.ints = {2, 41};
     payload.lists = {{1, 3}};
-    core::reduced_msg_hash(1, payload);  // warm the interner caches
     std::uint64_t allocs = 0;
     std::uint64_t calls = 0;
     for (auto _ : state) {
         const std::uint64_t before = alloc_calls_now();
-        Digest128 d = core::reduced_msg_hash(1, payload);
+        Digest128 d = core::message_digest(1, payload);
         allocs += alloc_calls_now() - before;
         ++calls;
         benchmark::DoNotOptimize(d);
@@ -311,7 +310,7 @@ void BM_ReducedMsgHashAllocs(benchmark::State& state) {
         calls > 0 ? static_cast<double>(allocs) / static_cast<double>(calls)
                   : 0.0;
 }
-BENCHMARK(BM_ReducedMsgHashAllocs);
+BENCHMARK(BM_MessageDigestAllocs);
 
 void BM_IndistinguishabilityCheck(benchmark::State& state) {
     algo::FloodingKSet algorithm(8);

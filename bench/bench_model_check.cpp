@@ -7,13 +7,13 @@
 // (possible side: a verified small-case instance of Theorem 8's
 // possibility half for the given crash plan).
 //
-// Second half: the engine comparison.  Every case is explored by all
-// three engines -- the pre-snapshot replay baseline, the snapshot
-// reference mode and the snapshot fast mode (1 thread and N threads) --
-// with wall times and cross-engine agreement written to a
+// Second half: the engine comparison.  Every case is explored by every
+// engine -- the pre-snapshot replay baseline, the in-RAM reference
+// mode, the store path as kFast (1 thread and N threads) and as
+// kReduced -- with wall times and cross-engine agreement written to a
 // BENCH_explorer.json artifact (schema: doc/performance.md).  This is
-// the measurement backing the snapshot engine's speedup claim; the
-// baseline is kept in-tree precisely so the comparison stays honest.
+// the measurement backing the store path's speedup claim; the baseline
+// is kept in-tree precisely so the comparison stays honest.
 //
 // Usage: bench_model_check [--out FILE] [--threads N] [--quick]
 //                          [--check FILE] [--deep]
@@ -52,24 +52,6 @@
 namespace {
 
 using namespace ksa;
-
-/// Cross-engine agreement on everything the explorer reports (the
-/// witness schedule is compared step by step).
-bool same_result(const core::ExploreResult& a, const core::ExploreResult& b) {
-    if (a.states_explored != b.states_explored) return false;
-    if (a.schedules_expanded != b.schedules_expanded) return false;
-    if (a.exhaustive != b.exhaustive) return false;
-    if (a.violation_found != b.violation_found) return false;
-    if (a.quiescent_outcomes != b.quiescent_outcomes) return false;
-    if (a.reachable_decision_sets != b.reachable_decision_sets) return false;
-    if (a.witness.size() != b.witness.size()) return false;
-    for (std::size_t i = 0; i < a.witness.size(); ++i) {
-        if (a.witness[i].process != b.witness[i].process) return false;
-        if (a.witness[i].deliver != b.witness[i].deliver) return false;
-        if (a.witness[i].deliver_all != b.witness[i].deliver_all) return false;
-    }
-    return true;
-}
 
 /// Agreement criterion for the reduced engine: it explores a quotient,
 /// so only the three observables are comparable.  On an exhaustive full
@@ -353,7 +335,7 @@ int main(int argc, char** argv) {
                 fail("violation verdict flipped");
             if (!reduced_covers(fast_r, red_r))
                 fail("reduced engine no longer covers the fast engine");
-            if (!same_result(red_r, red_mt_r))
+            if (red_r.verdict() != red_mt_r.verdict())
                 fail("reduced engine differs across thread counts");
 
             // Timing regression: current <= 3x committed, above the floor.
@@ -433,7 +415,7 @@ int main(int argc, char** argv) {
 
     // ------------------------------------------------------------------
     // Engine comparison.
-    std::cout << "\nengine comparison (replay baseline vs snapshot engine, "
+    std::cout << "\nengine comparison (replay baseline vs store path, "
               << threads << " threads)\n\n";
     std::cout << std::left << std::setw(26) << "case" << std::right
               << std::setw(7) << "depth" << std::setw(10) << "states"
@@ -515,7 +497,7 @@ int main(int argc, char** argv) {
         // same quotient, same counts, same witness -- unlike the
         // quotient-vs-full comparison below, which only shares
         // observables.
-        const bool red_mt_ok = same_result(red_r, red_mt_r);
+        const bool red_mt_ok = red_r.verdict() == red_mt_r.verdict();
         const bool red_ok = reduced_covers(fast_r, red_r) && red_mt_ok;
         const double red_ratio =
             red_r.schedules_expanded > 0
@@ -527,9 +509,10 @@ int main(int argc, char** argv) {
                                 red_r.dedup_hits, reduced_ms, reduced_mt_ms,
                                 fast_ms, red_ratio, red_ok});
 
-        const bool agree = same_result(baseline_r, ref_r) &&
-                           same_result(baseline_r, fast_r) &&
-                           same_result(baseline_r, fast_mt_r) && red_ok;
+        const bool agree = baseline_r.verdict() == ref_r.verdict() &&
+                           baseline_r.verdict() == fast_r.verdict() &&
+                           baseline_r.verdict() == fast_mt_r.verdict() &&
+                           red_ok;
         engines_agree = engines_agree && agree;
         const double best_ms = std::min(fast_ms, fast_mt_ms);
         const double speedup = best_ms > 0 ? baseline_ms / best_ms : 0.0;
@@ -604,7 +587,7 @@ int main(int argc, char** argv) {
     std::cout << "\n"
               << (engines_agree
                       ? "all engines agree bit-identically on every case"
-                      : "ENGINE DISAGREEMENT -- the snapshot engine is wrong")
+                      : "ENGINE DISAGREEMENT -- the store path is wrong")
               << "\n";
 
     // ------------------------------------------------------------------

@@ -54,20 +54,6 @@ ksa::core::ExploreConfig flagship_config() {
     return cfg;
 }
 
-/// Bit-identity of two explorer results over every reported field
-/// (scheduler observability is machine/timing-bound and excluded by
-/// contract -- explorer.hpp).
-bool same_result(const ksa::core::ExploreResult& a,
-                 const ksa::core::ExploreResult& b) {
-    return a.states_explored == b.states_explored &&
-           a.schedules_expanded == b.schedules_expanded &&
-           a.dedup_hits == b.dedup_hits && a.por_skips == b.por_skips &&
-           a.exhaustive == b.exhaustive &&
-           a.violation_found == b.violation_found &&
-           a.quiescent_outcomes == b.quiescent_outcomes &&
-           a.reachable_decision_sets == b.reachable_decision_sets;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -195,7 +181,7 @@ int main(int argc, char** argv) {
     ecfg.threads = threads;
     const double red_par_ms = ksa::bench::time_call_ms(
         [&] { red_par = core::explore_schedules(*algorithm, ecfg); });
-    const bool red_identical = same_result(red_seq, red_par);
+    const bool red_identical = red_seq.verdict() == red_par.verdict();
     const double red_speedup =
         red_par_ms > 0 ? red_seq_ms / red_par_ms : 0.0;
     all_identical = all_identical && red_identical;
@@ -236,7 +222,7 @@ int main(int argc, char** argv) {
                                                                 fcfg);
                          }));
         }
-        const bool fast_identical = same_result(fast_seq, fast_par);
+        const bool fast_identical = fast_seq.verdict() == fast_par.verdict();
         all_identical = all_identical && fast_identical;
 
         std::cout << "\nscaling gate @ " << threads << " threads:\n";

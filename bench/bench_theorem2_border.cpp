@@ -24,6 +24,7 @@
 #include "core/kset_spec.hpp"
 #include "core/theorem2.hpp"
 #include "exec/parallel_map.hpp"
+#include "exec/task_scheduler.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
 
@@ -55,14 +56,15 @@ int main(int argc, char** argv) {
                     points.push_back({n, f, k});
             }
 
-    // Step 2: certify every point independently on the pool.
-    std::vector<core::Theorem2Result> results =
-        exec::parallel_map_deterministic(
-            threads, points.size(), [&points](std::size_t i) {
-                const Point& pt = points[i];
-                algo::FloodingKSet candidate(pt.n - pt.f);
-                return core::run_theorem2(candidate, pt.n, pt.f, pt.k, 5000);
-            });
+    // Step 2: certify every point independently on the pool (grain 1:
+    // few points, each one a full certification).
+    exec::TaskScheduler pool(threads);
+    std::vector<core::Theorem2Result> results = exec::parallel_map_grained(
+        pool, points.size(), /*grain=*/1, [&points](std::size_t i, int) {
+            const Point& pt = points[i];
+            algo::FloodingKSet candidate(pt.n - pt.f);
+            return core::run_theorem2(candidate, pt.n, pt.f, pt.k, 5000);
+        });
 
     // Step 3: fold into the report sequentially, in sweep order.
     int certified = 0;
@@ -100,8 +102,8 @@ int main(int argc, char** argv) {
         int worst = 0;
         bool ok = true;
     };
-    std::vector<SolvableRow> rows = exec::parallel_map_deterministic(
-        threads, solvable.size(), [&solvable](std::size_t i) {
+    std::vector<SolvableRow> rows = exec::parallel_map_grained(
+        pool, solvable.size(), /*grain=*/1, [&solvable](std::size_t i, int) {
             const auto [n, f] = solvable[i];
             const int k = f + 1;
             auto algorithm = algo::make_flooding(n, f);

@@ -20,6 +20,7 @@
 #include "algo/initial_clique.hpp"
 #include "core/theorem8.hpp"
 #include "exec/parallel_map.hpp"
+#include "exec/task_scheduler.hpp"
 
 int main(int argc, char** argv) {
     using namespace ksa;
@@ -43,13 +44,14 @@ int main(int argc, char** argv) {
             points.push_back({k, n, k * n / (k + 1)});
         }
 
-    std::vector<core::Theorem8Border> borders =
-        exec::parallel_map_deterministic(
-            threads, points.size(), [&points](std::size_t i) {
-                const Point& pt = points[i];
-                auto algorithm = algo::make_flp_kset(pt.n, pt.f);
-                return core::theorem8_border(*algorithm, pt.n, pt.k);
-            });
+    // Grain 1: few points, each one a full pasting construction.
+    exec::TaskScheduler pool(threads);
+    std::vector<core::Theorem8Border> borders = exec::parallel_map_grained(
+        pool, points.size(), /*grain=*/1, [&points](std::size_t i, int) {
+            const Point& pt = points[i];
+            auto algorithm = algo::make_flp_kset(pt.n, pt.f);
+            return core::theorem8_border(*algorithm, pt.n, pt.k);
+        });
 
     bool all = true;
     for (std::size_t i = 0; i < points.size(); ++i) {

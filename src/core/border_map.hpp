@@ -58,7 +58,7 @@ std::vector<BorderRow> border_map(int n);
 
 /// Row-parallel overload: rows are independent (each cell verdict is a
 /// pure function of (n, f, k)), computed via
-/// exec::parallel_map_deterministic and returned in row order -- the
+/// exec::parallel_map_grained and returned in row order -- the
 /// result is byte-identical to border_map(n) for every thread count.
 /// Mostly a minimal worked example of the parallel-sweep recipe
 /// (doc/performance.md); it pays off for the large-n bench sweeps.

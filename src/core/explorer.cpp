@@ -1,6 +1,7 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 #include <sstream>
@@ -116,31 +117,12 @@ std::string canonical_state_string(const System& sys, int n,
     return out.str();
 }
 
-/// Folds one buffered message (sender + payload; identity fields
-/// excluded, mirroring the canonical rendering).
-void hash_message(StateHasher& h, ProcessId from, const Payload& payload) {
-    h.i64(from);
-    payload.fold(h);
-}
-
-/// 128-bit digest of one buffered message.  The fast engine hashes each
-/// message ONCE -- when it is sent -- caches the digest alongside the
-/// node, and folds the cached 128 bits into every state key the message
-/// participates in, instead of re-walking the payload per candidate
-/// (profiling shows payload re-walks dominating otherwise: a message
-/// sits in a buffer across many layers and each layer hashes 3n
-/// candidate children).
-Digest128 msg_hash(ProcessId from, const Payload& payload) {
-    StateHasher h;
-    hash_message(h, from, payload);
-    return h.digest();
-}
-
 /// 128-bit digest of one behavior's local state (Behavior::fold_state
-/// in a fresh hasher).  The fast engine keys behavior state on these
+/// in a fresh hasher).  The store path keys behavior state on these
 /// instead of digest strings; the fold_state contract ("distinguishes
 /// exactly what state_digest distinguishes") makes the partition
-/// identical to the reference mode's, modulo hash collisions.
+/// identical to the reference mode's, modulo hash collisions.  Buffered
+/// messages are keyed by core/reduction.hpp's message_digest.
 Digest128 behavior_hash(const Behavior& b) {
     StateHasher h;
     b.fold_state(h);
@@ -159,50 +141,20 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
     if (m.stepped) h.fold(m.hash);
 }
 
-/// 128-bit hash key (fast mode): folds the same logical fields the
-/// canonical string renders -- buffered messages and behavior states
-/// via their cached digests -- without materializing any intermediate
-/// string.  Variable-length fields are length-prefixed so distinct
-/// configurations produce distinct feed sequences.  This version
-/// recomputes every per-message and per-behavior digest from the live
-/// System; it is used for the root key and for the debug cross-check
-/// of the store path's spine caches (an independent recompute that
-/// also validates the cache bookkeeping).
-Digest128 hash_state(const System& sys, int n) {
-    StateHasher h;
-    for (ProcessId p = 1; p <= n; ++p) {
-        h.u64(sys.crashed(p) ? 1 : 0);
-        auto d = sys.decision_of(p);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(p);
-        h.u64(buf.size());
-        for (const Message& m : buf) h.fold(msg_hash(m.from, m.payload));
-    }
-    for (ProcessId p = 1; p <= n; ++p) {
-        BehaviorMark m;
-        m.stepped = sys.steps_of(p) > 0;
-        if (m.stepped) m.hash = behavior_hash(sys.behavior_of(p));
-        fold_mark(h, m);
-    }
-    return h.digest();
-}
-
 // ---------------------------------------------------------------------
-// Ghost stepping (fast + reduced modes).
+// Ghost stepping (store path).
 //
 // The profile of the snapshot engine is dominated by materializing and
 // destroying forked Systems for candidate children that deduplication
 // then rejects (the reachable graph has far more edges than vertices).
-// The fast engine therefore computes a child's dedup key WITHOUT
+// The store path therefore computes a child's dedup key WITHOUT
 // forking: it clones only the stepping process's behavior, runs the
 // step on the clone, and hashes the parent's configuration with the
 // step's effects patched in -- p's delivered prefix removed from its
 // buffer, the step's surviving sends appended to their destination
-// buffers, p's decision/crash flag/behavior digest updated.  Only
-// children that survive deduplication are ever realized at all -- and
-// on the store path (src/store/) not even then: an accepted child is a
-// 16-byte delta record, re-forked from its parent's live state only
+// buffers, p's decision/crash flag/behavior digest updated.  An
+// accepted child is never realized either: it is a 16-byte delta
+// record (src/store/), re-forked from its parent's live state only
 // when its own expansion comes up.
 
 /// Effects of one ghost step of `stepper` on a behavior clone.
@@ -212,9 +164,9 @@ struct GhostStep {
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
     std::size_t delivered = 0;      ///< length of the delivered buffer prefix
     Digest128 bhash{};              ///< behavior_hash() after the step
-    /// The stepped clone, kept alive because the reduced engine folds
-    /// it again under every symmetry-group renaming
-    /// (fold_state_renamed); the fast engine only reads bhash.
+    /// The stepped clone: symmetry renamings fold it again
+    /// (fold_state_renamed) and the absorption quotient asks it which
+    /// buffered messages are inert.
     std::unique_ptr<Behavior> behavior;
 
     /// True iff the send `(dest)` actually reaches its buffer.
@@ -223,24 +175,22 @@ struct GhostStep {
     }
 };
 
-/// Runs one ghost step.  The delivery modes of the explorer always
-/// deliver a *prefix* of the buffer (nothing / the oldest message / the
-/// whole buffer), so the delivered set is just a prefix length.
-/// `scratch` is a caller-owned StepInput reused across candidates to
-/// amortize its allocations (System::deliver_prefix recycles the
-/// vector's capacity).
-GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
-                     StepInput& scratch) {
-    GhostStep g;
+/// Runs one ghost step into `g` (per-worker scratch, overwritten).  The
+/// delivery modes of the explorer always deliver a *prefix* of the
+/// buffer (nothing / the oldest message / the whole buffer), so the
+/// delivered set is just a prefix length.  `scratch` is a caller-owned
+/// StepInput reused across candidates to amortize its allocations
+/// (System::deliver_prefix recycles the vector's capacity).
+void ghost_step(const System& sys, ProcessId p, std::size_t delivered,
+                StepInput& scratch, GhostStep& g) {
     g.delivered = delivered;
     sys.deliver_prefix(p, delivered, scratch);
     g.behavior = sys.clone_behavior(p);
     g.out = g.behavior->on_step(scratch);
     const int allowed = sys.plan().allowed_steps(p);
     g.final_crash = allowed >= 0 && sys.steps_of(p) + 1 == allowed;
-    if (g.final_crash) g.omit_to = &sys.plan().spec(p).omit_to;
+    g.omit_to = g.final_crash ? &sys.plan().spec(p).omit_to : nullptr;
     g.bhash = behavior_hash(*g.behavior);
-    return g;
 }
 
 /// One message the ghost step adds to a buffer, pre-hashed.  Kept in
@@ -248,52 +198,91 @@ GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
 struct ArrivingSend {
     ProcessId dest = 0;
     Digest128 hash{};
+    const Payload* payload = nullptr;  ///< borrowed from the GhostStep
 };
 
 /// Fills `arriving` with the ghost step's surviving sends in emission
-/// order, digested by `digest_send(stepper, payload)` -- msg_hash for
-/// the fast engine, reduced_msg_hash for the reduced engine (both
-/// engines share hash_child below; only the message digest differs).
-template <typename DigestSendFn>
+/// order.  Each message is digested here, once per candidate; from then
+/// on the spine caches its digest (store/rematerialize.hpp) for every
+/// key it participates in.
 void fill_arriving(const GhostStep& g, ProcessId stepper,
-                   const DigestSendFn& digest_send,
                    std::vector<ArrivingSend>& arriving) {
     arriving.clear();
     for (const auto& [dest, payload] : g.out.sends)
         if (g.send_survives(dest))
-            arriving.push_back({dest, digest_send(stepper, payload)});
+            arriving.push_back(
+                    {dest, message_digest(stepper, payload), &payload});
 }
 
-/// Hash of the child configuration reached from `sys` by the ghost
-/// step: field-for-field identical to hash_state() of the realized
-/// child.  `arriving` must hold the surviving sends in emission order
-/// (fill_arriving).
+/// Key of the child configuration reached from `sys` by the ghost step,
+/// under the identity renaming: field-for-field reduced_hash_state() of
+/// the realized child.  The absorption quotient applies as configured
+/// -- decided processes fold to their decision alone and dead messages
+/// (judged by the receiver's CHILD-state behavior) leave buffer keys;
+/// with `abs` all off this is the plain configuration key.  `arriving`
+/// must hold the surviving sends in emission order (fill_arriving).
 Digest128 hash_child(const System& sys, int n, ProcessId stepper,
                      const GhostStep& g,
                      const std::vector<BehaviorMark>& parent_marks,
                      const MessageHashes& parent_mhash,
-                     const std::vector<ArrivingSend>& arriving) {
+                     const std::vector<ArrivingSend>& arriving,
+                     const AbsorptionContext& abs) {
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
-        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
         auto d = sys.decision_of(q);
         if (q == stepper && g.out.decision) d = g.out.decision;
+        if (abs.decided_final && d) {
+            h.u64(2);
+            h.i64(*d);
+            continue;
+        }
+        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
+        h.u64(crashed_q ? 1 : 0);
         h.u64(d ? 1 : 0);
         if (d) h.i64(*d);
+        // The child's buffer of q: its parent buffer minus the delivered
+        // prefix, then q's arriving sends (apply_choice appends them in
+        // emission order, behind the survivors).
         const auto& mh = parent_mhash[q - 1];
         const std::size_t skip = q == stepper ? g.delivered : 0;
-        std::size_t arriving_q = 0;
+        if (!abs.strip_inert) {
+            // No message can be dead: fold the cached digests straight.
+            std::size_t arriving_q = 0;
+            for (const ArrivingSend& a : arriving)
+                if (a.dest == q) ++arriving_q;
+            h.u64(mh.size() - skip + arriving_q);
+            for (std::size_t i = skip; i < mh.size(); ++i) h.fold(mh[i]);
+            for (const ArrivingSend& a : arriving)
+                if (a.dest == q) h.fold(a.hash);
+            continue;
+        }
+        // Delete dead messages anywhere in that buffer.
+        const Behavior& receiver =
+                q == stepper ? *g.behavior : sys.behavior_of(q);
+        const auto& buf = sys.buffer(q);
+        std::size_t live = 0;
+        for (std::size_t i = skip; i < mh.size(); ++i)
+            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
+                ++live;
         for (const ArrivingSend& a : arriving)
-            if (a.dest == q) ++arriving_q;
-        h.u64(mh.size() - skip + arriving_q);
-        for (std::size_t i = skip; i < mh.size(); ++i) h.fold(mh[i]);
-        // apply_choice appends sends in emission order, after removing
-        // the delivered prefix (self-sends land behind the survivors).
+            if (a.dest == q &&
+                !dead_message(stepper, *a.payload, receiver, abs))
+                ++live;
+        h.u64(live);
+        for (std::size_t i = skip; i < mh.size(); ++i)
+            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
+                h.fold(mh[i]);
         for (const ArrivingSend& a : arriving)
-            if (a.dest == q) h.fold(a.hash);
+            if (a.dest == q &&
+                !dead_message(stepper, *a.payload, receiver, abs))
+                h.fold(a.hash);
     }
     for (ProcessId q = 1; q <= n; ++q) {
+        if (abs.decided_final) {
+            auto d = sys.decision_of(q);
+            if (q == stepper && g.out.decision) d = g.out.decision;
+            if (d) continue;  // collapsed with the first loop's marker
+        }
         if (q == stepper)
             fold_mark(h, BehaviorMark{true, g.bhash});
         else
@@ -342,7 +331,7 @@ void record_parallel_observability(ExploreResult& result,
 // plus one apply_choice.  Recording is off: the schedule script kept
 // alongside each node is the record.  Deliberately simple and entirely
 // in-RAM: this is the collision-free cross-check the hashed store-path
-// engines are validated against, so it shares none of their machinery.
+// engine is validated against, so it shares none of its machinery.
 //
 // The BFS is layered so that layers can be expanded in parallel:
 // expansion (pure, per-node) happens through parallel_map_grained, and
@@ -534,8 +523,11 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 }
 
 // ---------------------------------------------------------------------
-// Store-path engines (fast + reduced): the layered ghost-step BFS over
-// the out-of-core store (src/store/, doc/performance.md §6).
+// Store-path engine (kFast and kReduced): the layered ghost-step BFS
+// over the out-of-core store (src/store/, doc/performance.md §6) with
+// the reduction layer (core/reduction.hpp) on top.  kReduced applies
+// the ExploreConfig::reduction axes; kFast is the same engine with
+// every axis off.
 //
 // A frontier node is a 16-byte DeltaRecord -- (parent id, stepper,
 // delivered-prefix length) -- not a live System; node ids are BFS
@@ -571,6 +563,43 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 // appended to the delta store are byte-identical for every
 // expand_block, and truncation (max_states) cuts both at the same
 // pop-order point the sequential engine would.
+//
+// The reduction axes (doc/performance.md carries the full soundness
+// argument; in brief):
+//
+//   * SYMMETRY -- dedup keys are canonicalized to the minimum digest
+//     over the symmetry group G (permutations fixing inputs + plan that
+//     the algorithm declares equivariance under): one representative
+//     per G-orbit is explored.  The identity element reuses the
+//     incremental caches (hash_child); non-identity elements re-walk
+//     the candidate through the renaming.  Decision-value sets are
+//     G-invariant; per-process quiescent outcome vectors are
+//     orbit-expanded over G before the result is returned.
+//
+//   * ABSORPTION -- the observational quotient of core/reduction.hpp:
+//     when the algorithm declares decisions final, a decided process
+//     folds to its decision value alone (buffer, crash flag and
+//     internal bookkeeping leave the key), its step choices are
+//     skipped, and quiescence classification treats it as drained --
+//     the absorbed representative itself records the outcome its
+//     drain-only descendants would have recorded.  Independently,
+//     messages the receiver declares inert (Behavior::message_inert)
+//     are deleted from every key, wherever they sit in the buffer.
+//
+//   * PARTIAL ORDER -- a persistent-set filter: when some enumerable
+//     process's every delivery-mode move neither decides a fresh value
+//     nor sends to a process that can still step (decided processes
+//     of a decisions-are-final algorithm count as stopped), and every
+//     OTHER steppable process is send-quiescent (Behavior::may_send),
+//     that process's moves commute with everything the rest of the
+//     system can ever do.  Only that process is expanded; the other
+//     processes' moves are skipped and counted as por_skips.
+//
+// With any axis on this explores a QUOTIENT of the reachable space:
+// states_explored / schedules_expanded shrink, while violation_found,
+// reachable_decision_sets and quiescent_outcomes are preserved (exactly
+// so on exhaustive explorations).  With every axis off it partitions
+// states exactly like the in-RAM engines.
 
 /// A candidate child, described without materializing it: the
 /// (stepper, delivered-prefix-length) pair fully describes the step --
@@ -587,8 +616,16 @@ struct StoreExpansion {
     bool is_quiescent = false;
     std::vector<Value> outcome;  ///< filled iff is_quiescent
     bool at_depth = false;
-    std::size_t por_skips = 0;  ///< reduced engine only
+    std::size_t por_skips = 0;
     std::vector<StoreChild> children;
+};
+
+/// The reductions one exploration applies, resolved once from the mode,
+/// ExploreConfig::reduction and the algorithm's declarations.
+struct Reductions {
+    SymmetryGroup group;
+    AbsorptionContext abs;
+    bool por = false;
 };
 
 #ifndef NDEBUG
@@ -597,8 +634,7 @@ struct StoreExpansion {
 /// System.  An accepted child's ghost key is a pure function of these
 /// caches, so this is the store-path descendant of the old "ghost key
 /// == realized state hash" assertion of the in-RAM engines.
-void check_node_caches(const store::MaterializedNode& node, int n,
-                       store::Rematerializer::DigestSendFn digest_send) {
+void check_node_caches(const store::MaterializedNode& node, int n) {
     for (ProcessId q = 1; q <= n; ++q) {
         const BehaviorMark& m = (*node.marks)[q - 1];
         require(m.stepped == (node.sys->steps_of(q) > 0),
@@ -611,33 +647,251 @@ void check_node_caches(const store::MaterializedNode& node, int n,
         require(mh.size() == buf.size(),
                 "store path: message-digest cache length mismatch");
         for (std::size_t i = 0; i < mh.size(); ++i)
-            require(mh[i] == digest_send(buf[i].from, buf[i].payload),
+            require(mh[i] == message_digest(buf[i].from, buf[i].payload),
                     "store path: stale message digest in spine cache");
     }
 }
 #endif
 
-/// The shared BFS driver of the store-path engines.  `Worker` carries
-/// the per-worker Rematerializer (`remat`) plus whatever expansion
-/// scratch the engine needs; `expand(node, worker, depth)` classifies
-/// one materialized node and returns its candidate children.
-template <typename Worker, typename ExpandFn>
-void run_store_bfs(const Algorithm& algorithm, const ExploreConfig& cfg,
-                   const Digest128& root_key,
-                   store::Rematerializer::DigestSendFn digest_send,
-                   const ExpandFn& expand, ExploreResult& result) {
+/// Quotient-aware quiescence: a process that has decided under a
+/// decisions-are-final algorithm is absorbed -- its undrained buffer
+/// and remaining (skipped) steps cannot change any decision, so the
+/// configuration's outcome vector is already the outcome vector of the
+/// fully drained configurations it represents.  Without absorption this
+/// is exactly quiescent().  Classifying quiescence on the quotient is
+/// what keeps outcomes observable at all: drain-only children hash
+/// equal to their parent and are deduplicated away, so the absorbed
+/// representative itself must be the state that records the outcome.
+bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
+                       const AbsorptionContext& abs) {
+    for (ProcessId p = 1; p <= cfg.n; ++p) {
+        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
+        if (cfg.plan.is_faulty(p)) {
+            if (sys.can_step(p)) return false;
+        } else {
+            if (!sys.decision_of(p)) return false;
+            // Dead (inert) leftovers don't block quiescence: the state
+            // keys equal to its fully drained counterpart, so it must
+            // also CLASSIFY like it, or the orbit's outcome would be
+            // recorded by neither representative.
+            const auto& buf = sys.buffer(p);
+            const Behavior& recv = sys.behavior_of(p);
+            for (const Message& m : buf)
+                if (!dead_message(m.from, m.payload, recv, abs))
+                    return false;
+        }
+    }
+    return true;
+}
+
+/// The enumerable moves of one process: the delivered-prefix lengths of
+/// delivery_modes() -- nothing, the oldest message, the whole buffer
+/// (iff it differs from "oldest") -- without materializing StepChoices.
+struct ProcMoves {
+    ProcessId p = 0;
+    std::size_t prefixes[3] = {0, 0, 0};
+    std::size_t num = 0;
+};
+
+/// Per-worker state of the store path: the delta rematerializer plus
+/// all expansion scratch, reused across every node a worker expands so
+/// that a node costs no container allocation of its own.  Each worker
+/// owns exactly one: nothing is shared.
+struct ReducedWorker {
+    std::unique_ptr<store::Rematerializer> remat;
+    StepInput step;
+    RenameScratch rename;
+    std::vector<ArrivingSend> arriving;
+    std::vector<ProcMoves> moves;       ///< the node's enumerable moves
+    std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
+};
+
+/// Ghost-steps every move of `pm` into wk.ghosts[0 .. pm.num).
+void ghost_moves(const System& sys, const ProcMoves& pm, ReducedWorker& wk) {
+    for (std::size_t m = 0; m < pm.num; ++m)
+        ghost_step(sys, pm.p, pm.prefixes[m], wk.step, wk.ghosts[m]);
+}
+
+/// Classify, pick the persistent set, ghost-step and key the surviving
+/// candidates of one materialized node.  Reads the node, the calling
+/// worker's scratch and clones single behaviors only -- safe to run
+/// concurrently on distinct nodes.
+StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
+                              const ExploreConfig& cfg,
+                              const Algorithm& algorithm,
+                              const Reductions& red, ReducedWorker& wk) {
+    StoreExpansion e;
+    const System& sys = *node.sys;
+    const AbsorptionContext& abs = red.abs;
+    e.decided = decision_set(sys, cfg.n);
+    if (quiescent_reduced(sys, cfg, abs)) {
+        e.is_quiescent = true;
+        e.outcome.assign(cfg.n, kNoValue);
+        for (ProcessId p = 1; p <= cfg.n; ++p) {
+            auto d = sys.decision_of(p);
+            if (d) e.outcome[p - 1] = *d;
+        }
+        return e;
+    }
+    if (depth >= cfg.max_depth) {
+        e.at_depth = true;
+        return e;
+    }
+
+    // The enumerable moves, in the canonical (process, delivery-mode)
+    // order every engine uses.
+    wk.moves.clear();
+    std::size_t total_moves = 0;
+    for (ProcessId p = 1; p <= cfg.n; ++p) {
+        if (!sys.can_step(p)) continue;
+        // Skip steps that provably change nothing: a decided correct
+        // process with an empty buffer.
+        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
+            sys.buffer(p).empty())
+            continue;
+        const std::size_t buf_size = sys.buffer(p).size();
+        if (abs.decided_final && sys.decision_of(p)) {
+            // Absorbed: a decided process of a decisions-are-final
+            // algorithm never sends or decides again, so every one of
+            // its moves reaches a state whose quotient key equals the
+            // parent's.  Skip them outright (counted with the POR
+            // skips) instead of generating self-deduplicating children.
+            e.por_skips += 1 + (buf_size >= 1 ? 1 : 0) +
+                           (buf_size > 1 ? 1 : 0);
+            continue;
+        }
+        ProcMoves pm;
+        pm.p = p;
+        pm.prefixes[pm.num++] = 0;
+        if (buf_size >= 1) pm.prefixes[pm.num++] = 1;
+        if (buf_size > 1) pm.prefixes[pm.num++] = buf_size;
+        total_moves += pm.num;
+        wk.moves.push_back(pm);
+    }
+
+    auto emit_child = [&](const GhostStep& g, ProcessId p) {
+        fill_arriving(g, p, wk.arriving);
+        StoreChild child;
+        child.key = hash_child(sys, cfg.n, p, g, *node.marks, *node.mhash,
+                               wk.arriving, abs);
+        if (!red.group.is_trivial()) {
+            GhostEffects eff;
+            eff.stepper = p;
+            eff.delivered = g.delivered;
+            eff.final_crash = g.final_crash;
+            eff.omit_to = g.omit_to;
+            eff.sends = &g.out.sends;
+            eff.decision = &g.out.decision;
+            eff.behavior_after = g.behavior.get();
+            for (std::size_t gi = 1; gi < red.group.size(); ++gi) {
+                const Digest128 d = hash_child_renamed(
+                        sys, cfg.n, algorithm, eff, red.group.renaming(gi),
+                        red.group.inverse(gi), wk.rename, abs);
+                if (d < child.key) child.key = d;
+            }
+        }
+        child.stepper = p;
+        child.delivered = static_cast<std::uint32_t>(g.delivered);
+        e.children.push_back(child);
+    };
+
+    // Partial-order reduction: find the smallest-id safe process.  A
+    // process p is safe when (a) every steppable process other than p
+    // is send-quiescent -- so nothing can ever send to p or to anyone
+    // else before p moves -- and (b) every move of p sends only to p
+    // itself or to processes that can never step again, and either
+    // does not decide or decides a value that is already in the
+    // state's decision set (so hoisting the move past any interleaving
+    // changes no intermediate decision set).  Then p's moves commute
+    // with every future move of the rest of the system and expanding p
+    // alone loses no decision set, no quiescent outcome and no
+    // violation (doc/performance.md gives the full argument).
+    if (red.por) {
+        // Condition (b) for the process whose moves wk.ghosts holds.
+        auto moves_commute = [&](const ProcMoves& pm) {
+            for (std::size_t m = 0; m < pm.num; ++m) {
+                const GhostStep& g = wk.ghosts[m];
+                if (g.out.decision && e.decided.count(*g.out.decision) == 0)
+                    return false;
+                // A decided destination of a decisions-are-final
+                // algorithm is as good as stopped: the send lands in a
+                // buffer the quotient never reads.
+                for (const auto& [dest, payload] : g.out.sends)
+                    if (g.send_survives(dest) && dest != pm.p &&
+                        sys.can_step(dest) &&
+                        !(abs.decided_final && sys.decision_of(dest)))
+                        return false;
+            }
+            return true;
+        };
+        // Two senders (steppable and may still send): whichever process
+        // we pick, some OTHER process may still send -- nobody is safe.
+        // One sender: only it can be.  None: try every enumerable
+        // process in id order.
+        ProcessId sender = 0;
+        int senders = 0;
+        for (ProcessId q = 1; q <= cfg.n && senders < 2; ++q)
+            if (sys.can_step(q) && sys.behavior_of(q).may_send())
+                if (senders++ == 0) sender = q;
+        for (const ProcMoves& pm : wk.moves) {
+            if (senders > 1) break;
+            if (senders == 1 && sender != pm.p) continue;
+            ghost_moves(sys, pm, wk);
+            if (!moves_commute(pm)) continue;
+            // Only this process's moves are expanded.  (The absorbed
+            // skips counted above are superseded here.)
+            e.por_skips = total_moves - pm.num;
+            for (std::size_t m = 0; m < pm.num; ++m)
+                emit_child(wk.ghosts[m], pm.p);
+            return e;
+        }
+    }
+
+    e.children.reserve(total_moves);
+    for (const ProcMoves& pm : wk.moves) {
+        ghost_moves(sys, pm, wk);
+        for (std::size_t m = 0; m < pm.num; ++m)
+            emit_child(wk.ghosts[m], pm.p);
+    }
+    return e;
+}
+
+ExploreResult explore_reduced(const Algorithm& algorithm,
+                              const ExploreConfig& cfg) {
+    ExploreResult result;
+
+    // kFast is this engine with every reduction axis off: it ignores
+    // cfg.reduction.
+    const ReductionOptions axes =
+            cfg.mode == ExploreMode::kReduced
+                    ? cfg.reduction
+                    : ReductionOptions{false, false, false};
+    Reductions red;
+    red.group = axes.symmetry ? SymmetryGroup::compute(algorithm, cfg.n,
+                                                       cfg.inputs, cfg.plan)
+                              : SymmetryGroup::trivial(cfg.n);
+    red.abs.strip_inert = axes.absorption;
+    red.abs.decided_final = axes.absorption && algorithm.decided_is_final();
+    red.por = axes.por;
+
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
     const std::size_t threshold = resolve_threshold(cfg, sched);
     std::size_t max_dispatched = 0;
 
     store::ShardedVisitedStore visited(cfg.store);
     store::DeltaStore deltas(cfg.store);
-    std::vector<Worker> workers(static_cast<std::size_t>(sched.size()));
-    for (Worker& w : workers)
+    std::vector<ReducedWorker> workers(static_cast<std::size_t>(sched.size()));
+    for (ReducedWorker& w : workers)
         w.remat = std::make_unique<store::Rematerializer>(
-                algorithm, cfg.n, cfg.inputs, cfg.plan, deltas, digest_send);
+                algorithm, cfg.n, cfg.inputs, cfg.plan, deltas,
+                &message_digest);
 
-    visited.insert(root_key);
+    {
+        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
+        RenameScratch scratch;
+        visited.insert(canonical_state_key(root, cfg.n, algorithm, red.group,
+                                           scratch, red.abs));
+    }
     deltas.append(store::DeltaRecord{});  // the root: id 0, no real step
     // Pop-order truncation bookkeeping.  The in-RAM engines check
     // `visited.size() > max_states` when popping a node; insert_batch
@@ -672,14 +926,15 @@ void run_store_bfs(const Algorithm& algorithm, const ExploreConfig& cfg,
                     exec::parallel_map_grained(
                             sched, count, /*grain=*/0,
                             [&](std::size_t i, int w) {
-                                Worker& wk =
+                                ReducedWorker& wk =
                                         workers[static_cast<std::size_t>(w)];
                                 const store::MaterializedNode node =
                                         wk.remat->materialize(block + i);
 #ifndef NDEBUG
-                                check_node_caches(node, cfg.n, digest_send);
+                                check_node_caches(node, cfg.n);
 #endif
-                                return expand(node, wk, depth);
+                                return expand_reduced(node, depth, cfg,
+                                                      algorithm, red, wk);
                             },
                             threshold);
 
@@ -746,449 +1001,19 @@ void run_store_bfs(const Algorithm& algorithm, const ExploreConfig& cfg,
     result.filter_false_positives = vs.filter_false_positives;
     result.spilled_records = deltas.spilled_records();
     result.spill_bytes = deltas.spill_bytes();
-    for (const Worker& w : workers) {
+    for (const ReducedWorker& w : workers) {
         result.replay_steps += w.remat->replay_steps();
         result.spill_reads += w.remat->spill_reads();
     }
-}
-
-// ---------------------------------------------------------------------
-// Fast engine: ghost expansion over the store path.
-
-/// Per-worker state of the fast engine: the delta rematerializer plus
-/// ghost-step scratch, reused across every node the worker expands.
-struct FastWorker {
-    std::unique_ptr<store::Rematerializer> remat;
-    StepInput step;
-    std::vector<ArrivingSend> arriving;
-};
-
-/// Classifies one materialized node and ghost-steps every (live
-/// process, delivery mode) candidate.  Reads the node and clones
-/// single behaviors only -- safe to run concurrently on distinct nodes.
-StoreExpansion expand_fast(const store::MaterializedNode& node, int depth,
-                           const ExploreConfig& cfg, FastWorker& wk) {
-    StoreExpansion e;
-    const System& sys = *node.sys;
-    e.decided = decision_set(sys, cfg.n);
-    if (quiescent(sys, cfg)) {
-        e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
-        return e;
-    }
-    if (depth >= cfg.max_depth) {
-        e.at_depth = true;
-        return e;
-    }
-    e.children.reserve(static_cast<std::size_t>(3 * cfg.n));
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        // The delivered-prefix lengths of delivery_modes(), without
-        // materializing StepChoices: nothing, the oldest message, the
-        // whole buffer (iff it differs from "oldest").
-        const std::size_t buf_size = sys.buffer(p).size();
-        std::size_t prefixes[3];
-        std::size_t num_prefixes = 0;
-        prefixes[num_prefixes++] = 0;
-        if (buf_size >= 1) prefixes[num_prefixes++] = 1;
-        if (buf_size > 1) prefixes[num_prefixes++] = buf_size;
-        for (std::size_t m = 0; m < num_prefixes; ++m) {
-            GhostStep g = ghost_step(sys, p, prefixes[m], wk.step);
-            fill_arriving(g, p, msg_hash, wk.arriving);
-            StoreChild child;
-            child.key = hash_child(sys, cfg.n, p, g, *node.marks,
-                                   *node.mhash, wk.arriving);
-            child.stepper = p;
-            child.delivered = static_cast<std::uint32_t>(prefixes[m]);
-            e.children.push_back(child);
-        }
-    }
-    return e;
-}
-
-ExploreResult explore_fast(const Algorithm& algorithm,
-                           const ExploreConfig& cfg) {
-    ExploreResult result;
-    Digest128 root_key;
-    {
-        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        root_key = hash_state(root, cfg.n);
-    }
-    run_store_bfs<FastWorker>(
-            algorithm, cfg, root_key, &msg_hash,
-            [&cfg](const store::MaterializedNode& node, FastWorker& wk,
-                   int depth) { return expand_fast(node, depth, cfg, wk); },
-            result);
-    return result;
-}
-
-// ---------------------------------------------------------------------
-// Reduced engine (ExploreMode::kReduced): the fast engine's store-path
-// ghost-step BFS with the reduction layer (core/reduction.hpp) on top.
-// doc/performance.md carries the full soundness argument; in brief:
-//
-//   * SYMMETRY -- dedup keys are canonicalized to the minimum digest
-//     over the symmetry group G (permutations fixing inputs + plan that
-//     the algorithm declares equivariance under): one representative
-//     per G-orbit is explored.  The identity element reuses the fast
-//     engine's incremental caches (with reduced_msg_hash as the
-//     message digest); non-identity elements re-walk the candidate
-//     through the renaming.  Decision-value sets are G-invariant;
-//     per-process quiescent outcome vectors are orbit-expanded over G
-//     before the result is returned.
-//
-//   * ABSORPTION -- the observational quotient of core/reduction.hpp:
-//     when the algorithm declares decisions final, a decided process
-//     folds to its decision value alone (buffer, crash flag and
-//     internal bookkeeping leave the key), its step choices are
-//     skipped, and quiescence classification treats it as drained --
-//     the absorbed representative itself records the outcome its
-//     drain-only descendants would have recorded.  Independently,
-//     messages the receiver declares inert (Behavior::message_inert)
-//     are deleted from every key, wherever they sit in the buffer.
-//
-//   * PARTIAL ORDER -- a persistent-set filter: when some enumerable
-//     process's every delivery-mode move neither decides a fresh value
-//     nor sends to a process that can still step (decided processes
-//     of a decisions-are-final algorithm count as stopped), and every
-//     OTHER steppable process is send-quiescent (Behavior::may_send),
-//     that process's moves commute with everything the rest of the
-//     system can ever do.  Only that process is expanded; the other
-//     processes' moves are skipped and counted as por_skips.
-//
-// Unlike the other engines this explores a QUOTIENT of the reachable
-// space: states_explored / schedules_expanded shrink, while
-// violation_found, reachable_decision_sets and quiescent_outcomes are
-// preserved (exactly so on exhaustive explorations).
-
-/// Quotient-aware quiescence: a process that has decided under a
-/// decisions-are-final algorithm is absorbed -- its undrained buffer
-/// and remaining (skipped) steps cannot change any decision, so the
-/// configuration's outcome vector is already the outcome vector of the
-/// fully drained configurations it represents.  Without decided-final
-/// absorption this is exactly quiescent().  Classifying quiescence on
-/// the quotient is what keeps outcomes observable at all: drain-only
-/// children hash equal to their parent and are deduplicated away, so
-/// the absorbed representative itself must be the state that records
-/// the outcome.
-bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
-                       const AbsorptionContext& abs) {
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
-        if (cfg.plan.is_faulty(p)) {
-            if (sys.can_step(p)) return false;
-        } else {
-            if (!sys.decision_of(p)) return false;
-            // Dead (inert) leftovers don't block quiescence: the state
-            // keys equal to its fully drained counterpart, so it must
-            // also CLASSIFY like it, or the orbit's outcome would be
-            // recorded by neither representative.
-            const auto& buf = sys.buffer(p);
-            const Behavior& recv = sys.behavior_of(p);
-            for (const Message& m : buf)
-                if (!dead_message(m.from, m.payload, recv, abs))
-                    return false;
-        }
-    }
-    return true;
-}
-
-/// Identity-renaming child key of the reduced engine: hash_child's
-/// cached-digest walk with the absorption quotient applied -- decided
-/// processes fold to their decision alone and dead messages (judged by
-/// the receiver's CHILD-state behavior) are deleted from buffer keys.
-/// Field-for-field identical to reduced_hash_state() of the realized
-/// child, and to hash_child() when the quotient is off.
-Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
-                             const GhostStep& g,
-                             const std::vector<BehaviorMark>& parent_marks,
-                             const MessageHashes& parent_mhash,
-                             const std::vector<ArrivingSend>& arriving,
-                             const AbsorptionContext& abs,
-                             std::vector<const Payload*>& payload_scratch) {
-    StateHasher h;
-    for (ProcessId q = 1; q <= n; ++q) {
-        auto d = sys.decision_of(q);
-        if (q == stepper && g.out.decision) d = g.out.decision;
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
-            continue;
-        }
-        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& mh = parent_mhash[q - 1];
-        const std::size_t skip = q == stepper ? g.delivered : 0;
-        // Arriving payloads for q, in emission order: index-aligned with
-        // the entries of `arriving` whose dest is q (fill_arriving walks
-        // the same surviving sends in the same order).
-        payload_scratch.clear();
-        for (const auto& [dest, payload] : g.out.sends)
-            if (dest == q && g.send_survives(dest))
-                payload_scratch.push_back(&payload);
-        // Delete dead messages anywhere in the child's buffer
-        // (buf[skip:] ++ arriving), judged by q's child-state behavior.
-        const Behavior& receiver =
-                q == stepper ? *g.behavior : sys.behavior_of(q);
-        const auto& buf = sys.buffer(q);
-        std::size_t live = 0;
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                ++live;
-        for (const Payload* pl : payload_scratch)
-            if (!dead_message(stepper, *pl, receiver, abs)) ++live;
-        h.u64(live);
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                h.fold(mh[i]);
-        std::size_t ai = 0;  // walks arriving's dest==q entries in order
-        for (const ArrivingSend& a : arriving) {
-            if (a.dest != q) continue;
-            if (!dead_message(stepper, *payload_scratch[ai], receiver, abs))
-                h.fold(a.hash);
-            ++ai;
-        }
-    }
-    for (ProcessId q = 1; q <= n; ++q) {
-        if (abs.decided_final) {
-            auto d = sys.decision_of(q);
-            if (q == stepper && g.out.decision) d = g.out.decision;
-            if (d) continue;  // collapsed with the first loop's marker
-        }
-        if (q == stepper)
-            fold_mark(h, BehaviorMark{true, g.bhash});
-        else
-            fold_mark(h, parent_marks[q - 1]);
-    }
-    return h.digest();
-}
-
-/// Per-worker state of the reduced engine: the delta rematerializer
-/// plus ghost/rename/payload scratch, reused across every node a
-/// worker expands.  Each worker owns exactly one: nothing is shared.
-struct ReducedWorker {
-    std::unique_ptr<store::Rematerializer> remat;
-    StepInput step;
-    RenameScratch rename;
-    std::vector<const Payload*> payloads;
-    std::vector<ArrivingSend> arriving;
-};
-
-/// Classify, pick the persistent set, ghost-step and canonicalize the
-/// surviving candidates of one materialized node.  Reads the node, the
-/// calling worker's scratch and clones single behaviors only -- safe
-/// to run concurrently on distinct nodes.
-StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
-                              const ExploreConfig& cfg,
-                              const Algorithm& algorithm,
-                              const SymmetryGroup& group,
-                              const AbsorptionContext& abs,
-                              ReducedWorker& wk) {
-    StoreExpansion e;
-    const System& sys = *node.sys;
-    e.decided = decision_set(sys, cfg.n);
-    if (quiescent_reduced(sys, cfg, abs)) {
-        e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
-        return e;
-    }
-    if (depth >= cfg.max_depth) {
-        e.at_depth = true;
-        return e;
-    }
-
-    // The enumerable moves, in the canonical (process, delivery-mode)
-    // order every engine uses.
-    struct ProcMoves {
-        ProcessId p = 0;
-        std::size_t prefixes[3] = {0, 0, 0};
-        std::size_t num = 0;
-    };
-    std::vector<ProcMoves> procs;
-    procs.reserve(static_cast<std::size_t>(cfg.n));
-    std::size_t total_moves = 0;
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        if (abs.decided_final && sys.decision_of(p)) {
-            // Absorbed: a decided process of a decisions-are-final
-            // algorithm never sends or decides again, so every one of
-            // its moves reaches a state whose quotient key equals the
-            // parent's.  Skip them outright (counted with the POR
-            // skips) instead of generating self-deduplicating children.
-            const std::size_t buf_size = sys.buffer(p).size();
-            e.por_skips += 1 + (buf_size >= 1 ? 1 : 0) +
-                           (buf_size > 1 ? 1 : 0);
-            continue;
-        }
-        ProcMoves pm;
-        pm.p = p;
-        const std::size_t buf_size = sys.buffer(p).size();
-        pm.prefixes[pm.num++] = 0;
-        if (buf_size >= 1) pm.prefixes[pm.num++] = 1;
-        if (buf_size > 1) pm.prefixes[pm.num++] = buf_size;
-        total_moves += pm.num;
-        procs.push_back(pm);
-    }
-
-    auto ghost_moves = [&](const ProcMoves& pm) {
-        std::vector<GhostStep> out;
-        out.reserve(pm.num);
-        for (std::size_t m = 0; m < pm.num; ++m)
-            out.push_back(ghost_step(sys, pm.p, pm.prefixes[m], wk.step));
-        return out;
-    };
-
-    // Partial-order reduction: find the smallest-id safe process.  A
-    // process p is safe when (a) every steppable process other than p
-    // is send-quiescent -- so nothing can ever send to p or to anyone
-    // else before p moves -- and (b) every move of p sends only to p
-    // itself or to processes that can never step again, and either
-    // does not decide or decides a value that is already in the
-    // state's decision set (so hoisting the move past any interleaving
-    // changes no intermediate decision set).  Then p's moves commute
-    // with every future move of the rest of the system and expanding p
-    // alone loses no decision set, no quiescent outcome and no
-    // violation (doc/performance.md gives the full argument).
-    const ProcMoves* ample = nullptr;
-    std::vector<GhostStep> ample_ghosts;
-    if (cfg.reduction.por) {
-        std::vector<ProcessId> senders;  // steppable and may still send
-        for (ProcessId q = 1; q <= cfg.n; ++q)
-            if (sys.can_step(q) && sys.behavior_of(q).may_send())
-                senders.push_back(q);
-        // Two senders: whichever process we pick, some OTHER process
-        // may still send -- nobody is safe.  One sender: only it can
-        // be.  None: try every enumerable process in id order.
-        if (senders.size() <= 1) {
-            for (const ProcMoves& pm : procs) {
-                if (!senders.empty() && senders.front() != pm.p) continue;
-                std::vector<GhostStep> ghosts = ghost_moves(pm);
-                bool safe = true;
-                for (const GhostStep& g : ghosts) {
-                    if (g.out.decision &&
-                        e.decided.count(*g.out.decision) == 0) {
-                        safe = false;
-                        break;
-                    }
-                    for (const auto& [dest, payload] : g.out.sends) {
-                        if (!g.send_survives(dest)) continue;
-                        // A decided destination of a decisions-are-final
-                        // algorithm is as good as stopped: the send
-                        // lands in a buffer the quotient never reads.
-                        if (dest != pm.p && sys.can_step(dest) &&
-                            !(abs.decided_final && sys.decision_of(dest))) {
-                            safe = false;
-                            break;
-                        }
-                    }
-                    if (!safe) break;
-                }
-                if (safe) {
-                    ample = &pm;
-                    ample_ghosts = std::move(ghosts);
-                    break;
-                }
-            }
-        }
-    }
-
-    auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
-        fill_arriving(g, p, reduced_msg_hash, wk.arriving);
-        StoreChild child;
-        child.key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
-                                       *node.mhash, wk.arriving, abs,
-                                       wk.payloads);
-        if (group.size() > 1) {
-            GhostEffects eff;
-            eff.stepper = p;
-            eff.delivered = delivered;
-            eff.final_crash = g.final_crash;
-            eff.omit_to = g.omit_to;
-            eff.sends = &g.out.sends;
-            eff.decision = &g.out.decision;
-            eff.behavior_after = g.behavior.get();
-            for (std::size_t gi = 1; gi < group.size(); ++gi) {
-                const Digest128 d = hash_child_renamed(
-                        sys, cfg.n, algorithm, eff, group.renaming(gi),
-                        group.inverse(gi), wk.rename, abs);
-                if (d < child.key) child.key = d;
-            }
-        }
-        child.stepper = p;
-        child.delivered = static_cast<std::uint32_t>(delivered);
-        e.children.push_back(child);
-    };
-
-    if (ample != nullptr) {
-        e.por_skips = total_moves - ample->num;
-        for (std::size_t m = 0; m < ample->num; ++m)
-            emit_child(ample->p, ample->prefixes[m], ample_ghosts[m]);
-        return e;
-    }
-    e.children.reserve(total_moves);
-    for (const ProcMoves& pm : procs) {
-        std::vector<GhostStep> ghosts = ghost_moves(pm);
-        for (std::size_t m = 0; m < pm.num; ++m)
-            emit_child(pm.p, pm.prefixes[m], ghosts[m]);
-    }
-    return e;
-}
-
-ExploreResult explore_reduced(const Algorithm& algorithm,
-                              const ExploreConfig& cfg) {
-    ExploreResult result;
-
-    const SymmetryGroup group =
-            cfg.reduction.symmetry
-                    ? SymmetryGroup::compute(algorithm, cfg.n, cfg.inputs,
-                                             cfg.plan)
-                    : SymmetryGroup::trivial(cfg.n);
-
-    AbsorptionContext abs;
-    abs.strip_inert = cfg.reduction.absorption;
-    abs.decided_final =
-            cfg.reduction.absorption && algorithm.decided_is_final();
-
-    Digest128 root_key;
-    {
-        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        RenameScratch scratch;
-        root_key = canonical_state_key(root, cfg.n, algorithm, group,
-                                       scratch, abs);
-    }
-    run_store_bfs<ReducedWorker>(
-            algorithm, cfg, root_key, &reduced_msg_hash,
-            [&](const store::MaterializedNode& node, ReducedWorker& wk,
-                int depth) {
-                return expand_reduced(node, depth, cfg, algorithm, group,
-                                      abs, wk);
-            },
-            result);
 
     // Orbit-expand the quiescent outcomes: a pruned orbit member's runs
     // are the renamed runs of its explored representative, so its
     // outcome vectors are the renamed outcome vectors.
-    if (!group.is_trivial()) {
+    if (!red.group.is_trivial()) {
         std::set<std::vector<Value>> expanded;
         for (const std::vector<Value>& o : result.quiescent_outcomes)
-            for (std::size_t g = 0; g < group.size(); ++g)
-                expanded.insert(group.apply_to_outcome(g, o));
+            for (std::size_t g = 0; g < red.group.size(); ++g)
+                expanded.insert(red.group.apply_to_outcome(g, o));
         result.quiescent_outcomes = std::move(expanded);
     }
     return result;
@@ -1201,9 +1026,9 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
 // schedule script, every expansion replays the script on a fresh System
 // and every candidate key additionally replays *and finishes* a
 // throwaway copy to recover behavior digests from the Run record.  It
-// exists (a) as the baseline bench_model_check measures the snapshot
-// engine against and (b) as a third independent implementation for the
-// golden equivalence suite.  Single-threaded by nature.
+// exists (a) as the baseline bench_model_check measures the store path
+// against and (b) as the golden equivalence suite's reference that
+// never calls System::fork().  Single-threaded by nature.
 
 /// Runs `script` on a fresh system; returns the system for inspection.
 std::unique_ptr<System> replay(const Algorithm& algorithm,
@@ -1310,7 +1135,7 @@ std::string to_string(ExploreMode mode) {
     return "unknown";
 }
 
-std::string ExploreResult::summary() const {
+std::string ExploreVerdict::summary() const {
     std::ostringstream out;
     out << "explored " << states_explored << " states ("
         << schedules_expanded << " expansions, "
@@ -1331,8 +1156,6 @@ ExploreResult explore_schedules(const Algorithm& algorithm,
             "explore_schedules: need n inputs");
 
     switch (cfg.mode) {
-        case ExploreMode::kFast:
-            return explore_fast(algorithm, cfg);
         case ExploreMode::kReference:
             return explore_snapshot<std::string>(
                     algorithm, cfg,
@@ -1342,6 +1165,7 @@ ExploreResult explore_schedules(const Algorithm& algorithm,
                     });
         case ExploreMode::kReplayBaseline:
             return explore_replay_baseline(algorithm, cfg);
+        case ExploreMode::kFast:
         case ExploreMode::kReduced:
             return explore_reduced(algorithm, cfg);
     }

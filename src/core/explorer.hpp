@@ -27,16 +27,23 @@
 //
 // Engine (see doc/performance.md for the full design):
 //
-//   * the BFS frontier holds live System snapshots; children are made
-//     by System::fork() + one apply_choice, never by replaying the
-//     whole schedule prefix from the initial configuration;
+//   * the default store path (kFast, kReduced) keeps each frontier node
+//     as a 16-byte delta record in the out-of-core store (src/store/)
+//     and re-materializes it by forking its parent's live System and
+//     replaying one step; candidate children are keyed by ghost
+//     stepping -- one cloned behavior, no fork -- and only keys that
+//     survive deduplication become records;
+//   * the in-RAM reference (kReference) holds live System snapshots,
+//     making children by System::fork() + one apply_choice; the replay
+//     baseline (kReplayBaseline) rebuilds every state from its schedule
+//     prefix and never forks;
 //   * frontier layers are expanded in parallel on the work-stealing
 //     scheduler (exec/task_scheduler.hpp, via exec/parallel_map.hpp)
 //     and merged sequentially in input order, so N-thread output is
 //     byte-identical to 1-thread output;
 //   * deduplication keys are deterministic 128-bit hashes
-//     (sim/digest.hpp) in the default fast mode, canonical strings in
-//     reference mode, and every mode inserts states in the same BFS
+//     (sim/digest.hpp) on the store path and canonical strings in the
+//     cross-checks, and every mode inserts states in the same BFS
 //     order -- the max_states truncation cuts the same frontier
 //     regardless of mode or thread count.
 
@@ -54,35 +61,38 @@
 
 namespace ksa::core {
 
-/// Which digest/stepping engine the exploration uses.  All modes
-/// produce identical ExploreResults on the same config (the golden
-/// equivalence suite in tests/test_explorer_equiv.cpp enforces it);
-/// they differ only in speed.
+/// Which engine the exploration uses.  kFast, kReference and
+/// kReplayBaseline produce identical ExploreVerdicts on the same config
+/// (the golden equivalence suite in tests/test_explorer_equiv.cpp
+/// enforces it); they differ only in speed.
 enum class ExploreMode {
-    /// Snapshot stepping + incremental 128-bit hash dedup (default).
+    /// The store path (default): delta-record frontier, ghost stepping
+    /// and incremental 128-bit hash dedup -- kReduced with every
+    /// reduction axis off (ExploreConfig::reduction is ignored).
     kFast,
-    /// Snapshot stepping + canonical-string dedup: the reference the
-    /// fast path is cross-checked against.  Slower (one full string
-    /// rendering per candidate state), collision-free by construction.
+    /// In-RAM snapshot stepping + canonical-string dedup: the reference
+    /// the store path is cross-checked against.  Slower (one full
+    /// string rendering per candidate state), collision-free by
+    /// construction.
     kReference,
     /// The pre-snapshot engine: every candidate state is digested by
     /// replaying its entire schedule prefix on a fresh System and
-    /// finishing a throwaway copy.  Kept verbatim as the baseline that
-    /// BENCH_explorer.json measures the snapshot engine against, and as
-    /// a second cross-check.  Single-threaded; ignores `threads`.
+    /// finishing a throwaway copy.  Kept as a second cross-check -- the
+    /// one engine that never calls System::fork() -- and as the
+    /// baseline BENCH_explorer.json measures the store path against.
+    /// Single-threaded; ignores `threads`.
     kReplayBaseline,
-    /// The fast engine plus the reduction layer (core/reduction.hpp):
-    /// symmetry canonicalization of dedup keys, an observational
-    /// absorption quotient (decided-process collapse + dead-message
-    /// deletion) and persistent-set partial-order reduction.  UNLIKE
-    /// the other modes it explores a
+    /// The store path plus the reduction axes ExploreConfig::reduction
+    /// selects (core/reduction.hpp): symmetry canonicalization of dedup
+    /// keys, an observational absorption quotient (decided-process
+    /// collapse + dead-message deletion) and persistent-set
+    /// partial-order reduction.  UNLIKE the other modes it explores a
     /// *quotient* of the configuration space: states_explored /
     /// schedules_expanded shrink, while violation_found,
     /// reachable_decision_sets and quiescent_outcomes are preserved
     /// (exactly on exhaustive explorations; doc/performance.md spells
     /// out what weakens under max_depth / max_states truncation).
-    /// With every ExploreConfig::reduction axis off it partitions
-    /// states exactly like kFast and produces bit-identical results.
+    /// With every axis off it runs exactly as kFast does.
     kReduced,
 };
 
@@ -102,9 +112,10 @@ struct ExploreConfig {
     /// Worker threads for layer-parallel expansion (1 = sequential).
     /// Output is byte-identical for every value.
     int threads = 1;
-    /// Which reductions kReduced applies (ignored by the other modes).
+    /// Which reductions kReduced applies (ignored by every other mode,
+    /// kFast included).
     ReductionOptions reduction;
-    /// Record per-layer frontier sizes into ExploreResult
+    /// Record per-layer frontier sizes into ExploreStats
     /// (observability; off by default to keep results lean).
     bool collect_layer_sizes = false;
     /// Frontiers smaller than this are expanded inline on the calling
@@ -116,55 +127,67 @@ struct ExploreConfig {
     /// kMinGrain items per worker is not worth a dispatch); a nonzero
     /// value overrides it.  Output stays byte-identical either way.
     std::size_t min_parallel_frontier = 0;
-    /// Sizing of the out-of-core store behind the layered engines
+    /// Sizing of the out-of-core store behind the store path
     /// (kFast/kReduced): visited-set sharding, the probabilistic dedup
     /// tier, the delta-frontier spill budget and the expansion block
-    /// size.  Every knob trades CPU or resident memory only -- results
-    /// are byte-identical for every setting (the equivalence suite
-    /// sweeps them).  kReference/kReplayBaseline ignore this: they are
-    /// the deliberately simple in-RAM cross-checks.
+    /// size.  Every knob trades CPU or resident memory only -- verdicts
+    /// are identical for every setting (the equivalence suite sweeps
+    /// them).  kReference/kReplayBaseline ignore this: they are the
+    /// deliberately simple in-RAM cross-checks.
     store::StoreOptions store;
 };
 
-/// Exploration outcome.
-struct ExploreResult {
+/// What an exploration established: the semantic result, a pure
+/// function of the algorithm, the config's exploration parameters and
+/// the mode.  kFast, kReference and kReplayBaseline produce equal
+/// verdicts on every config, and every mode's verdict is identical for
+/// every thread count and store setting (the golden equivalence suite
+/// compares verdicts with ==).
+struct ExploreVerdict {
     std::size_t states_explored = 0;
     std::size_t schedules_expanded = 0;
     /// Candidate children rejected because their key was already in the
     /// visited set -- the edge-over-vertex surplus of the reachable
-    /// graph.  Identical across kFast/kReference/kReplayBaseline (same
-    /// candidates, same partition); in kReduced it additionally counts
-    /// symmetry-orbit merges.
+    /// graph.  In kReduced it additionally counts symmetry-orbit merges.
     std::size_t dedup_hits = 0;
     /// Step choices skipped by the reduction layer (kReduced only; 0
     /// in every other mode): persistent-set sibling moves plus the
     /// skipped moves of absorbed (decided, decisions-final) processes.
     std::size_t por_skips = 0;
+    bool exhaustive = true;  ///< no node was cut off by max_depth/max_states
+    bool violation_found = false;
+    std::vector<StepChoice> witness;  ///< schedule reaching the violation
+    /// All decision-vectors (one optional value per process, kNoValue for
+    /// undecided) observed at quiescent states.
+    std::set<std::vector<Value>> quiescent_outcomes;
+    /// All distinct decision-value sets observed anywhere.
+    std::set<std::set<Value>> reachable_decision_sets;
+
+    friend bool operator==(const ExploreVerdict&,
+                           const ExploreVerdict&) = default;
+
+    std::string summary() const;
+};
+
+/// How an exploration ran: observability that depends on the engine,
+/// the machine, the timing or the store configuration, so it stays out
+/// of the verdict.  The store-path engine (kFast/kReduced) fills all of
+/// it; the in-RAM reference leaves the store and spill counters 0, and
+/// the replay baseline leaves everything 0.
+struct ExploreStats {
     /// Frontier size of each BFS layer, filled iff
-    /// ExploreConfig::collect_layer_sizes (layered engines only; the
-    /// replay baseline keeps a rolling queue and leaves this empty).
+    /// ExploreConfig::collect_layer_sizes.
     std::vector<std::size_t> layer_frontier_sizes;
-    /// Scheduler observability (layered engines; the replay baseline
-    /// leaves all three 0).  Excluded from the cross-engine/
-    /// cross-thread equivalence comparisons and from every report:
-    /// grain and threshold depend on the effective worker count (a
-    /// machine property), and steals are timing-dependent by design.
     /// The grain chosen for the largest parallel-dispatched layer (0
-    /// when every layer ran inline).
+    /// when every layer ran inline).  Depends on the effective worker
+    /// count, a machine property.
     std::size_t parallel_grain = 0;
     /// The sequential-fallback threshold in effect (resolved from
     /// ExploreConfig::min_parallel_frontier).
     std::size_t parallel_threshold = 0;
-    /// Successful work steals during this exploration.
+    /// Successful work steals during this exploration (timing-dependent
+    /// by design).
     std::uint64_t parallel_steals = 0;
-    /// Out-of-core store observability (kFast/kReduced only; zero in
-    /// the in-RAM cross-check modes).  The tier counters and spill
-    /// tallies are DETERMINISTIC -- pure functions of the key/record
-    /// streams, which are byte-identical across thread counts -- so
-    /// the equivalence suite pins them; replay_steps and spill_reads
-    /// depend on which worker materialized which node (spine cache
-    /// locality), so like parallel_steals they are excluded from every
-    /// comparison.
     /// Visited-store shard count in effect (2^StoreOptions::shard_bits).
     std::size_t store_shards = 0;
     /// Dedup probes the probabilistic tier answered "definitely new"
@@ -177,24 +200,23 @@ struct ExploreResult {
     /// Frontier delta records spilled to disk / their byte volume.
     std::uint64_t spilled_records = 0;
     std::uint64_t spill_bytes = 0;
+    // The tier counters and spill tallies above are pure functions of
+    // the key/record streams, so for a fixed StoreOptions they are
+    // identical across thread counts (the equivalence suite pins them);
+    // the two below depend on which worker materialized which node.
     /// Delta-chain steps replayed by re-materialization (spine cache
-    /// misses; timing-dependent).
+    /// misses).
     std::uint64_t replay_steps = 0;
-    /// Spilled-record reads during re-materialization (timing-dependent).
+    /// Spilled-record reads during re-materialization.
     std::uint64_t spill_reads = 0;
     /// Peak bytes resident in the store-owned structures (visited
     /// shards + delta window), sampled per expansion block.
     std::size_t peak_resident_bytes = 0;
-    bool exhaustive = true;  ///< no node was cut off by max_depth/max_states
-    bool violation_found = false;
-    std::vector<StepChoice> witness;  ///< schedule reaching the violation
-    /// All decision-vectors (one optional value per process, kNoValue for
-    /// undecided) observed at quiescent states.
-    std::set<std::vector<Value>> quiescent_outcomes;
-    /// All distinct decision-value sets observed anywhere.
-    std::set<std::set<Value>> reachable_decision_sets;
+};
 
-    std::string summary() const;
+/// Exploration outcome: the verdict plus how it was reached.
+struct ExploreResult : ExploreVerdict, ExploreStats {
+    const ExploreVerdict& verdict() const { return *this; }
 };
 
 /// Runs the exploration for `algorithm` (which must not use a failure

@@ -1,6 +1,7 @@
 #include "core/reduction.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "sim/system.hpp"
 
@@ -67,21 +68,6 @@ bool contiguous_input_blocks(const std::vector<Value>& inputs) {
         for (std::size_t i = range.first; i <= range.second; ++i)
             if (inputs[i] != v) return false;
     return true;
-}
-
-/// Folds one reduced-mode message: sender + interned tag + payload
-/// contents.  Shared by the identity and renamed digest paths.
-void fold_reduced_message(StateHasher& h, ProcessId from,
-                          const Payload& payload) {
-    h.i64(from);
-    h.u64(intern_tag(payload.tag));
-    h.u64(payload.ints.size());
-    for (int v : payload.ints) h.i64(v);
-    h.u64(payload.lists.size());
-    for (const auto& list : payload.lists) {
-        h.u64(list.size());
-        for (int v : list) h.i64(v);
-    }
 }
 
 }  // namespace
@@ -159,58 +145,7 @@ std::vector<Value> SymmetryGroup::apply_to_outcome(
 }
 
 // ---------------------------------------------------------------------
-// Tag interning.
-
-TagInterner& TagInterner::global() {
-    static TagInterner interner;
-    return interner;
-}
-
-std::uint64_t TagInterner::intern(std::string_view tag) {
-    // Content-derived id: a hash of the tag bytes, so the id does not
-    // depend on which thread or in which order tags are first seen.
-    StateHasher h;
-    h.str(tag);
-    const Digest128 d = h.digest();
-    const std::uint64_t id = d.hi ^ (d.lo * 0x9e3779b97f4a7c15ull);
-
-    std::lock_guard<std::mutex> lock(mu_);  // ksa-lint: allow(threading-outside-exec)
-    auto it = memo_.find(tag);
-    if (it != memo_.end()) return it->second;
-    auto [owner, fresh] = owners_.try_emplace(id, std::string(tag));
-    invariant(fresh, "TagInterner: 64-bit tag-id collision between '" +
-                             owner->second + "' and '" + std::string(tag) +
-                             "'");
-    memo_.emplace(std::string(tag), id);
-    return id;
-}
-
-std::size_t TagInterner::size() const {
-    std::lock_guard<std::mutex> lock(mu_);  // ksa-lint: allow(threading-outside-exec)
-    return memo_.size();
-}
-
-std::uint64_t intern_tag(std::string_view tag) {
-    // Thread-local front cache: lock-free on every hit after a tag's
-    // first sighting on the calling thread.  Content-derived ids make
-    // the cache trivially coherent with the global memo.
-    thread_local std::map<std::string, std::uint64_t, std::less<>>
-            cache;  // ksa-lint: allow(threading-outside-exec)
-    auto it = cache.find(tag);
-    if (it != cache.end()) return it->second;
-    const std::uint64_t id = TagInterner::global().intern(tag);
-    cache.emplace(std::string(tag), id);
-    return id;
-}
-
-// ---------------------------------------------------------------------
-// Reduced / renamed hashing.
-
-Digest128 reduced_msg_hash(ProcessId from, const Payload& payload) {
-    StateHasher h;
-    fold_reduced_message(h, from, payload);
-    return h.digest();
-}
+// State hashing.
 
 Digest128 renamed_msg_hash(ProcessId from, const Payload& payload,
                            const Algorithm& algorithm,
@@ -220,11 +155,8 @@ Digest128 renamed_msg_hash(ProcessId from, const Payload& payload,
     const bool ok = algorithm.rename_payload_ids(scratch.payload, ren);
     invariant(ok, "renamed_msg_hash: algorithm refused to rename a payload "
                   "after SymmetryGroup::compute probed support");
-    scratch.sub.reset();
-    fold_reduced_message(scratch.sub,
-                         ren[static_cast<std::size_t>(from) - 1],
-                         scratch.payload);
-    return scratch.sub.digest();
+    return message_digest(ren[static_cast<std::size_t>(from) - 1],
+                          scratch.payload);
 }
 
 Digest128 renamed_behavior_hash(const Behavior& behavior,
@@ -262,7 +194,7 @@ Digest128 reduced_hash_state(const System& sys, int n,
         h.u64(live);
         for (const Message& m : buf)
             if (!dead_message(m.from, m.payload, recv, abs))
-                h.fold(reduced_msg_hash(m.from, m.payload));
+                h.fold(message_digest(m.from, m.payload));
     }
     for (ProcessId p = 1; p <= n; ++p) {
         if (abs.decided_final && sys.decision_of(p)) continue;  // collapsed

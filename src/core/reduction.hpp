@@ -52,18 +52,12 @@
 // is the point).  See doc/performance.md for what weakens under
 // max_depth / max_states truncation.
 //
-// This module is also the only place allowed to hold canonicalization /
-// interning tables (ksa_lint rule interning-outside-reduction): the
-// tag-interning memo below is shared mutable state, which the rest of
-// the library bans outside exec/.
+// With every axis off (the trivial group, the identity quotient, no
+// persistent-set filter) the machinery below keys states by plain
+// configuration: that is how ExploreMode::kFast runs.
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,8 +80,8 @@ namespace ksa::core {
 
 /// Absorption switches derived once per exploration from
 /// ReductionOptions::absorption and the algorithm's declarations; the
-/// all-false default is the identity quotient (exactly the fast
-/// engine's keys).
+/// all-false default is the identity quotient (plain configuration
+/// keys, as ExploreMode::kFast uses).
 struct AbsorptionContext {
     /// Strip maximal inert suffixes of buffers from dedup keys
     /// (Behavior::message_inert; a no-op for behaviors that never
@@ -162,54 +156,17 @@ private:
 };
 
 // ---------------------------------------------------------------------
-// Payload-tag interning.
+// State hashing.
 //
-// Reduced-mode message digests replace the tag string's byte walk with
-// one 64-bit interned id.  Ids are CONTENT-DERIVED (a hash of the tag
-// bytes), so they are deterministic across runs, threads and insertion
-// orders -- interning changes how fast a key is computed, never which
-// states collide.  The memo exists to amortize the hash and to detect
-// (vanishingly unlikely) 64-bit id collisions between distinct tags,
-// which would otherwise silently merge states.
-
-class TagInterner {
-public:
-    /// The process-wide interner.  Thread-safe.
-    static TagInterner& global();
-
-    /// Returns the interned id of `tag`, registering it on first use.
-    /// Aborts (invariant) if a distinct tag already owns the id.
-    std::uint64_t intern(std::string_view tag);
-
-    /// Number of distinct tags registered so far (observability/tests).
-    std::size_t size() const;
-
-private:
-    // Shared mutable memo; confined to this module by the
-    // interning-outside-reduction lint rule.  Content-derived ids keep
-    // results independent of lock interleaving.
-    mutable std::mutex mu_;  // ksa-lint: allow(threading-outside-exec)
-    std::map<std::string, std::uint64_t, std::less<>> memo_;
-    std::map<std::uint64_t, std::string> owners_;
-};
-
-/// Interns through a thread-local cache in front of TagInterner::global()
-/// -- the hot path of reduced message hashing takes no lock after the
-/// first sighting of a tag on each thread.
-std::uint64_t intern_tag(std::string_view tag);
-
-// ---------------------------------------------------------------------
-// Renamed / reduced state hashing.
-//
-// The reduced engine keys states on min over G of the renamed state's
-// digest.  The identity element reuses the fast engine's incremental
-// caches (explorer.cpp) with the reduced message digest below; the
+// The store-path explorer keys states on min over G of the renamed
+// state's digest.  The identity element reuses the explorer's
+// incremental caches (explorer.cpp: per-message digests cached when a
+// message arrives, per-behavior digests when its process steps); the
 // non-identity elements re-walk the configuration through the renaming
 // (group sizes are tiny -- at most a few dozen elements at explorer
-// scales).  All functions fold EXACTLY the same field sequence as the
-// fast engine's hash_state/hash_child, so that for the identity
-// renaming the cached and walked digests coincide (debug builds assert
-// this on every realized child).
+// scales).  Every function folds EXACTLY the field sequence of the
+// explorer's cached child key, so that for the identity renaming the
+// cached and walked digests coincide.
 
 /// Reusable scratch for renamed hashing: one per worker, reset-free
 /// (every helper overwrites what it uses).  Exists to keep the hot path
@@ -217,20 +174,26 @@ std::uint64_t intern_tag(std::string_view tag);
 /// candidates instead of constructed per message.
 struct RenameScratch {
     Payload payload;  ///< renamed copy of a message payload
-    StateHasher sub;  ///< per-behavior / per-message sub-hasher
+    StateHasher sub;  ///< per-behavior sub-hasher
     /// Borrowed per-destination arriving-send payloads of one ghost
     /// step (hash_child_renamed); recycled to keep the renamed walk
     /// allocation-free after warm-up.
     std::vector<const Payload*> arriving;
 };
 
-/// Reduced digest of one buffered message: sender id + interned tag id
-/// + length-prefixed ints/lists.  The reduced-mode counterpart of the
-/// fast engine's msg_hash (same partition of messages: two messages
-/// collide iff sender, tag and contents are equal).
-Digest128 reduced_msg_hash(ProcessId from, const Payload& payload);
+/// The one digest of a buffered message every state key folds: the
+/// sender id, then the payload's own byte stream (Payload::fold).
+/// Message ids are simulator bookkeeping and stay out, so two messages
+/// collide iff sender, tag and contents are equal.  Inline because the
+/// explorer calls it once per surviving send of every candidate child.
+inline Digest128 message_digest(ProcessId from, const Payload& payload) {
+    StateHasher h;
+    h.i64(from);
+    payload.fold(h);
+    return h.digest();
+}
 
-/// reduced_msg_hash of the message as the renamed execution would hold
+/// message_digest of the message as the renamed execution would hold
 /// it: sender mapped through `ren`, payload ids rewritten by
 /// Algorithm::rename_payload_ids.  Aborts (invariant) if the algorithm
 /// refuses the payload -- SymmetryGroup::compute probed support, so a
@@ -262,11 +225,11 @@ inline bool dead_message(ProcessId from, const Payload& payload,
     return abs.strip_inert && receiver.message_inert(from, payload);
 }
 
-/// Reduced-mode full-state digest (identity renaming): field-for-field
-/// the fast engine's hash_state with reduced_msg_hash as the message
-/// digest and the absorption quotient applied (decided processes fold
-/// to their decision, inert buffer suffixes are stripped).  Root key
-/// and debug cross-check.
+/// Full-state digest under the identity renaming, recomputed from the
+/// live System: field-for-field the explorer's cached child key, with
+/// the absorption quotient applied (decided processes fold to their
+/// decision, dead messages are deleted).  The identity element of
+/// canonical_state_key.
 Digest128 reduced_hash_state(const System& sys, int n,
                              const AbsorptionContext& abs);
 
@@ -300,9 +263,9 @@ struct GhostEffects {
 };
 
 /// Digest of the child configuration reached from `sys` by the ghost
-/// step, as renamed by `ren`: the renamed-walk counterpart of the fast
-/// engine's hash_child (same field sequence, same arrival order of
-/// surviving sends).
+/// step, as renamed by `ren`: the renamed-walk counterpart of the
+/// explorer's cached child key (same field sequence, same arrival
+/// order of surviving sends).
 Digest128 hash_child_renamed(const System& sys, int n,
                              const Algorithm& algorithm,
                              const GhostEffects& g,
@@ -313,8 +276,8 @@ Digest128 hash_child_renamed(const System& sys, int n,
 
 /// Canonical key of a live System: minimum over the group of the
 /// renamed full-state digests (identity via reduced_hash_state), with
-/// the absorption quotient applied on every path.  The reduced
-/// engine's root key and the debug cross-check of materialized nodes.
+/// the absorption quotient applied on every path.  The store-path
+/// explorer's root key.
 Digest128 canonical_state_key(const System& sys, int n,
                               const Algorithm& algorithm,
                               const SymmetryGroup& group,

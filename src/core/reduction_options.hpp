@@ -3,7 +3,7 @@
 // mode (ExploreMode::kReduced), split out of core/reduction.hpp so that
 // configuration surfaces (core/explorer.hpp's ExploreConfig, tools,
 // tests) can select reductions WITHOUT seeing the reduction engine's
-// internals.  core/reduction.hpp (TagInterner, renamed hashing,
+// internals.  core/reduction.hpp (message digest, renamed hashing,
 // absorption machinery) is a PRIVATE layer: ksa_analyze admits only
 // core/reduction.cpp and core/explorer.cpp as importers
 // (src/lint/layers.def).  This header is an ordinary `core` header.
@@ -13,9 +13,9 @@
 namespace ksa::core {
 
 /// Sub-config of ExploreConfig selecting which reductions kReduced
-/// applies.  All default on; switching all off makes kReduced
-/// partition states exactly like kFast (the equivalence suite checks
-/// bit-identical results for that configuration).
+/// applies (kFast ignores it).  All default on; switching all off makes
+/// kReduced run exactly as kFast does (the equivalence suite checks
+/// bit-identical results and store counters for that configuration).
 struct ReductionOptions {
     bool symmetry = true;  ///< canonicalize states under the symmetry group
     bool por = true;       ///< persistent-set partial-order reduction

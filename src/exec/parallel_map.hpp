@@ -25,18 +25,12 @@
 //      expensive (a sweep of model-checking cells);
 //   3. fold `results` into the report sequentially, in input order;
 //   4. add a 1-thread-vs-N-thread byte-identity test.
-//
-// parallel_map_deterministic is the legacy ThreadPool-surface
-// equivalent, kept as a compatibility shim for call sites and analyses
-// written against it.
 
 #include <cstddef>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "exec/task_scheduler.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace ksa::exec {
 
@@ -72,35 +66,6 @@ auto parallel_map_grained(TaskScheduler& sched, std::size_t count,
         out[i] = fn(i, w);
     });
     return out;
-}
-
-/// Legacy surface: evaluates fn(i) for i in [0, count) on `pool` and
-/// returns the results in input order.  `min_parallel` as above; 0
-/// keeps the old always-dispatch behavior.
-// ksa: thread_safe -- stateless; all shared state is the caller's pool.
-template <typename Fn>
-auto parallel_map_deterministic(ThreadPool& pool, std::size_t count, Fn&& fn,
-                                std::size_t min_parallel = 0)
-        -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-    using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-    std::vector<R> out(count);
-    if (pool.size() <= 1 || count < min_parallel) {
-        for (std::size_t i = 0; i < count; ++i) out[i] = fn(i);
-        return out;
-    }
-    pool.run_indexed(count, [&out, &fn](std::size_t i) { out[i] = fn(i); });
-    return out;
-}
-
-/// Convenience overload owning a throwaway pool: the legacy entry
-/// point for one-shot sweeps.  `threads <= 1` runs inline on the
-/// caller's thread (the reference behavior).
-// ksa: thread_safe -- owns its pool for the duration of the call.
-template <typename Fn>
-auto parallel_map_deterministic(int threads, std::size_t count, Fn&& fn)
-        -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-    ThreadPool pool(threads);
-    return parallel_map_deterministic(pool, count, std::forward<Fn>(fn));
 }
 
 }  // namespace ksa::exec

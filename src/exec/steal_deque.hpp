@@ -10,7 +10,7 @@
 // region is pushed before the workers are released, so the buffer
 // never grows mid-flight and no reclamation protocol is needed.
 //
-// Determinism note (thread_pool.hpp states the layer's contract): the
+// Determinism note (task_scheduler.hpp states the layer's contract): the
 // deque only decides WHICH WORKER runs a chunk and WHEN -- never what
 // the chunk computes or where its results go.  Chunk ids map to index
 // ranges by pure arithmetic on (count, grain), and every index writes

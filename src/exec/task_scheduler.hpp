@@ -1,13 +1,16 @@
 #pragma once
 // Work-stealing task scheduler: the execution core behind every
 // parallel path in the repository (explorer layer-parallel BFS,
-// resilience sweeps, border maps, theorem benches).
+// resilience sweeps, border maps, theorem benches).  src/exec/ is the
+// ONLY place in src/ where threading primitives may appear (ksa_lint
+// rule `threading-outside-exec`); everything else goes through
+// parallel_map_grained (parallel_map.hpp).
 //
-// Why work stealing.  The previous ThreadPool partitioned [0, count)
-// into exactly `threads` static chunks, so one expensive item -- a
-// skewed BFS layer, an uneven sweep cell -- serialized its whole
-// thread's share while the other cores idled at the barrier
-// (BENCH_sweep.json recorded a 0.979x "speedup" at 4 threads).  Here a
+// Why work stealing.  A barrier pool that partitions [0, count) into
+// exactly `threads` static chunks lets one expensive item -- a skewed
+// BFS layer, an uneven sweep cell -- serialize its whole thread's
+// share while the other cores idle at the barrier (BENCH_sweep.json
+// recorded a 0.979x "speedup" at 4 threads under such a pool).  Here a
 // region is split into many grain-sized chunks, dealt to per-worker
 // Chase-Lev deques (steal_deque.hpp); each worker drains its own deque
 // LIFO and, when empty, steals the oldest chunk of a pseudo-randomly

@@ -204,7 +204,7 @@ std::vector<Mutation> find_mutations(const std::vector<BodySegment>& body) {
 std::vector<Finding> check_parallel_capture_mutation(
     const std::vector<SourceFile>& files, const DeclModel& decls) {
     static const std::regex kEntry(
-        R"(\b(parallel_map_deterministic|parallel_map_grained|run_indexed|run_chunked|submit)\s*\()");
+        R"(\b(parallel_map_grained|run_chunked)\s*\()");
     const RuleInfo& rule = rule_info("parallel-capture-mutation");
     const std::vector<FunctionDecl>& funcs = decls.functions();
     std::vector<Finding> findings;

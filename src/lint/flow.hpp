@@ -4,8 +4,8 @@
 // parallel engine's executions deterministic and race-free:
 //
 //   parallel-capture-mutation      a lambda handed to a parallel entry
-//                                  point (parallel_map_deterministic,
-//                                  ThreadPool::run_indexed/submit)
+//                                  point (parallel_map_grained,
+//                                  TaskScheduler::run_chunked)
 //                                  writes a by-reference capture that
 //                                  is not an atomic, not under a lock
 //                                  and not a per-index element slot.

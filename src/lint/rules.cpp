@@ -38,7 +38,7 @@ bool in_library_code(const fs::path& file) {
 
 bool in_library_code_outside_exec(const fs::path& file) {
     // src/exec/ is the ONE layer allowed to hold threading primitives
-    // (thread_pool.hpp states the determinism discipline).
+    // (task_scheduler.hpp states the determinism discipline).
     return path_contains_dir(file, "src") && !path_contains_dir(file, "exec");
 }
 
@@ -48,15 +48,6 @@ bool is_interface_header(const fs::path& file) {
     const std::string name = file.filename().string();
     return name == "scheduler.hpp" || name == "behavior.hpp" ||
            name == "fd_oracle.hpp";
-}
-
-bool in_library_code_outside_reduction(const fs::path& file) {
-    // src/core/reduction.{hpp,cpp} own the tag interner; every other
-    // library file must not touch it (see the rule table entry).
-    const std::string name = file.filename().string();
-    if (path_contains_dir(file, "core") && name.rfind("reduction.", 0) == 0)
-        return false;
-    return path_contains_dir(file, "src");
 }
 
 bool in_library_code_outside_store(const fs::path& file) {
@@ -107,21 +98,13 @@ const std::vector<RuleInfo>& rule_table() {
         {"threading-outside-exec", RuleKind::kLine, Severity::kError,
          "src/ except src/exec",
          "threading primitive outside src/exec/; express parallelism "
-         "through exec::parallel_map_deterministic (doc/performance.md) "
+         "through exec::parallel_map_grained (doc/performance.md) "
          "or, for genuinely thread-safe bookkeeping, annotate with "
          "ksa-lint: allow(threading-outside-exec)",
          true},
         {"stream-io-in-library", RuleKind::kLine, Severity::kError, "src/",
          "process-global stream IO in library code; return a report/string "
          "and let examples/ or tools/ render it",
-         true},
-        {"interning-outside-reduction", RuleKind::kLine, Severity::kError,
-         "src/ except src/core/reduction.*",
-         "tag interning outside core/reduction; interned ids are the "
-         "reduction layer's private cache (content-derived, but the table "
-         "is warm-up-stateful global state) -- hash the tag bytes directly "
-         "(sim/digest.hpp) or, for a justified exception, annotate with "
-         "ksa-lint: allow(interning-outside-reduction)",
          true},
         {"frontier-growth-outside-store", RuleKind::kLine, Severity::kError,
          "src/ except src/store",
@@ -230,9 +213,6 @@ const std::vector<LineRule>& line_rules() {
         {info("stream-io-in-library"),
          std::regex(R"((std::cout\b|std::cerr\b|\bprintf\s*\())"),
          &in_library_code},
-        {info("interning-outside-reduction"),
-         std::regex(R"(\b(TagInterner|intern_tag)\b)"),
-         &in_library_code_outside_reduction},
         {info("frontier-growth-outside-store"),
          // A vector/deque whose ELEMENT type is a frontier node type.
          // Passing records by value or holding one (`DeltaRecord rec`)

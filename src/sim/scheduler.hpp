@@ -86,6 +86,8 @@ struct StepChoice {
     /// Fault events applied before the deliveries of this step, in
     /// order.  A message dropped here must not also appear in `deliver`.
     std::vector<FaultAction> faults;
+
+    friend bool operator==(const StepChoice&, const StepChoice&) = default;
 };
 
 /// Read-only view of the execution state, offered to schedulers.

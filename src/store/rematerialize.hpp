@@ -28,8 +28,8 @@
 //     advanced by diffing the live buffers across one applied step --
 //     each message is hashed exactly once per spine, on arrival.
 //
-// The message digest function is injected (fast mode hashes sender +
-// payload; reduced mode tags payloads through the interner), keeping
+// The message digest function is injected (the explorer passes
+// core/reduction.hpp's message_digest, sender + Payload::fold), keeping
 // this layer below core/reduction in the layer DAG.
 //
 // DETERMINISM.  Materialization replays the same deterministic steps
@@ -75,11 +75,10 @@ struct MaterializedNode {
 /// See file comment.  One instance per worker; never shared.
 class Rematerializer {
   public:
-    /// `digest_send(from, payload)` digests one buffered message --
-    /// msg_hash for the fast engine, reduced_msg_hash for the reduced
-    /// engine.  `algorithm`/`inputs`/`plan` describe the root
-    /// configuration (the same arguments the explorer built its root
-    /// System from).
+    /// `digest_send(from, payload)` digests one buffered message (the
+    /// explorer's message_digest).  `algorithm`/`inputs`/`plan` describe
+    /// the root configuration (the same arguments the explorer built its
+    /// root System from).
     using DigestSendFn = Digest128 (*)(ProcessId, const Payload&);
 
     Rematerializer(const Algorithm& algorithm, int n,

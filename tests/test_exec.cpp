@@ -31,14 +31,9 @@
 #include "exec/parallel_map.hpp"
 #include "exec/steal_deque.hpp"
 #include "exec/task_scheduler.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace ksa::exec {
 namespace {
-
-TEST(ThreadPool, HardwareThreadsAtLeastOne) {
-    EXPECT_GE(hardware_threads(), 1);
-}
 
 // ---------------------------------------------------------------------
 // StealDeque: the Chase-Lev deque underneath the scheduler.
@@ -112,6 +107,10 @@ TEST(StealDeque, ConcurrentStealsDeliverEveryItemExactlyOnce) {
 
 // ---------------------------------------------------------------------
 // TaskScheduler: the work-stealing region executor.
+
+TEST(TaskScheduler, HardwareThreadsAtLeastOne) {
+    EXPECT_GE(hardware_threads(), 1);
+}
 
 TEST(TaskScheduler, ClampsToHardwareUnlessOversubscribed) {
     const int hw = hardware_threads();
@@ -252,46 +251,30 @@ TEST(ParallelMap, GrainedMinParallelKeepsSmallCountsInline) {
     }
 }
 
-TEST(ThreadPool, SizeClampsToAtLeastOne) {
-    EXPECT_EQ(ThreadPool(0).size(), 1);
-    EXPECT_EQ(ThreadPool(-3).size(), 1);
-    EXPECT_EQ(ThreadPool(1).size(), 1);
-    EXPECT_EQ(ThreadPool(4).size(), 4);
-}
-
-TEST(ThreadPool, RunIndexedCoversEveryIndexExactlyOnce) {
-    // Each index writes only its own slot, so a full cover shows up as
-    // slot[i] == i for all i regardless of scheduling.
-    for (int threads : {1, 2, 4, 7}) {
-        ThreadPool pool(threads);
-        std::vector<std::size_t> slot(100, 0);
-        pool.run_indexed(slot.size(),
-                         [&](std::size_t i) { slot[i] = i + 1; });
-        for (std::size_t i = 0; i < slot.size(); ++i)
-            EXPECT_EQ(slot[i], i + 1) << "threads=" << threads << " i=" << i;
-    }
-}
-
 TEST(ParallelMap, ResultsInInputOrderForEveryThreadCount) {
-    auto square = [](std::size_t i) { return i * i; };
+    auto square = [](std::size_t i, int) { return i * i; };
+    TaskScheduler one(1);
     const std::vector<std::size_t> reference =
-            parallel_map_deterministic(1, 64, square);
+            parallel_map_grained(one, 64, /*grain=*/0, square);
     for (int threads : {2, 3, 4, 16}) {
+        TaskScheduler sched(threads, /*oversubscribe=*/true);
         const std::vector<std::size_t> parallel =
-                parallel_map_deterministic(threads, 64, square);
+                parallel_map_grained(sched, 64, /*grain=*/0, square);
         EXPECT_EQ(parallel, reference) << "threads=" << threads;
     }
 }
 
 TEST(ParallelMap, EmptyCountProducesEmptyVector) {
-    const auto out = parallel_map_deterministic(
-            4, 0, [](std::size_t i) { return i; });
+    TaskScheduler sched(4, /*oversubscribe=*/true);
+    const auto out = parallel_map_grained(
+            sched, 0, /*grain=*/0, [](std::size_t i, int) { return i; });
     EXPECT_TRUE(out.empty());
 }
 
 TEST(ParallelMap, MoreThreadsThanItems) {
-    const auto out = parallel_map_deterministic(
-            16, 3, [](std::size_t i) { return i + 10; });
+    TaskScheduler sched(16, /*oversubscribe=*/true);
+    const auto out = parallel_map_grained(
+            sched, 3, /*grain=*/0, [](std::size_t i, int) { return i + 10; });
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0], 10u);
     EXPECT_EQ(out[1], 11u);
@@ -299,20 +282,24 @@ TEST(ParallelMap, MoreThreadsThanItems) {
 }
 
 TEST(ParallelMap, NonCopyableResultsMoveIntoSlots) {
-    const auto out = parallel_map_deterministic(4, 8, [](std::size_t i) {
-        return std::make_unique<std::size_t>(i);
-    });
+    TaskScheduler sched(4, /*oversubscribe=*/true);
+    const auto out = parallel_map_grained(
+            sched, 8, /*grain=*/0, [](std::size_t i, int) {
+                return std::make_unique<std::size_t>(i);
+            });
     ASSERT_EQ(out.size(), 8u);
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(*out[i], i);
 }
 
 TEST(ParallelMap, LowestIndexExceptionWinsDeterministically) {
     // Two items throw; the contract picks the lowest index no matter
-    // which chunk finishes first.  Repeat to give the scheduler chances
-    // to race.
+    // which chunk finishes first.  Grain 1 puts the throwers in
+    // separate chunks; repeat to give the scheduler chances to race.
+    TaskScheduler sched(4, /*oversubscribe=*/true);
     for (int rep = 0; rep < 20; ++rep) {
         try {
-            parallel_map_deterministic(4, 16, [](std::size_t i) -> int {
+            parallel_map_grained(sched, 16, /*grain=*/1,
+                                 [](std::size_t i, int) -> int {
                 if (i == 3 || i == 11)
                     throw std::runtime_error(std::to_string(i));
                 return static_cast<int>(i);

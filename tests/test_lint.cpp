@@ -458,13 +458,13 @@ TEST(Flow, RacedScratchCopyOfExplorerCallSiteIsCaught) {
         "src/core/explorer_scratch.cpp",
         "void step() {\n"
         "    std::vector<Expansion> expansions ="
-        " exec::parallel_map_deterministic(\n"
-        "            pool, layer.size(),\n"
-        "            [&](std::size_t i) {\n"
+        " exec::parallel_map_grained(\n"
+        "            sched, layer.size(), /*grain=*/0,\n"
+        "            [&](std::size_t i, int) {\n"
         "                ++result.schedules_expanded;\n"
         "                return expand_node(layer[i], cfg, make_key);\n"
         "            },\n"
-        "            cfg.min_parallel_frontier);\n"
+        "            threshold);\n"
         "}\n"));
     const DeclModel decls = DeclModel::build(files);
     const std::vector<Finding> findings = run_flow_passes(files, decls);
@@ -481,11 +481,11 @@ TEST(Flow, PerIndexSlotAndAtomicAndLockStaySilent) {
         "std::atomic<std::size_t> done{0};\n"
         "void run() {\n"
         "    std::vector<int> out(n);\n"
-        "    parallel_map_deterministic(pool, n,\n"
-        "        [&out, &fn](std::size_t i) { out[i] = fn(i); });\n"
-        "    parallel_map_deterministic(pool, n,\n"
-        "        [&](std::size_t i) { done.fetch_add(1); });\n"
-        "    parallel_map_deterministic(pool, n, [&](std::size_t i) {\n"
+        "    parallel_map_grained(sched, n, 0,\n"
+        "        [&out, &fn](std::size_t i, int) { out[i] = fn(i); });\n"
+        "    parallel_map_grained(sched, n, 0,\n"
+        "        [&](std::size_t i, int) { done.fetch_add(1); });\n"
+        "    parallel_map_grained(sched, n, 0, [&](std::size_t i, int) {\n"
         "        std::lock_guard<std::mutex> lock(mu);\n"
         "        shared += i;\n"
         "    });\n"
@@ -878,8 +878,9 @@ TEST(Rules, JsonListingMatchesTable) {
     }
     // The ported original set (6 rules) plus frontier-growth-outside-
     // store, added alongside the out-of-core store so plain ksa_lint
-    // polices frontier containers too.
-    EXPECT_EQ(legacy, 7u) << "the classic ksa_lint set grew or shrank";
+    // polices frontier containers too, minus interning-outside-
+    // reduction, retired with the tag interner it confined.
+    EXPECT_EQ(legacy, 6u) << "the classic ksa_lint set grew or shrank";
 }
 
 TEST(Rules, DocTableMatchesRuleTable) {

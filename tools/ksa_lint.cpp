@@ -10,7 +10,7 @@
 // This tool runs exactly the six classic line rules (the `legacy` set in
 // src/lint/rules.cpp): unordered-container, raw-random,
 // missing-override, threading-outside-exec, stream-io-in-library,
-// interning-outside-reduction.  The whole-program passes (layering,
+// frontier-growth-outside-store.  The whole-program passes (layering,
 // include cycles, float-in-digest) and the SARIF/ratchet machinery live
 // in tools/ksa_analyze, built on the same library.
 //
