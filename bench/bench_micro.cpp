@@ -6,16 +6,19 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
 #include "algo/paxos_consensus.hpp"
 #include "core/explorer.hpp"
-// The message-digest micro-benchmark measures the reduction layer's
-// own hot path, so it is a justified importer of the private header.
+// The message-digest and canonical-key micro-benchmarks measure the
+// reduction layer's own hot paths, so this is a justified importer of
+// the private header.
 #include "core/reduction.hpp"  // ksa-lint: allow(layering)
 #include "fd/sources.hpp"
 #include "graph/generators.hpp"
@@ -209,17 +212,19 @@ void BM_DigestComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestComputation);
 
-// Allocations per explored state, fast vs reduced engine.  The ghost
-// stepping + scratch-reuse design keeps this a small constant; the
-// reduced engine must not regress it even though every candidate key
-// additionally runs the absorption quotient (and, for symmetric
-// instances, the renamed walks).
+// Allocations per explored state, fast vs reduced engine, on distinct
+// and on uniform inputs (where the reduced engine's symmetry group is
+// all of S_3).  The ghost stepping + scratch-reuse design keeps this a
+// small constant; the reduced engine must not regress it even though
+// every candidate key additionally runs the absorption quotient (and,
+// for symmetric instances, the renamed keys).
 void BM_ExplorerAllocsPerState(benchmark::State& state) {
     const bool reduced = state.range(0) != 0;
+    const bool uniform = state.range(1) != 0;
     auto algorithm = algo::make_flp_kset(3, 1);
     core::ExploreConfig cfg;
     cfg.n = 3;
-    cfg.inputs = distinct_inputs(3);
+    cfg.inputs = uniform ? uniform_inputs(3, 7) : distinct_inputs(3);
     cfg.k = 1;
     cfg.max_depth = 10;
     cfg.max_states = 400000;
@@ -239,9 +244,105 @@ void BM_ExplorerAllocsPerState(benchmark::State& state) {
                    : 0.0;
 }
 BENCHMARK(BM_ExplorerAllocsPerState)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("reduced");
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"reduced", "uniform"});
+
+// The symmetry layer in isolation: canonical keys of one mid-run node's
+// candidates under the full group S_n of a uniform-input initial-clique
+// system (|G| = 6, 24, 120 for n = 3, 4, 5).  One iteration is what the
+// reduced explorer pays per expanded node on top of the identity keys:
+// RenamedNodeDigests::build once, then min_child_key per candidate.
+// The node comes from a seeded random schedule; the candidates are the
+// explorer's (process, delivery-prefix) moves, ghost-stepped up front.
+// allocs/candidate is counted after a warm-up pass and must be 0.
+void BM_CanonicalKey(benchmark::State& state) {
+    const int n = static_cast<int>(state.range(0));
+    auto algorithm = algo::make_flp_kset(n, 1);
+    const std::vector<Value> inputs = uniform_inputs(n, 7);
+    const FailurePlan plan;
+    const core::SymmetryGroup group =
+        core::SymmetryGroup::compute(*algorithm, n, inputs, plan);
+    core::AbsorptionContext abs;
+    abs.strip_inert = true;
+    abs.decided_final = algorithm->decided_is_final();
+
+    System sys(*algorithm, n, inputs, plan);
+    sys.set_recording(false);
+    RandomScheduler walk(/*seed=*/11);
+    for (int i = 0; i < 2 * n; ++i) {
+        std::optional<StepChoice> choice = walk.next(sys);
+        if (!choice) break;
+        sys.apply_choice(*choice);
+    }
+
+    struct Candidate {
+        ProcessId p = 0;
+        std::size_t delivered = 0;
+        std::unique_ptr<Behavior> behavior;
+        StepOutput out;
+    };
+    std::vector<Candidate> candidates;
+    StepInput input;
+    for (ProcessId p = 1; p <= n; ++p) {
+        if (!sys.can_step(p) || (abs.decided_final && sys.decision_of(p)))
+            continue;
+        const std::size_t size = sys.buffer(p).size();
+        std::vector<std::size_t> prefixes = {0};
+        if (size >= 1) prefixes.push_back(1);
+        if (size > 1) prefixes.push_back(size);
+        for (std::size_t delivered : prefixes) {
+            Candidate c;
+            c.p = p;
+            c.delivered = delivered;
+            sys.deliver_prefix(p, delivered, input);
+            c.behavior = sys.clone_behavior(p);
+            c.out = c.behavior->on_step(input);
+            candidates.push_back(std::move(c));
+        }
+    }
+    // GhostEffects borrow from the candidates, so they are made once
+    // the vector has stopped growing.
+    std::vector<core::GhostEffects> effects;
+    for (const Candidate& c : candidates) {
+        core::GhostEffects eff;
+        eff.stepper = c.p;
+        eff.delivered = c.delivered;
+        eff.sends = &c.out.sends;
+        eff.decision = &c.out.decision;
+        eff.behavior_after = c.behavior.get();
+        effects.push_back(eff);
+    }
+
+    // Every renamed key competes: the identity key is the maximum.
+    const Digest128 identity{~std::uint64_t{0}, ~std::uint64_t{0}};
+    core::RenamedNodeDigests table;
+    auto key_node = [&] {
+        table.build(sys, n, *algorithm, group, abs);
+        for (const core::GhostEffects& eff : effects)
+            benchmark::DoNotOptimize(table.min_child_key(eff, identity));
+    };
+    key_node();  // warm-up: grows every scratch buffer once
+
+    std::uint64_t allocs = 0;
+    std::uint64_t keyed = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        const std::uint64_t before = alloc_calls_now();
+        const auto start = std::chrono::steady_clock::now();
+        key_node();
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+        allocs += alloc_calls_now() - before;
+        keyed += effects.size();
+    }
+    const double per = keyed > 0 ? 1.0 / static_cast<double>(keyed) : 0.0;
+    state.counters["group"] = static_cast<double>(group.size());
+    state.counters["candidates"] = static_cast<double>(effects.size());
+    state.counters["ns/candidate"] = ns * per;
+    state.counters["allocs/candidate"] = static_cast<double>(allocs) * per;
+}
+BENCHMARK(BM_CanonicalKey)->Arg(3)->Arg(4)->Arg(5)->ArgName("n");
 
 // Whole-process heap high-water mark of a spill-forced exploration,
 // and the cross-check of the explorer's own accounting: the reported

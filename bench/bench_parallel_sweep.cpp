@@ -5,7 +5,10 @@
 // kReduced exploration with 1 thread and with N threads, checks that
 // the outputs are byte-identical (the exec-layer determinism contract,
 // enforced end-to-end), and writes wall times and scaling to
-// BENCH_sweep.json (schema: doc/performance.md).
+// BENCH_sweep.json (schema: doc/performance.md).  A speedup is written
+// as "unmeasured" when --threads exceeds the hardware threads: the
+// scheduler clamps there, so the ratio would not measure N-thread
+// scaling.
 //
 // --check is the scaling-regression gate (ctest: perf_scaling_regression):
 // it re-measures on THIS machine and fails when the work-stealing core
@@ -22,6 +25,7 @@
 #include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #include "algo/initial_clique.hpp"
 #include "bench_util.hpp"
@@ -97,6 +101,26 @@ int main(int argc, char** argv) {
     ksa::bench::BenchReport report("parallel-sweep");
     bool all_identical = true;
 
+    // A speedup claims `threads` workers ran at once.  With fewer
+    // hardware threads the scheduler clamps (see --check), so the ratio
+    // is written as "unmeasured" instead of a number.
+    const bool speedup_measured = threads <= exec::hardware_threads();
+    auto put_speedup = [&](ksa::bench::BenchEntry& row, double speedup) {
+        if (speedup_measured)
+            row.num("speedup", speedup);
+        else
+            row.str("speedup", "unmeasured");
+    };
+    auto show_speedup = [&](double speedup) {
+        std::ostringstream out;
+        if (speedup_measured)
+            out << std::fixed << std::setprecision(1) << speedup << "x";
+        else
+            out << "speedup unmeasured: " << exec::hardware_threads()
+                << " hardware thread(s)";
+        return out.str();
+    };
+
     // -- resilience sweep --------------------------------------------
     chaos::SweepConfig cfg;
     cfg.min_n = 2;
@@ -122,20 +146,20 @@ int main(int argc, char** argv) {
     std::cout << "resilience_sweep  n<=" << cfg.max_n << ", "
               << cfg.seeds_per_cell << " seeds/cell: " << std::fixed
               << std::setprecision(1) << sweep_seq_ms << " ms -> "
-              << sweep_par_ms << " ms (" << sweep_speedup
-              << "x), reports "
+              << sweep_par_ms << " ms (" << show_speedup(sweep_speedup)
+              << "), reports "
               << (sweep_identical ? "byte-identical" : "DIFFER") << "\n";
-    report.entry("resilience_sweep")
-        .num("max_n", cfg.max_n)
+    ksa::bench::BenchEntry& sweep_row = report.entry("resilience_sweep");
+    sweep_row.num("max_n", cfg.max_n)
         .num("seeds_per_cell", cfg.seeds_per_cell)
         .num("cells", seq.cells.size())
         .num("trials", seq.total_trials())
         .num("threads", threads)
         .num("hardware_threads", exec::hardware_threads())
         .num("seq_ms", sweep_seq_ms)
-        .num("par_ms", sweep_par_ms)
-        .num("speedup", sweep_speedup)
-        .boolean("reports_identical", sweep_identical)
+        .num("par_ms", sweep_par_ms);
+    put_speedup(sweep_row, sweep_speedup);
+    sweep_row.boolean("reports_identical", sweep_identical)
         .boolean("boundary_clean", seq.boundary_clean());
 
     // -- border map ---------------------------------------------------
@@ -154,17 +178,17 @@ int main(int argc, char** argv) {
         map_par_ms > 0 ? map_seq_ms / map_par_ms : 0.0;
     all_identical = all_identical && map_identical;
     std::cout << "border_map        n=" << map_n << ": " << map_seq_ms
-              << " ms -> " << map_par_ms << " ms (" << map_speedup
-              << "x), rows "
+              << " ms -> " << map_par_ms << " ms (" << show_speedup(map_speedup)
+              << "), rows "
               << (map_identical ? "byte-identical" : "DIFFER") << "\n";
-    report.entry("border_map")
-        .num("n", map_n)
+    ksa::bench::BenchEntry& map_row = report.entry("border_map");
+    map_row.num("n", map_n)
         .num("rows", rows_seq.size())
         .num("threads", threads)
         .num("seq_ms", map_seq_ms)
-        .num("par_ms", map_par_ms)
-        .num("speedup", map_speedup)
-        .boolean("rows_identical", map_identical);
+        .num("par_ms", map_par_ms);
+    put_speedup(map_row, map_speedup);
+    map_row.boolean("rows_identical", map_identical);
 
     // -- multi-threaded kReduced explorer -----------------------------
     // The reduction engine's 5.6-33x wins used to be benchmarked only
@@ -187,19 +211,19 @@ int main(int argc, char** argv) {
     all_identical = all_identical && red_identical;
     std::cout << "reduced_explorer  depth=" << ecfg.max_depth << ": "
               << red_seq_ms << " ms -> " << red_par_ms << " ms ("
-              << red_speedup << "x), results "
+              << show_speedup(red_speedup) << "), results "
               << (red_identical ? "byte-identical" : "DIFFER") << "\n";
     std::cout.unsetf(std::ios::fixed);
-    report.entry("reduced_explorer")
-        .num("n", ecfg.n)
+    ksa::bench::BenchEntry& red_row = report.entry("reduced_explorer");
+    red_row.num("n", ecfg.n)
         .num("k", ecfg.k)
         .num("max_depth", ecfg.max_depth)
         .num("canonical_states", red_seq.states_explored)
         .num("threads", threads)
         .num("reduced_ms", red_seq_ms)
-        .num("reduced_mt_ms", red_par_ms)
-        .num("speedup", red_speedup)
-        .boolean("results_identical", red_identical);
+        .num("reduced_mt_ms", red_par_ms);
+    put_speedup(red_row, red_speedup);
+    red_row.boolean("results_identical", red_identical);
 
     // -- scaling gate -------------------------------------------------
     bool scaling_ok = true;

@@ -2,6 +2,7 @@
 // Shared helpers for protocol implementations.
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <sstream>
 #include <string>
@@ -64,6 +65,49 @@ private:
 inline void insert_sorted_unique(std::vector<int>& v, int x) {
     auto it = std::lower_bound(v.begin(), v.end(), x);
     if (it == v.end() || *it != x) v.insert(it, x);
+}
+
+// -- fold_state_renamed helpers ---------------------------------------
+//
+// The reduced explorer folds every stepped behavior under every element
+// of the symmetry group once per expanded node (up to 120 renamings at
+// n = 5), so fold_state_renamed must not allocate: re-sorting renamed
+// id sets happens in stack buffers.
+
+/// The new name of process q under `ren`.
+inline int renamed_id(const ProcessRenaming& ren, int q) {
+    return ren[static_cast<std::size_t>(q) - 1];
+}
+
+/// A scratch array of `size` elements: on the stack up to kInline
+/// elements (every id set of an n <= kInline system), on the heap
+/// beyond.
+template <typename T, std::size_t kInline = 16>
+class StackBuffer {
+public:
+    explicit StackBuffer(std::size_t size) : size_(size) {
+        if (size > kInline) heap_.resize(size);
+    }
+    T* begin() { return size_ > kInline ? heap_.data() : inline_.data(); }
+    T* end() { return begin() + size_; }
+    T& operator[](std::size_t i) { return begin()[i]; }
+
+private:
+    std::size_t size_;
+    std::array<T, kInline> inline_{};
+    std::vector<T> heap_;
+};
+
+/// Folds the sorted id set `ids` as the renamed execution stores it:
+/// length, then every id mapped through `ren` in ascending order.
+inline void fold_renamed_ids(StateHasher& h, const std::vector<int>& ids,
+                             const ProcessRenaming& ren) {
+    StackBuffer<int> out(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        out[i] = renamed_id(ren, ids[i]);
+    std::sort(out.begin(), out.end());
+    h.u64(ids.size());
+    for (int q : out) h.i64(q);
 }
 
 }  // namespace ksa::algo

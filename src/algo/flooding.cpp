@@ -77,18 +77,19 @@ public:
 
     /// fold_state with every id mapped through `ren`: the renamed
     /// execution's behavior at position ren(id) holds seen-entries keyed
-    /// by renamed senders, iterated in renamed-id order.
+    /// by renamed senders, iterated in renamed-id order.  Allocation-free
+    /// (algo/common.hpp): the sort runs in a stack buffer.
     bool fold_state_renamed(StateHasher& h,
                             const ProcessRenaming& ren) const override {
         h.str("FL");
-        h.i64(ren[static_cast<std::size_t>(id()) - 1]);
+        h.i64(renamed_id(ren, id()));
         h.i64(input());
         h.u64(announced_ ? 1 : 0);
         h.u64(seen_.size());
-        std::vector<std::pair<ProcessId, Value>> renamed;
-        renamed.reserve(seen_.size());
+        StackBuffer<std::pair<ProcessId, Value>> renamed(seen_.size());
+        std::size_t k = 0;
         for (const auto& [q, v] : seen_)
-            renamed.emplace_back(ren[static_cast<std::size_t>(q) - 1], v);
+            renamed[k++] = {renamed_id(ren, q), v};
         std::sort(renamed.begin(), renamed.end());
         for (const auto& [q, v] : renamed) {
             h.i64(q);
@@ -138,7 +139,7 @@ public:
     bool fold_state_renamed(StateHasher& h,
                             const ProcessRenaming& ren) const override {
         h.str("TR");
-        h.i64(ren[static_cast<std::size_t>(id()) - 1]);
+        h.i64(renamed_id(ren, id()));
         h.i64(input());
         h.u64(has_decided() ? 1 : 0);
         return true;

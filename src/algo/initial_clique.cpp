@@ -98,39 +98,34 @@ public:
     /// fold_state under renaming: every id-valued field is mapped
     /// through `ren` and every id-sorted container re-sorted under the
     /// new names, exactly as the renamed execution would store it.
+    /// Allocation-free (algo/common.hpp): the sorts run in stack
+    /// buffers.
     bool fold_state_renamed(StateHasher& h,
                             const ProcessRenaming& ren) const override {
-        auto renamed_sorted = [&ren](const std::vector<int>& ids) {
-            std::vector<int> out;
-            out.reserve(ids.size());
-            for (int q : ids)
-                out.push_back(ren[static_cast<std::size_t>(q) - 1]);
-            std::sort(out.begin(), out.end());
-            return out;
-        };
         h.str("IC");
-        h.i64(ren[static_cast<std::size_t>(id()) - 1]);
+        h.i64(renamed_id(ren, id()));
         h.i64(input());
         h.i64(phase_);
-        const std::vector<int> heard = renamed_sorted(heard_);
-        h.u64(heard.size());
-        for (int q : heard) h.i64(q);
-        const std::vector<int> required = renamed_sorted(required_);
-        h.u64(required.size());
-        for (int q : required) h.i64(q);
-        h.u64(known_.size());
-        std::vector<std::pair<int, std::pair<Value, std::vector<int>>>> known;
-        known.reserve(known_.size());
+        fold_renamed_ids(h, heard_, ren);
+        fold_renamed_ids(h, required_, ren);
+        // known_ re-keyed by renamed sender.  Renaming is a bijection,
+        // so the renamed keys are distinct and sorting by key alone
+        // orders the entries.
+        struct Entry {
+            int q = 0;
+            const std::pair<Value, std::vector<int>>* info = nullptr;
+        };
+        StackBuffer<Entry> known(known_.size());
+        std::size_t k = 0;
         for (const auto& [q, info] : known_)
-            known.emplace_back(
-                    ren[static_cast<std::size_t>(q) - 1],
-                    std::make_pair(info.first, renamed_sorted(info.second)));
-        std::sort(known.begin(), known.end());
-        for (const auto& [q, info] : known) {
-            h.i64(q);
-            h.i64(info.first);
-            h.u64(info.second.size());
-            for (int u : info.second) h.i64(u);
+            known[k++] = {renamed_id(ren, q), &info};
+        std::sort(known.begin(), known.end(),
+                  [](const Entry& a, const Entry& b) { return a.q < b.q; });
+        h.u64(known_.size());
+        for (const Entry& e : known) {
+            h.i64(e.q);
+            h.i64(e.info->first);
+            fold_renamed_ids(h, e.info->second, ren);
         }
         return true;
     }

@@ -571,10 +571,13 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //     over the symmetry group G (permutations fixing inputs + plan that
 //     the algorithm declares equivariance under): one representative
 //     per G-orbit is explored.  The identity element reuses the
-//     incremental caches (hash_child); non-identity elements re-walk
-//     the candidate through the renaming.  Decision-value sets are
-//     G-invariant; per-process quiescent outcome vectors are
-//     orbit-expanded over G before the result is returned.
+//     incremental caches (hash_child); the non-identity elements fold
+//     a per-node table of renamed behavior and message digests
+//     (RenamedNodeDigests, built once per expanded node), so each
+//     candidate renames only its stepper's behavior and its arriving
+//     sends.  Decision-value sets are G-invariant; per-process
+//     quiescent outcome vectors are orbit-expanded over G before the
+//     result is returned.
 //
 //   * ABSORPTION -- the observational quotient of core/reduction.hpp:
 //     when the algorithm declares decisions final, a decided process
@@ -700,7 +703,7 @@ struct ProcMoves {
 struct ReducedWorker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
-    RenameScratch rename;
+    RenamedNodeDigests renamed;  ///< the node's table, non-trivial G only
     std::vector<ArrivingSend> arriving;
     std::vector<ProcMoves> moves;       ///< the node's enumerable moves
     std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
@@ -769,12 +772,18 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         wk.moves.push_back(pm);
     }
 
+    // Renamed digests every candidate of this node reuses, tabulated
+    // once (core/reduction.hpp).
+    const bool symmetric = !red.group.is_trivial();
+    if (symmetric && total_moves > 0)
+        wk.renamed.build(sys, cfg.n, algorithm, red.group, abs);
+
     auto emit_child = [&](const GhostStep& g, ProcessId p) {
         fill_arriving(g, p, wk.arriving);
         StoreChild child;
         child.key = hash_child(sys, cfg.n, p, g, *node.marks, *node.mhash,
                                wk.arriving, abs);
-        if (!red.group.is_trivial()) {
+        if (symmetric) {
             GhostEffects eff;
             eff.stepper = p;
             eff.delivered = g.delivered;
@@ -783,12 +792,20 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
             eff.sends = &g.out.sends;
             eff.decision = &g.out.decision;
             eff.behavior_after = g.behavior.get();
-            for (std::size_t gi = 1; gi < red.group.size(); ++gi) {
-                const Digest128 d = hash_child_renamed(
-                        sys, cfg.n, algorithm, eff, red.group.renaming(gi),
-                        red.group.inverse(gi), wk.rename, abs);
-                if (d < child.key) child.key = d;
-            }
+            child.key = wk.renamed.min_child_key(eff, child.key);
+#ifndef NDEBUG
+            // The renamed counterpart of check_node_caches: the ghost
+            // key folded from the node's table equals a from-scratch
+            // canonical walk of the realized child.
+            std::unique_ptr<System> realized = sys.fork(false);
+            realized->apply_choice(sys.prefix_choice(p, g.delivered));
+            RenameScratch scratch;
+            require(child.key == canonical_state_key(*realized, cfg.n,
+                                                     algorithm, red.group,
+                                                     scratch, abs),
+                    "store path: renamed child key differs from the "
+                    "realized child's canonical key");
+#endif
         }
         child.stepper = p;
         child.delivered = static_cast<std::uint32_t>(g.delivered);

@@ -147,14 +147,47 @@ std::vector<Value> SymmetryGroup::apply_to_outcome(
 // ---------------------------------------------------------------------
 // State hashing.
 
+namespace {
+
+/// Copies `src` into the scratch payload without giving back heap
+/// capacity: list vectors the copy drops park in spare_lists and serve
+/// the next payload that needs more lists.  (Plain copy-assignment
+/// destroys dropped lists, so alternating list-free and list-carrying
+/// payloads -- S1 and S2 of the initial-clique protocol -- would
+/// allocate on every switch.)
+void assign_scratch_payload(RenameScratch& scratch, const Payload& src) {
+    Payload& dst = scratch.payload;
+    dst.tag = src.tag;
+    dst.ints = src.ints;
+    while (dst.lists.size() > src.lists.size()) {
+        scratch.spare_lists.push_back(std::move(dst.lists.back()));
+        dst.lists.pop_back();
+    }
+    while (dst.lists.size() < src.lists.size()) {
+        if (scratch.spare_lists.empty()) {
+            dst.lists.emplace_back();
+        } else {
+            dst.lists.push_back(std::move(scratch.spare_lists.back()));
+            scratch.spare_lists.pop_back();
+        }
+    }
+    for (std::size_t i = 0; i < src.lists.size(); ++i)
+        dst.lists[i] = src.lists[i];
+}
+
+}  // namespace
+
 Digest128 renamed_msg_hash(ProcessId from, const Payload& payload,
                            const Algorithm& algorithm,
                            const ProcessRenaming& ren,
                            RenameScratch& scratch) {
-    scratch.payload = payload;
-    const bool ok = algorithm.rename_payload_ids(scratch.payload, ren);
-    invariant(ok, "renamed_msg_hash: algorithm refused to rename a payload "
-                  "after SymmetryGroup::compute probed support");
+    assign_scratch_payload(scratch, payload);
+    // Tested before invariant() builds its std::string message: this
+    // runs |G| times per distinct message of every expanded node.
+    if (!algorithm.rename_payload_ids(scratch.payload, ren))
+        invariant(false, "renamed_msg_hash: algorithm refused to rename a "
+                         "payload after SymmetryGroup::compute probed "
+                         "support");
     return message_digest(ren[static_cast<std::size_t>(from) - 1],
                           scratch.payload);
 }
@@ -163,9 +196,10 @@ Digest128 renamed_behavior_hash(const Behavior& behavior,
                                 const ProcessRenaming& ren,
                                 StateHasher& sub) {
     sub.reset();
-    const bool ok = behavior.fold_state_renamed(sub, ren);
-    invariant(ok, "renamed_behavior_hash: behavior refused to fold under a "
-                  "renaming after SymmetryGroup::compute probed support");
+    if (!behavior.fold_state_renamed(sub, ren))  // see renamed_msg_hash
+        invariant(false, "renamed_behavior_hash: behavior refused to fold "
+                         "under a renaming after SymmetryGroup::compute "
+                         "probed support");
     return sub.digest();
 }
 
@@ -258,79 +292,186 @@ Digest128 hash_state_renamed(const System& sys, int n,
     return h.digest();
 }
 
-Digest128 hash_child_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const GhostEffects& g,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs) {
-    invariant(g.sends != nullptr && g.decision != nullptr &&
-                      g.behavior_after != nullptr,
-              "hash_child_renamed: incomplete GhostEffects");
-    StateHasher h;
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
+void RenamedNodeDigests::build(const System& sys, int n,
+                               const Algorithm& algorithm,
+                               const SymmetryGroup& group,
+                               const AbsorptionContext& abs) {
+    sys_ = &sys;
+    algorithm_ = &algorithm;
+    group_ = &group;
+    abs_ = abs;
+    n_ = n;
+    const std::size_t procs = static_cast<std::size_t>(n);
+
+    // The messages of every non-absorbed buffer, each with its liveness
+    // at its receiver and the earliest equal message (its digests'
+    // representative).  Absorbed buffers are never folded, so they
+    // contribute no entry -- and hence no representative.
+    msgs_.clear();
+    live_.clear();
+    rep_.clear();
+    msg_begin_.assign(procs + 1, 0);
+    for (ProcessId p = 1; p <= n; ++p) {
+        msg_begin_[p - 1] = msgs_.size();
+        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
+        const Behavior& receiver = sys.behavior_of(p);
+        for (const Message& m : sys.buffer(p)) {
+            std::size_t rep = msgs_.size();
+            for (std::size_t j = 0; j < msgs_.size(); ++j)
+                if (msgs_[j]->from == m.from &&
+                    msgs_[j]->payload == m.payload) {
+                    rep = j;
+                    break;
+                }
+            msgs_.push_back(&m);
+            live_.push_back(
+                    dead_message(m.from, m.payload, receiver, abs) ? 0 : 1);
+            rep_.push_back(rep);
+        }
+    }
+    msg_begin_[procs] = msgs_.size();
+
+    const std::size_t stride = procs + msgs_.size();
+    table_.resize((group.size() - 1) * stride);
+    for (std::size_t g = 1; g < group.size(); ++g) {
+        const ProcessRenaming& ren = group.renaming(g);
+        Digest128* block = table_.data() + (g - 1) * stride;
+        for (ProcessId p = 1; p <= n; ++p)
+            if (sys.steps_of(p) > 0 &&
+                !(abs.decided_final && sys.decision_of(p)))
+                block[p - 1] = renamed_behavior_hash(sys.behavior_of(p), ren,
+                                                     scratch_.sub);
+        Digest128* msg = block + procs;
+        for (std::size_t i = 0; i < msgs_.size(); ++i)
+            msg[i] = rep_[i] == i
+                             ? renamed_msg_hash(msgs_[i]->from,
+                                                msgs_[i]->payload, algorithm,
+                                                ren, scratch_)
+                             : msg[rep_[i]];
+    }
+}
+
+Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
+                                            Digest128 identity_key) {
+    if (sys_ == nullptr || eff.sends == nullptr || eff.decision == nullptr ||
+        eff.behavior_after == nullptr)  // see renamed_msg_hash
+        invariant(false, "RenamedNodeDigests::min_child_key: no node built "
+                         "or incomplete GhostEffects");
+    const System& sys = *sys_;
+    const int n = n_;
+    const std::size_t procs = static_cast<std::size_t>(n);
+    const std::size_t table_msgs = msgs_.size();
+    const ProcessId stepper = eff.stepper;
+
+    // One digest slot per run of equal consecutive surviving sends (a
+    // broadcast renames once); send_slot_ maps each send to its slot,
+    // or to kLost when it does not survive.
+    const std::vector<std::pair<ProcessId, Payload>>& sends = *eff.sends;
+    constexpr std::size_t kLost = static_cast<std::size_t>(-1);
+    arriving_.clear();
+    send_slot_.assign(sends.size(), kLost);
+    for (std::size_t s = 0; s < sends.size(); ++s) {
+        if (!eff.send_survives(sends[s].first)) continue;
+        const Payload& payload = sends[s].second;
+        if (arriving_.empty() || !(*arriving_.back() == payload))
+            arriving_.push_back(&payload);
+        send_slot_[s] = arriving_.size() - 1;
+    }
+    arriving_folded_.assign(arriving_.size(), 0);
+
+    // What every renamed key folds per process of the child, in
+    // renaming-independent form: header words and live-message list.
+    // Liveness is renaming-invariant, so it is judged here, once.
+    child_.resize(procs);
+    fold_.clear();
+    for (ProcessId q = 1; q <= n; ++q) {
+        ChildProcess& c = child_[q - 1];
         auto d = sys.decision_of(q);
-        if (q == g.stepper && *g.decision) d = *g.decision;
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
+        if (q == stepper && *eff.decision) d = *eff.decision;
+        c.collapsed = abs_.decided_final && d.has_value();
+        c.fold_begin = c.fold_end = fold_.size();
+        if (c.collapsed) {
+            c.head[0] = 2;
+            c.head[1] = static_cast<std::uint64_t>(*d);
+            c.head_words = 2;
             continue;
         }
-        const bool crashed_q =
-                q == g.stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(q);
-        const std::size_t skip = q == g.stepper ? g.delivered : 0;
-        // apply_choice appends surviving sends in emission order; the
-        // child's buffer of q is buf[skip:] followed by `arriving`.
-        scratch.arriving.clear();
-        for (const auto& [dest, payload] : *g.sends)
-            if (dest == q && g.send_survives(dest))
-                scratch.arriving.push_back(&payload);
-        // Delete dead messages anywhere in the concatenation, judged
-        // by q's behavior in the child state.
-        const Behavior& receiver =
-                q == g.stepper ? *g.behavior_after : sys.behavior_of(q);
-        std::size_t live = 0;
-        for (std::size_t i = skip; i < buf.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                ++live;
-        for (const Payload* pl : scratch.arriving)
-            if (!dead_message(g.stepper, *pl, receiver, abs)) ++live;
-        h.u64(live);
-        for (std::size_t i = skip; i < buf.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                h.fold(renamed_msg_hash(buf[i].from, buf[i].payload,
-                                        algorithm, ren, scratch));
-        for (const Payload* pl : scratch.arriving)
-            if (!dead_message(g.stepper, *pl, receiver, abs))
-                h.fold(renamed_msg_hash(g.stepper, *pl, algorithm, ren,
-                                        scratch));
-    }
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        if (abs.decided_final) {
-            auto d = sys.decision_of(q);
-            if (q == g.stepper && *g.decision) d = *g.decision;
-            if (d) continue;  // collapsed
-        }
-        if (q == g.stepper) {
-            h.u64(1);
-            h.fold(renamed_behavior_hash(*g.behavior_after, ren,
-                                         scratch.sub));
+        const bool crashed = q == stepper ? eff.final_crash : sys.crashed(q);
+        c.head_words = 0;
+        c.head[c.head_words++] = crashed ? 1 : 0;
+        c.head[c.head_words++] = d ? 1 : 0;
+        if (d) c.head[c.head_words++] = static_cast<std::uint64_t>(*d);
+        c.stepped = q == stepper || sys.steps_of(q) > 0;
+        // The child's buffer of q: the parent's minus the delivered
+        // prefix, then q's surviving arrivals in emission order (as
+        // apply_choice appends them), dead messages deleted as judged
+        // by q's behavior in the child.
+        const std::size_t begin = msg_begin_[q - 1];
+        if (q == stepper) {
+            const auto& buf = sys.buffer(q);
+            for (std::size_t i = eff.delivered; i < buf.size(); ++i)
+                if (!dead_message(buf[i].from, buf[i].payload,
+                                  *eff.behavior_after, abs_))
+                    fold_.push_back(begin + i);
         } else {
-            const bool stepped = sys.steps_of(q) > 0;
-            h.u64(stepped ? 1 : 0);
-            if (stepped)
-                h.fold(renamed_behavior_hash(sys.behavior_of(q), ren,
-                                             scratch.sub));
+            for (std::size_t i = begin; i < msg_begin_[q]; ++i)
+                if (live_[i] != 0) fold_.push_back(i);
         }
+        const Behavior& receiver =
+                q == stepper ? *eff.behavior_after : sys.behavior_of(q);
+        for (std::size_t s = 0; s < sends.size(); ++s)
+            if (send_slot_[s] != kLost && sends[s].first == q &&
+                !dead_message(stepper, sends[s].second, receiver, abs_)) {
+                fold_.push_back(table_msgs + send_slot_[s]);
+                arriving_folded_[send_slot_[s]] = 1;
+            }
+        c.fold_end = fold_.size();
+        c.head[c.head_words++] = c.fold_end - c.fold_begin;
     }
-    return h.digest();
+
+    arriving_digest_.resize(arriving_.size());
+    const SymmetryGroup& group = *group_;
+    const std::size_t stride = procs + table_msgs;
+    Digest128 key = identity_key;
+    for (std::size_t g = 1; g < group.size(); ++g) {
+        const ProcessRenaming& ren = group.renaming(g);
+        const ProcessRenaming& inv = group.inverse(g);
+        const Digest128* block = table_.data() + (g - 1) * stride;
+        const Digest128* msg = block + procs;
+        for (std::size_t s = 0; s < arriving_.size(); ++s)
+            if (arriving_folded_[s] != 0)
+                arriving_digest_[s] = renamed_msg_hash(
+                        stepper, *arriving_[s], *algorithm_, ren, scratch_);
+        Digest128 stepper_hash{};
+        if (!child_[stepper - 1].collapsed)
+            stepper_hash = renamed_behavior_hash(*eff.behavior_after, ren,
+                                                 scratch_.sub);
+
+        // hash_state_renamed's field sequence over the child: `inv`
+        // lists the processes in renamed-position order.
+        StateHasher h;
+        for (const ProcessId q : inv) {
+            const ChildProcess& c = child_[q - 1];
+            for (std::size_t w = 0; w < c.head_words; ++w) h.u64(c.head[w]);
+            for (std::size_t k = c.fold_begin; k < c.fold_end; ++k) {
+                const std::size_t i = fold_[k];
+                h.fold(i < table_msgs ? msg[i]
+                                      : arriving_digest_[i - table_msgs]);
+            }
+        }
+        for (const ProcessId q : inv) {
+            const ChildProcess& c = child_[q - 1];
+            if (c.collapsed) continue;
+            h.u64(c.stepped ? 1 : 0);
+            if (q == stepper)
+                h.fold(stepper_hash);
+            else if (c.stepped)
+                h.fold(block[q - 1]);
+        }
+        const Digest128 d = h.digest();
+        if (d < key) key = d;
+    }
+    return key;
 }
 
 Digest128 canonical_state_key(const System& sys, int n,

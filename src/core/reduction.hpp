@@ -56,6 +56,7 @@
 // persistent-set filter) the machinery below keys states by plain
 // configuration: that is how ExploreMode::kFast runs.
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <utility>
@@ -161,24 +162,28 @@ private:
 // The store-path explorer keys states on min over G of the renamed
 // state's digest.  The identity element reuses the explorer's
 // incremental caches (explorer.cpp: per-message digests cached when a
-// message arrives, per-behavior digests when its process steps); the
-// non-identity elements re-walk the configuration through the renaming
-// (group sizes are tiny -- at most a few dozen elements at explorer
-// scales).  Every function folds EXACTLY the field sequence of the
-// explorer's cached child key, so that for the identity renaming the
-// cached and walked digests coincide.
+// message arrives, per-behavior digests when its process steps).  The
+// non-identity elements -- up to 5! = 120 of them for uniform inputs
+// at n = 5 -- read a per-node table (RenamedNodeDigests below): every
+// renamed behavior and message digest a candidate can reuse from its
+// parent is computed once per expanded node, so a candidate pays only
+// for its stepper's renamed behavior, its arriving sends and the folds.
+// Every function folds EXACTLY the field sequence of the explorer's
+// cached child key, so that for the identity renaming the cached and
+// walked digests coincide; the from-scratch renamed walk of a live
+// System (hash_state_renamed) folds the same sequence as the table, and
+// Debug builds check the two against each other on every candidate.
 
 /// Reusable scratch for renamed hashing: one per worker, reset-free
 /// (every helper overwrites what it uses).  Exists to keep the hot path
-/// allocation-lean: payload copies and sub-hashers are recycled across
-/// candidates instead of constructed per message.
+/// allocation-free after warm-up: payload copies and sub-hashers are
+/// recycled across messages instead of constructed per message.
 struct RenameScratch {
     Payload payload;  ///< renamed copy of a message payload
     StateHasher sub;  ///< per-behavior sub-hasher
-    /// Borrowed per-destination arriving-send payloads of one ghost
-    /// step (hash_child_renamed); recycled to keep the renamed walk
-    /// allocation-free after warm-up.
-    std::vector<const Payload*> arriving;
+    /// List vectors `payload` dropped when it last shrank, parked with
+    /// their capacity for the next payload that needs more lists.
+    std::vector<std::vector<int>> spare_lists;
 };
 
 /// The one digest of a buffered message every state key folds: the
@@ -245,8 +250,8 @@ Digest128 hash_state_renamed(const System& sys, int n,
                              const AbsorptionContext& abs);
 
 /// The effects of one ghost step (explorer.cpp) in the shape renamed
-/// child hashing needs: everything is borrowed from the ghost-stepping
-/// caller, nothing is copied.
+/// child keying (RenamedNodeDigests::min_child_key) needs: everything
+/// is borrowed from the ghost-stepping caller, nothing is copied.
 struct GhostEffects {
     ProcessId stepper = 0;
     std::size_t delivered = 0;  ///< delivered prefix length of stepper's buffer
@@ -262,22 +267,88 @@ struct GhostEffects {
     }
 };
 
-/// Digest of the child configuration reached from `sys` by the ghost
-/// step, as renamed by `ren`: the renamed-walk counterpart of the
-/// explorer's cached child key (same field sequence, same arrival
-/// order of surviving sends).
-Digest128 hash_child_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const GhostEffects& g,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs);
+/// The renamed half of the explorer's candidate keys for one expanded
+/// node: one per worker, rebuilt per node, allocation-free once its
+/// buffers have grown.
+///
+/// build() tabulates, for every non-identity group element g, the
+/// g-renamed digest of every stepped, non-absorbed process's behavior
+/// and of every message buffered at a non-absorbed process (an absorbed
+/// process -- decided under AbsorptionContext::decided_final -- keys on
+/// its decision alone and gets no entries).  A broadcast sits in up to
+/// n-1 buffers, so a message whose sender and payload EQUAL those of an
+/// earlier entry reuses that entry's digests (compared by value, never
+/// by digest: the table adds no collision assumption).  The liveness of
+/// each entry (dead_message, renaming-invariant) is judged once here
+/// too.
+///
+/// min_child_key() then keys one ghost step's child under every g as a
+/// fold of table entries, plus what the step itself changes: the
+/// stepper's renamed behavior, its arriving sends (consecutive equal
+/// payloads renamed once), and the liveness of the stepper's remaining
+/// buffer and of the arrivals, judged once per candidate.  The folded
+/// byte stream is exactly hash_state_renamed's over the realized child.
+class RenamedNodeDigests {
+public:
+    /// Tabulates the node `sys` for `group`.  `sys`, `algorithm` and
+    /// `group` are borrowed until the next build().
+    void build(const System& sys, int n, const Algorithm& algorithm,
+               const SymmetryGroup& group, const AbsorptionContext& abs);
+
+    /// Canonical key of the child the ghost step `eff` reaches from the
+    /// built node: the minimum of `identity_key` (the caller's cached
+    /// identity-renaming key of that child) and its digests under every
+    /// non-identity element.
+    Digest128 min_child_key(const GhostEffects& eff, Digest128 identity_key);
+
+private:
+    /// One process of the candidate child, as every renamed key folds
+    /// it: its header words (collapsed: 2, decision; else crash flag,
+    /// decided flag, decision if any, live-message count) and the slice
+    /// [fold_begin, fold_end) of fold_ naming its live messages.
+    struct ChildProcess {
+        std::uint64_t head[4] = {0, 0, 0, 0};
+        std::size_t head_words = 0;
+        std::size_t fold_begin = 0;
+        std::size_t fold_end = 0;
+        bool collapsed = false;
+        bool stepped = false;
+    };
+
+    const System* sys_ = nullptr;
+    const Algorithm* algorithm_ = nullptr;
+    const SymmetryGroup* group_ = nullptr;
+    AbsorptionContext abs_;
+    int n_ = 0;
+    RenameScratch scratch_;
+
+    // Per node.
+    std::vector<const Message*> msgs_;  ///< tabulated messages, by process
+    /// p's messages are msgs_[msg_begin_[p-1] .. msg_begin_[p]).
+    std::vector<std::size_t> msg_begin_;
+    std::vector<std::uint8_t> live_;    ///< liveness at the parent receiver
+    std::vector<std::size_t> rep_;      ///< earliest equal message
+    /// (|G|-1) blocks of n + msgs_.size() digests, one per non-identity
+    /// element: block g-1 holds g's behavior digests (slot p-1, valid
+    /// iff p stepped and is not absorbed), then its message digests.
+    std::vector<Digest128> table_;
+
+    // Per candidate.
+    std::vector<ChildProcess> child_;
+    /// Live messages of each child buffer in fold order: i < msgs_.size()
+    /// is table message i; msgs_.size() + s is arriving slot s.
+    std::vector<std::size_t> fold_;
+    std::vector<std::size_t> send_slot_;    ///< per send of the step
+    std::vector<const Payload*> arriving_;  ///< one per slot
+    std::vector<std::uint8_t> arriving_folded_;
+    std::vector<Digest128> arriving_digest_;  ///< per slot, current g
+};
 
 /// Canonical key of a live System: minimum over the group of the
 /// renamed full-state digests (identity via reduced_hash_state), with
 /// the absorption quotient applied on every path.  The store-path
-/// explorer's root key.
+/// explorer's root key, and in Debug builds the from-scratch oracle
+/// every candidate's RenamedNodeDigests key is checked against.
 Digest128 canonical_state_key(const System& sys, int n,
                               const Algorithm& algorithm,
                               const SymmetryGroup& group,

@@ -299,6 +299,32 @@ TEST(ReducedEquivalence, UniformInputsSymmetry) {
             << "uniform-input symmetry should shrink the space >3x";
 }
 
+// Pins the canonical key stream of a symmetric run (|G| = 24), not only
+// the partition it induces.  With a 1-bit-per-key filter most probes of
+// a present-looking key are false positives, so the two tier counters
+// move if any byte any renamed key folds moves -- while the verdict
+// counts would not.  The run takes the persistent-set branch too
+// (por_skips > 0).  The values were measured before the renamed keys
+// were computed from per-node cached digests, and must not change.
+TEST(ReducedEquivalence, SymmetricKeyFingerprint) {
+    auto algorithm = algo::make_flp_kset(4, 1);
+    ExploreConfig cfg = base_config(4, 1, 7);
+    cfg.inputs = uniform_inputs(4, 7);
+    cfg.mode = ExploreMode::kReduced;
+    cfg.store.filter_bits_per_key = 1;
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        const ExploreResult r = explore_schedules(*algorithm, cfg);
+        const std::string label = "threads " + std::to_string(threads);
+        EXPECT_EQ(r.states_explored, 1131u) << label;
+        EXPECT_EQ(r.schedules_expanded, 1131u) << label;
+        EXPECT_EQ(r.dedup_hits, 3612u) << label;
+        EXPECT_EQ(r.por_skips, 46u) << label;
+        EXPECT_EQ(r.filter_definite_new, 371u) << label;
+        EXPECT_EQ(r.filter_false_positives, 760u) << label;
+    }
+}
+
 // With every reduction switched off, kReduced must not merely agree --
 // it must run exactly as kFast does: the same verdict (counts, witness,
 // everything) and, because it feeds the visited store the very same
