@@ -1,7 +1,7 @@
 // M1 -- micro-benchmarks of the substrate: simulator step throughput
 // under each scheduler, run-recording overhead, SCC scaling, failure
-// detector query cost, digest computation, and heap-allocation counts
-// of the explorer hot paths.
+// detector query cost, digest computation, delta rematerialization,
+// and heap-allocation counts of the explorer hot paths.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,9 @@
 #include <cstring>
 #include <new>
 #include <optional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
@@ -25,6 +28,8 @@
 #include "graph/scc.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
+#include "store/delta_store.hpp"
+#include "store/rematerialize.hpp"
 
 // ---------------------------------------------------------------------
 // Allocation-counting hook.
@@ -343,6 +348,117 @@ void BM_CanonicalKey(benchmark::State& state) {
     state.counters["allocs/candidate"] = static_cast<double>(allocs) * per;
 }
 BENCHMARK(BM_CanonicalKey)->Arg(3)->Arg(4)->Arg(5)->ArgName("n");
+
+// The store path's rematerialization layer in isolation.  A seeded BFS
+// tree of the initial-clique protocol (n = 4, distinct inputs, every
+// node keeping kFanout of its explorer moves) is built in a DeltaStore;
+// each measured materialize() moves a worker's trail from one leaf to
+// another whose deepest common ancestor sits `hops` levels up, so it
+// undoes `hops` steps and redoes `hops` steps: hops = 1 is a sibling
+// (the common case of BFS id order), 2 a cousin, kDepth a cold replay
+// from the root (a layer boundary).  Only the second materialize of
+// each leaf pair is timed and counted.
+constexpr int kRematDepth = 6;
+
+void BM_Rematerialize(benchmark::State& state) {
+    const int hops = static_cast<int>(state.range(0));
+    constexpr int kN = 4;
+    constexpr std::size_t kFanout = 3;
+    auto algorithm = algo::make_flp_kset(kN, 1);
+    const std::vector<Value> inputs = distinct_inputs(kN);
+    const FailurePlan plan;
+    store::StoreOptions opt;
+    store::DeltaStore deltas(opt);
+    store::Rematerializer remat(*algorithm, kN, inputs, plan, deltas,
+                                &core::message_digest);
+
+    // The tree: the root, then kFanout seeded picks among each node's
+    // (process, delivered-prefix) moves, layer by layer.
+    std::vector<store::DeltaRecord> records = {store::DeltaRecord{}};
+    deltas.append(records[0]);
+    std::mt19937_64 rng(/*seed=*/23);
+    std::uint64_t layer_begin = 0;
+    for (int d = 0; d < kRematDepth; ++d) {
+        const std::uint64_t layer_end = records.size();
+        for (std::uint64_t id = layer_begin; id < layer_end; ++id) {
+            const System& sys = *remat.materialize(id).sys;
+            std::vector<store::DeltaRecord> moves;
+            for (ProcessId p = 1; p <= kN; ++p) {
+                if (!sys.can_step(p)) continue;
+                const std::size_t size = sys.buffer(p).size();
+                const auto stepper = static_cast<std::uint32_t>(p);
+                moves.push_back({id, stepper, 0});
+                if (size >= 1) moves.push_back({id, stepper, 1});
+                if (size > 1)
+                    moves.push_back(
+                        {id, stepper, static_cast<std::uint32_t>(size)});
+            }
+            for (std::size_t c = 0; c < kFanout && !moves.empty(); ++c) {
+                const std::size_t pick = rng() % moves.size();
+                records.push_back(moves[pick]);
+                deltas.append(moves[pick]);
+                moves.erase(moves.begin() + static_cast<std::ptrdiff_t>(pick));
+            }
+        }
+        layer_begin = layer_end;
+    }
+
+    // Leaf pairs whose deepest common ancestor is `hops` levels up.
+    auto ancestor = [&](std::uint64_t id, int up) {
+        for (int i = 0; i < up; ++i) id = records[id].parent;
+        return id;
+    };
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    for (std::uint64_t a = layer_begin; a < records.size() && pairs.size() < 64;
+         ++a) {
+        for (std::uint64_t b = a + 1; b < records.size(); ++b) {
+            if (ancestor(a, hops) == ancestor(b, hops) &&
+                ancestor(a, hops - 1) != ancestor(b, hops - 1)) {
+                pairs.emplace_back(a, b);
+                break;
+            }
+        }
+    }
+    if (pairs.empty()) {
+        state.SkipWithError("no leaf pair at this distance");
+        return;
+    }
+    for (const auto& [a, b] : pairs) {  // warm-up: sizes every trail level
+        remat.materialize(a);
+        remat.materialize(b);
+    }
+
+    std::uint64_t allocs = 0;
+    std::uint64_t steps = 0;
+    std::uint64_t calls = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        for (const auto& [a, b] : pairs) {
+            remat.materialize(a);
+            const std::uint64_t allocs_before = alloc_calls_now();
+            const std::uint64_t steps_before = remat.replay_steps();
+            const auto start = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(remat.materialize(b));
+            ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+            allocs += alloc_calls_now() - allocs_before;
+            steps += remat.replay_steps() - steps_before;
+            ++calls;
+        }
+    }
+    state.counters["pairs"] = static_cast<double>(pairs.size());
+    state.counters["ns/materialize"] =
+        calls > 0 ? ns / static_cast<double>(calls) : 0.0;
+    state.counters["allocs/replay-step"] =
+        steps > 0 ? static_cast<double>(allocs) / static_cast<double>(steps)
+                  : 0.0;
+}
+BENCHMARK(BM_Rematerialize)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(kRematDepth)
+    ->ArgName("hops");
 
 // Whole-process heap high-water mark of a spill-forced exploration,
 // and the cross-check of the explorer's own accounting: the reported

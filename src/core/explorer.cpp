@@ -154,8 +154,8 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
 // buffer, the step's surviving sends appended to their destination
 // buffers, p's decision/crash flag/behavior digest updated.  An
 // accepted child is never realized either: it is a 16-byte delta
-// record (src/store/), re-forked from its parent's live state only
-// when its own expansion comes up.
+// record (src/store/), redone on its worker's live System only when its
+// own expansion comes up.
 
 /// Effects of one ghost step of `stepper` on a behavior clone.
 struct GhostStep {
@@ -203,8 +203,8 @@ struct ArrivingSend {
 
 /// Fills `arriving` with the ghost step's surviving sends in emission
 /// order.  Each message is digested here, once per candidate; from then
-/// on the spine caches its digest (store/rematerialize.hpp) for every
-/// key it participates in.
+/// on the rematerializer's trail caches its digest
+/// (store/rematerialize.hpp) for every key it participates in.
 void fill_arriving(const GhostStep& g, ProcessId stepper,
                    std::vector<ArrivingSend>& arriving) {
     arriving.clear();
@@ -538,9 +538,9 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //
 //   1. EXPAND (parallel): each worker re-materializes its nodes from
 //      delta records through a per-worker store::Rematerializer --
-//      which keeps a spine of forked Systems along the root path, so
-//      the common case re-forks from the direct parent and replays one
-//      step -- and ghost-steps every (live process, delivery mode)
+//      which moves the worker's one live System along an undo trail of
+//      the root path, so the common case undoes one step and redoes
+//      one -- and ghost-steps every (live process, delivery mode)
 //      candidate into a dedup key.  Pure reads of the shared stores.
 //
 //   2. DEDUP (parallel): the block's candidate keys, flattened in
@@ -632,7 +632,7 @@ struct Reductions {
 };
 
 #ifndef NDEBUG
-/// The executable form of the rematerializer contract: the spine's
+/// The executable form of the rematerializer contract: the trail's
 /// incrementally advanced caches equal a fresh recompute from the live
 /// System.  An accepted child's ghost key is a pure function of these
 /// caches, so this is the store-path descendant of the old "ghost key
@@ -641,17 +641,17 @@ void check_node_caches(const store::MaterializedNode& node, int n) {
     for (ProcessId q = 1; q <= n; ++q) {
         const BehaviorMark& m = (*node.marks)[q - 1];
         require(m.stepped == (node.sys->steps_of(q) > 0),
-                "store path: stale stepped flag in spine cache");
+                "store path: stale stepped flag in trail cache");
         if (m.stepped)
             require(m.hash == behavior_hash(node.sys->behavior_of(q)),
-                    "store path: stale behavior digest in spine cache");
+                    "store path: stale behavior digest in trail cache");
         const auto& mh = (*node.mhash)[q - 1];
         const auto& buf = node.sys->buffer(q);
         require(mh.size() == buf.size(),
                 "store path: message-digest cache length mismatch");
         for (std::size_t i = 0; i < mh.size(); ++i)
             require(mh[i] == message_digest(buf[i].from, buf[i].payload),
-                    "store path: stale message digest in spine cache");
+                    "store path: stale message digest in trail cache");
     }
 }
 #endif

@@ -204,7 +204,7 @@ struct ExploreStats {
     // the key/record streams, so for a fixed StoreOptions they are
     // identical across thread counts (the equivalence suite pins them);
     // the two below depend on which worker materialized which node.
-    /// Delta-chain steps replayed by re-materialization (spine cache
+    /// Delta-chain steps replayed by re-materialization (undo-trail
     /// misses).
     std::uint64_t replay_steps = 0;
     /// Spilled-record reads during re-materialization.

@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "check/contract.hpp"
@@ -309,14 +310,12 @@ void System::apply_choice(const StepChoice& choice) {
     for (const FaultAction& action : choice.faults) apply_fault(action, rec);
     rec.faults = choice.faults;
 
-    const int allowed = plan_.allowed_steps(p);
-    KSA_REQUIRE(allowed < 0 || step_counts_[p - 1] < allowed,
-                "System::apply_choice: crash plan exhausted for this process");
-
     // Collect the delivered subset L from p's buffer.
+    StepInput input;
     auto& buf = buffers_[p - 1];
     if (choice.deliver_all) {
-        rec.delivered.assign(buf.begin(), buf.end());
+        input.delivered.assign(std::make_move_iterator(buf.begin()),
+                               std::make_move_iterator(buf.end()));
         buf.clear();
     } else {
         for (MessageId id : choice.deliver) {
@@ -324,24 +323,103 @@ void System::apply_choice(const StepChoice& choice) {
                                    [id](const Message& m) { return m.id == id; });
             KSA_REQUIRE(it != buf.end(),
                         "System::apply_choice: message id not in buffer");
-            rec.delivered.push_back(*it);
+            if (it == buf.end()) continue;  // Policy::kCount: stay memory-safe
+            input.delivered.push_back(std::move(*it));
             buf.erase(it);
         }
     }
+    if (recording_) rec.delivered = input.delivered;
+
+    transition(p, input, recording_ ? &rec : nullptr, nullptr);
+
+    if (recording_) {
+        // The digest rendering is the single most expensive part of a
+        // recorded step (an ostringstream pass over the whole local
+        // state); non-recording mode skips it along with the record.
+        rec.digest_after = behaviors_[p - 1]->state_digest();
+        run_.steps.push_back(std::move(rec));
+    }
+}
+
+void System::step_undoable(ProcessId p, std::size_t count, StepUndo& undo) {
+    KSA_REQUIRE(!finished_, "System::step_undoable: run already finalized");
+    KSA_REQUIRE(!recording_,
+                "System::step_undoable: a recorded step cannot be undone");
+    KSA_REQUIRE(!uses_fd_,
+                "System::step_undoable: failure-detector samples cannot be "
+                "undone");
+    check_pid(p, "System::step_undoable");
+    KSA_REQUIRE(!crashed(p), "System::step_undoable: process already crashed");
+    auto& buf = buffers_[p - 1];
+    KSA_REQUIRE(count <= buf.size(),
+                "System::step_undoable: prefix longer than the buffer");
+    count = std::min(count, buf.size());  // Policy::kCount: stay memory-safe
+
+    undo.process = p;
+    undo.time = now_;
+    undo.decision = decisions_[p - 1];
+    undo.crashed = crashed_[p - 1];
+    undo.next_msg_id = next_msg_id_;
+    undo.kept_to.clear();
+    const auto prefix_end = buf.begin() + static_cast<std::ptrdiff_t>(count);
+    undo.input.delivered.assign(std::make_move_iterator(buf.begin()),
+                                std::make_move_iterator(prefix_end));
+    buf.erase(buf.begin(), prefix_end);
+    undo.behavior = behaviors_[p - 1]->clone();
+
+    transition(p, undo.input, nullptr, &undo.kept_to);
+}
+
+void System::undo_step(StepUndo& undo) {
+    KSA_REQUIRE(!finished_, "System::undo_step: run already finalized");
+    const ProcessId p = undo.process;
+    check_pid(p, "System::undo_step");
+    KSA_REQUIRE(undo.behavior != nullptr && now_ == undo.time + 1,
+                "System::undo_step: not the latest step (undo is LIFO)");
+    if (undo.behavior == nullptr) return;  // Policy::kCount: stay memory-safe
+
+    // The kept sends are the newest messages of their buffers: pop them
+    // newest first.
+    for (auto it = undo.kept_to.rbegin(); it != undo.kept_to.rend(); ++it) {
+        auto& dest = buffers_[*it - 1];
+        KSA_REQUIRE(!dest.empty() && dest.back().from == p &&
+                            dest.back().id >= undo.next_msg_id &&
+                            dest.back().id < next_msg_id_,
+                    "System::undo_step: a kept send left its buffer's back");
+        if (dest.empty()) continue;
+        dest.pop_back();
+    }
+    // The delivered prefix goes back in front of what p did not receive.
+    auto& buf = buffers_[p - 1];
+    buf.insert(buf.begin(),
+               std::make_move_iterator(undo.input.delivered.begin()),
+               std::make_move_iterator(undo.input.delivered.end()));
+    undo.input.delivered.clear();
+    behaviors_[p - 1] = std::move(undo.behavior);
+    decisions_[p - 1] = undo.decision;
+    crashed_[p - 1] = undo.crashed;
+    next_msg_id_ = undo.next_msg_id;
+    --step_counts_[p - 1];
+    --now_;
+}
+
+void System::transition(ProcessId p, StepInput& input, StepRecord* rec,
+                        std::vector<ProcessId>* kept_to) {
+    const int allowed = plan_.allowed_steps(p);
+    KSA_REQUIRE(allowed < 0 || step_counts_[p - 1] < allowed,
+                "System: crash plan exhausted for this process");
+
     // Buffer integrity: everything the buffer of p holds was addressed
     // to p and sent strictly before this step.
-    for (const Message& m : rec.delivered) {
+    for (const Message& m : input.delivered) {
         KSA_INVARIANT(m.to == p,
-                      "System::apply_choice: buffered message addressed to "
-                      "a different process");
+                      "System: buffered message addressed to a different "
+                      "process");
         KSA_INVARIANT(m.sent_at < now_,
-                      "System::apply_choice: message delivered no later "
-                      "than it was sent");
+                      "System: message delivered no later than it was sent");
     }
 
     // Failure-detector query at the beginning of the step.
-    StepInput input;
-    input.delivered = rec.delivered;
     if (uses_fd_) {
         QueryContext ctx;
         ctx.now = now_;
@@ -349,8 +427,10 @@ void System::apply_choice(const StepChoice& choice) {
         for (ProcessId q = 1; q <= n_; ++q)
             if (crashed(q)) ctx.crashed_so_far.push_back(q);
         FdSample sample = oracle_->query(ctx);
-        if (recording_) run_.fd_history.push_back(FdEvent{now_, p, sample});
-        rec.fd = sample;
+        if (rec != nullptr) {
+            run_.fd_history.push_back(FdEvent{now_, p, sample});
+            rec->fd = sample;
+        }
         input.fd = std::move(sample);
     }
 
@@ -364,17 +444,18 @@ void System::apply_choice(const StepChoice& choice) {
         final_step ? &plan_.spec(p).omit_to : nullptr;
 
     for (auto& [dest, payload] : out.sends) {
-        check_pid(dest, "System::apply_choice (send destination)");
+        check_pid(dest, "System (send destination)");
         Message m;
-        m.id = next_msg_id_++;
+        m.id = next_msg_id_++;  // an omitted send uses up its id too
         m.from = p;
         m.to = dest;
         m.sent_at = now_;
         m.payload = std::move(payload);
         if (omit != nullptr && omit->count(dest) != 0) {
-            rec.omitted.push_back(std::move(m));
+            if (rec != nullptr) rec->omitted.push_back(std::move(m));
         } else {
-            rec.sent.push_back(m);
+            if (rec != nullptr) rec->sent.push_back(m);
+            if (kept_to != nullptr) kept_to->push_back(dest);
             buffers_[dest - 1].push_back(std::move(m));
         }
     }
@@ -387,20 +468,12 @@ void System::apply_choice(const StepChoice& choice) {
                     "protocol bug: process decided twice (output is "
                     "write-once)");
         decisions_[p - 1] = out.decision;
-        rec.decision = out.decision;
+        if (rec != nullptr) rec->decision = out.decision;
     }
 
-    rec.final_crash_step = final_step;
-
+    if (rec != nullptr) rec->final_crash_step = final_step;
     if (final_step) crashed_[p - 1] = true;
     ++step_counts_[p - 1];
-    if (recording_) {
-        // The digest rendering is the single most expensive part of a
-        // recorded step (an ostringstream pass over the whole local
-        // state); non-recording mode skips it along with the record.
-        rec.digest_after = behaviors_[p - 1]->state_digest();
-        run_.steps.push_back(std::move(rec));
-    }
     ++now_;
 }
 

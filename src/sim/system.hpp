@@ -4,14 +4,17 @@
 // A System instantiates one Behavior per process from an Algorithm, owns
 // the per-process message buffers, enforces the FailurePlan, queries the
 // failure-detector oracle (when the model has one) and records every step
-// into a Run.  It can be driven in two ways:
+// into a Run.  It can be driven in three ways:
 //
 //   * System::execute(scheduler, limits) -- the usual mode: the scheduler
 //     (the asynchrony adversary) picks steps until it stops or a limit
 //     trips;
 //   * the step-wise apply_choice() API -- used by the run-pasting
 //     machinery of core/ (Lemmas 11 and 12), which replays recorded step
-//     sequences of several runs interleaved into a single new run.
+//     sequences of several runs interleaved into a single new run;
+//   * step_undoable() / undo_step() -- exactly invertible steps, with
+//     which the explorer's store path moves one live, non-recording
+//     System up and down the BFS tree (store/rematerialize.hpp).
 //
 // Everything is deterministic: the same (algorithm, inputs, plan, oracle,
 // choice sequence) yields bit-identical Runs.
@@ -39,6 +42,21 @@ struct ExecutionLimits {
     Time max_steps = 200000;
 };
 
+/// Everything System::undo_step needs to revert one step_undoable()
+/// exactly.  A caller keeps one per level of its undo trail and reuses
+/// it: the delivered and kept-destination vectors keep their capacity
+/// from step to step.
+struct StepUndo {
+    ProcessId process = 0;              ///< the stepper
+    Time time = 0;                      ///< now() when the step ran
+    std::unique_ptr<Behavior> behavior; ///< clone of the pre-step behavior
+    StepInput input;                    ///< the delivered buffer prefix
+    std::vector<ProcessId> kept_to;     ///< destination of each kept send
+    std::optional<Value> decision;      ///< the stepper's prior decision
+    bool crashed = false;               ///< the stepper's prior crash flag
+    MessageId next_msg_id = 0;          ///< the prior message-id counter
+};
+
 /// See file comment.
 class System final : public SystemView {
 public:
@@ -57,9 +75,10 @@ public:
     /// decisions, the effective plan, the message-id counter and -- when
     /// recording is enabled -- the partial Run record.  The fork can be
     /// stepped independently of the original; the same choice sequence
-    /// applied to both yields bit-identical states.  This is what lets
-    /// the explorer expand children from live parent states instead of
-    /// replaying the whole schedule prefix per child (doc/performance.md).
+    /// applied to both yields bit-identical states.  The reference
+    /// explorer expands children from forks of live parent states; the
+    /// store path never forks, it moves one live System along an undo
+    /// trail instead (step_undoable, doc/performance.md §6.1).
     ///
     /// `verify_digests` additionally asserts (KSA_REQUIRE) that every
     /// cloned behavior round-trips digest-identically -- the executable
@@ -143,9 +162,25 @@ public:
     /// of `p`.  The explorer's delivery modes are always buffer
     /// prefixes, so the out-of-core store (src/store/) records only the
     /// prefix LENGTH per node and rebuilds the concrete choice --
-    /// message ids included -- from the live parent buffer when a node
-    /// is re-forked from its delta record.
+    /// message ids included -- from the live parent buffer when a
+    /// violation witness is scripted from its delta chain.
     StepChoice prefix_choice(ProcessId p, std::size_t count) const;
+
+    /// Executes the step that delivers the first `count` buffered
+    /// messages of `p` -- the transition apply_choice(prefix_choice(p,
+    /// count)) executes, message ids included -- and captures into
+    /// `undo` what undo_step needs to revert it exactly.  A final-step
+    /// omission still uses up a message id, as in apply_choice.
+    /// Requires a live, non-recording System whose algorithm queries no
+    /// failure detector; `count` must not exceed the buffer size.
+    void step_undoable(ProcessId p, std::size_t count, StepUndo& undo);
+
+    /// Reverts the step captured in `undo`, which must be the latest
+    /// step not yet undone (LIFO): afterwards every buffer (ids, order,
+    /// payloads), behavior, decision, crash flag, step count, now() and
+    /// the message-id counter equal their values before the step.
+    /// Consumes the saved behavior; `undo` keeps its capacity for reuse.
+    void undo_step(StepUndo& undo);
 
     /// Records the scheduler label into the run metadata (System::execute
     /// does this automatically; step-wise drivers replaying a recorded
@@ -170,6 +205,16 @@ private:
     System(ForkTag, const System& other);
 
     void check_pid(ProcessId p, const char* who) const;
+    /// The one state transition apply_choice and step_undoable share:
+    /// the plan check, the delivery invariants, the failure-detector
+    /// query, Behavior::on_step, send placement (final-step omissions
+    /// included, ids in emission order), the write-once decision, the
+    /// crash flag and the counters.  `input.delivered` holds the
+    /// messages the caller already took out of p's buffer.  `rec`, if
+    /// given, receives the step's effects for the run record; `kept_to`,
+    /// if given, the destination of every send that reached a buffer.
+    void transition(ProcessId p, StepInput& input, StepRecord* rec,
+                    std::vector<ProcessId>* kept_to);
     void apply_fault(const FaultAction& action, StepRecord& rec);
     /// Charges a realized Byzantine fault event to `sender` in both the
     /// live plan and the run record (FailurePlan::note_byzantine).

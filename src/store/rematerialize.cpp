@@ -28,66 +28,71 @@ Rematerializer::Rematerializer(const Algorithm& algorithm, int n,
       inputs_(std::move(inputs)),
       plan_(std::move(plan)),
       reader_(deltas),
-      digest_send_(digest_send) {}
-
-Rematerializer::SpineEntry Rematerializer::make_root() const {
-    SpineEntry e;
-    e.id = 0;
-    e.sys = std::make_unique<System>(algorithm_, n_, inputs_, plan_);
-    e.sys->set_recording(false);
-    e.marks.assign(static_cast<std::size_t>(n_), BehaviorMark{});
-    e.mhash.assign(static_cast<std::size_t>(n_), {});
-    for (ProcessId p = 1; p <= n_; ++p)
-        for (const Message& m : e.sys->buffer(p))
-            e.mhash[p - 1].push_back(digest_send_(m.from, m.payload));
-    return e;
+      digest_send_(digest_send) {
+    reset_to_root();
 }
 
-Rematerializer::SpineEntry Rematerializer::advance(const SpineEntry& from,
-                                                   std::uint64_t child_id,
-                                                   const DeltaRecord& rec) {
-    SpineEntry e;
-    e.id = child_id;
-    e.sys = from.sys->fork(false);
+void Rematerializer::reset_to_root() {
+    live_ = std::make_unique<System>(algorithm_, n_, inputs_, plan_);
+    live_->set_recording(false);
+    top_ = 0;
+    if (trail_.empty()) trail_.emplace_back();
+    Level& root = trail_[0];
+    root.id = 0;
+    root.marks.assign(static_cast<std::size_t>(n_), BehaviorMark{});
+    root.mhash.resize(static_cast<std::size_t>(n_));
+    for (ProcessId p = 1; p <= n_; ++p) {
+        auto& mp = root.mhash[p - 1];
+        mp.clear();
+        for (const Message& m : live_->buffer(p))
+            mp.push_back(digest_send_(m.from, m.payload));
+    }
+}
+
+void Rematerializer::redo(std::uint64_t child_id, const DeltaRecord& rec) {
+    if (trail_.size() == top_ + 1) trail_.emplace_back();
+    const Level& below = trail_[top_];
+    Level& level = trail_[top_ + 1];
     const ProcessId stepper = static_cast<ProcessId>(rec.stepper);
-    // The delivered-prefix length plus the live parent buffer fully
-    // reconstruct the original StepChoice, concrete message ids
-    // included (fork() copies the id counter, so replayed ids equal
-    // first-run ids).
-    e.sys->apply_choice(from.sys->prefix_choice(stepper, rec.delivered));
+    // The delivered-prefix length plus the live buffer fully determine
+    // the original step, message ids included: the live id counter is
+    // the one the original acceptance saw.
+    level.id = child_id;
+    live_->step_undoable(stepper, rec.delivered, level.undo);
+    ++top_;
     ++replay_steps_;
 
-    // Advance the incremental caches exactly the way apply_choice
-    // advanced the buffers: only the stepper's behavior changed; the
-    // stepper's delivered prefix left its buffer; the step's surviving
-    // sends were appended (emission order) to their destinations.
-    e.marks = from.marks;
-    e.marks[stepper - 1] =
-            BehaviorMark{true, behavior_state_hash(e.sys->behavior_of(stepper))};
-    e.mhash = from.mhash;
-    auto& sm = e.mhash[stepper - 1];
-    sm.erase(sm.begin(), sm.begin() + static_cast<std::ptrdiff_t>(rec.delivered));
+    // Advance the incremental caches exactly the way the step advanced
+    // the buffers: only the stepper's behavior changed; the stepper's
+    // delivered prefix left its buffer; the step's kept sends were
+    // appended (emission order) to their destinations.
+    level.marks = below.marks;
+    level.marks[stepper - 1] = BehaviorMark{
+            true, behavior_state_hash(live_->behavior_of(stepper))};
+    level.mhash = below.mhash;
+    auto& sm = level.mhash[stepper - 1];
+    sm.erase(sm.begin(),
+             sm.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                  level.undo.input.delivered.size(), sm.size())));
     for (ProcessId q = 1; q <= n_; ++q) {
-        auto& mq = e.mhash[q - 1];
-        const auto& b = e.sys->buffer(q);
+        auto& mq = level.mhash[q - 1];
+        const auto& b = live_->buffer(q);
         require(b.size() >= mq.size(),
                 "Rematerializer: cache longer than live buffer");
         for (std::size_t i = mq.size(); i < b.size(); ++i)
             mq.push_back(digest_send_(b[i].from, b[i].payload));
     }
-    return e;
 }
 
 MaterializedNode Rematerializer::materialize(std::uint64_t id) {
-    if (spine_.empty()) spine_.push_back(make_root());
-    // Walk the delta chain upward until it meets the spine.  The root
-    // (id 0, spine_[0]) terminates the walk unconditionally.
+    // Walk the delta chain upward until it meets the trail.  The root
+    // (id 0, trail_[0]) terminates the walk unconditionally.
     chain_.clear();
     std::uint64_t cur = id;
     std::size_t meet = 0;
     for (bool found = false; !found;) {
-        for (std::size_t j = spine_.size(); j-- > 0;) {
-            if (spine_[j].id == cur) {
+        for (std::size_t j = top_ + 1; j-- > 0;) {
+            if (trail_[j].id == cur) {
                 meet = j;
                 found = true;
                 break;
@@ -98,13 +103,18 @@ MaterializedNode Rematerializer::materialize(std::uint64_t id) {
         chain_.emplace_back(cur, rec);
         cur = rec.parent;
     }
-    // Keep the shared prefix, replay the divergent suffix.  BFS id
-    // locality makes the suffix one or two records in the common case.
-    spine_.resize(meet + 1);
-    for (auto it = chain_.rbegin(); it != chain_.rend(); ++it)
-        spine_.push_back(advance(spine_.back(), it->first, it->second));
-    const SpineEntry& e = spine_.back();
-    return MaterializedNode{e.sys.get(), &e.marks, &e.mhash};
+    // Undo the levels the node does not share, redo its own suffix.
+    // BFS id locality makes both one or two steps in the common case.
+    try {
+        for (; top_ > meet; --top_) live_->undo_step(trail_[top_].undo);
+        for (auto it = chain_.rbegin(); it != chain_.rend(); ++it)
+            redo(it->first, it->second);
+    } catch (...) {
+        reset_to_root();
+        throw;
+    }
+    const Level& level = trail_[top_];
+    return MaterializedNode{live_.get(), &level.marks, &level.mhash};
 }
 
 std::vector<StepChoice> Rematerializer::script_of(std::uint64_t id) {

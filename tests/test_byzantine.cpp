@@ -432,7 +432,9 @@ TEST(ByzantineSweep, SmallGridIsCompleteAndLabeledByBIR) {
                   core::byzantine_kset_necessary(cell.n, cell.f, cell.k));
         EXPECT_EQ(cell.trials, config.seeds_per_cell);
         // f = 0 cells see no Byzantine faults and must decide cleanly.
-        if (cell.f == 0) EXPECT_EQ(cell.decided, cell.trials);
+        if (cell.f == 0) {
+            EXPECT_EQ(cell.decided, cell.trials);
+        }
     }
 
     const std::string json = report.to_json();

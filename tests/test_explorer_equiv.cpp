@@ -530,9 +530,10 @@ TEST(StoreEquivalence, TruncationCutsIdenticallyUnderSpill) {
 }
 
 TEST(StoreEquivalence, CrashPlansSurviveRematerialization) {
-    // Rematerialization replays delta chains on forked Systems; crash
-    // plans (mid-run crashes with omissions) must survive the re-fork
-    // byte-identically even when the chain crosses the spill file.
+    // Rematerialization undoes and redoes delta chains on one live
+    // System per worker; crash plans (mid-run crashes with omissions)
+    // must survive the replay byte-identically even when the chain
+    // crosses the spill file.
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
     cfg.plan.set_crash(1, CrashSpec{2, {3}});

@@ -1,9 +1,17 @@
 // Unit tests for the simulation substrate: payloads, messages, failure
-// plans, the System executor, schedulers, admissibility and run queries.
+// plans, the System executor (its fork and undo round-trips included),
+// schedulers, admissibility and run queries.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "algo/flooding.hpp"
+#include "algo/initial_clique.hpp"
+#include "check/contract.hpp"
 #include "sim/admissibility.hpp"
 #include "sim/model.hpp"
 #include "sim/payload.hpp"
@@ -220,6 +228,201 @@ TEST(System, ForkRoundTrip) {
         EXPECT_EQ(run_a.steps[i].digest_after, run_b.steps[i].digest_after);
     }
     EXPECT_EQ(run_a.distinct_decisions(), run_b.distinct_decisions());
+}
+
+/// Every piece of state a later step can observe, field by field:
+/// buffers (ids, senders, receivers, send times, payloads), behavior
+/// digests, step counts, crash flags, decisions and global time.
+void expect_same_state(const System& a, const System& b,
+                       const std::string& label) {
+    ASSERT_EQ(a.n(), b.n()) << label;
+    EXPECT_EQ(a.now(), b.now()) << label;
+    for (ProcessId p = 1; p <= a.n(); ++p) {
+        EXPECT_EQ(a.last_digest(p), b.last_digest(p)) << label << " p" << p;
+        EXPECT_EQ(a.steps_of(p), b.steps_of(p)) << label << " p" << p;
+        EXPECT_EQ(a.crashed(p), b.crashed(p)) << label << " p" << p;
+        EXPECT_EQ(a.decision_of(p), b.decision_of(p)) << label << " p" << p;
+        const auto& x = a.buffer(p);
+        const auto& y = b.buffer(p);
+        ASSERT_EQ(x.size(), y.size()) << label << " buffer of p" << p;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            EXPECT_EQ(x[i].id, y[i].id) << label << " p" << p;
+            EXPECT_EQ(x[i].from, y[i].from) << label << " p" << p;
+            EXPECT_EQ(x[i].to, y[i].to) << label << " p" << p;
+            EXPECT_EQ(x[i].sent_at, y[i].sent_at) << label << " p" << p;
+            EXPECT_TRUE(x[i].payload == y[i].payload) << label << " p" << p;
+        }
+    }
+}
+
+/// Steps every live process once, delivering its whole buffer, on both
+/// systems, then compares them: state the public view does not show
+/// (the message-id counter above all) surfaces in the continuation.
+void continue_both(System& a, System& b, const std::string& label) {
+    for (ProcessId p = 1; p <= a.n(); ++p) {
+        if (!a.can_step(p)) continue;
+        StepChoice choice;
+        choice.process = p;
+        choice.deliver_all = true;
+        a.apply_choice(choice);
+        b.apply_choice(choice);
+    }
+    expect_same_state(a, b, label + " + continuation");
+}
+
+/// The delivery prefixes the explorer enumerates: nothing, the oldest
+/// message, the whole buffer.
+std::vector<std::size_t> delivery_prefixes(const System& sys, ProcessId p) {
+    const std::size_t size = sys.buffer(p).size();
+    std::vector<std::size_t> prefixes = {0};
+    if (size >= 1) prefixes.push_back(1);
+    if (size > 1) prefixes.push_back(size);
+    return prefixes;
+}
+
+/// The undoable-step configurations: the initial-clique protocol with
+/// and without a crash whose final step omits sends, and flooding with
+/// a crash in its second step.
+struct UndoConfig {
+    std::string name;
+    std::unique_ptr<Algorithm> algorithm;
+    int n = 0;
+    FailurePlan plan;
+};
+
+std::vector<UndoConfig> undo_configs() {
+    std::vector<UndoConfig> configs;
+    configs.push_back({"flp(4,1)", algo::make_flp_kset(4, 1), 4, {}});
+    FailurePlan omit;
+    omit.set_crash(3, CrashSpec{1, {1, 2}});
+    configs.push_back({"flp(4,1)+crash", algo::make_flp_kset(4, 1), 4, omit});
+    FailurePlan late;
+    late.set_crash(1, CrashSpec{2, {2}});
+    configs.push_back(
+            {"flooding+crash", std::make_unique<algo::FloodingKSet>(2), 3, late});
+    return configs;
+}
+
+// The step_undoable / undo_step contract: a step is exactly what
+// apply_choice(prefix_choice(...)) does, and its undo restores every
+// buffer, behavior, flag and counter, so that a System carried up and
+// down a trail of undone steps stays bit-identical to one that only
+// ever stepped forward.
+TEST(System, UndoStepRestoresTheExactState) {
+    int undone_decisions = 0;
+    int undone_crashes = 0;
+    int undone_omissions = 0;
+    for (const UndoConfig& c : undo_configs()) {
+        for (const std::uint64_t seed : {3u, 17u, 42u}) {
+            const std::string run =
+                    c.name + " seed " + std::to_string(seed);
+            System sys(*c.algorithm, c.n, distinct_inputs(c.n), c.plan);
+            System shadow(*c.algorithm, c.n, distinct_inputs(c.n), c.plan);
+            sys.set_recording(false);
+            shadow.set_recording(false);
+            RandomScheduler walk(seed);
+            StepUndo undo;  // one capture, reused by every step
+            for (int t = 0; t < 40; ++t) {
+                for (ProcessId p = 1; p <= c.n; ++p) {
+                    if (!sys.can_step(p)) continue;
+                    for (const std::size_t count : delivery_prefixes(sys, p)) {
+                        const std::string label =
+                                run + " t" + std::to_string(t) + " p" +
+                                std::to_string(p) + " deliver " +
+                                std::to_string(count);
+                        const auto before = sys.fork(false);
+                        const auto recorded = sys.fork(false);
+                        recorded->apply_choice(
+                                recorded->prefix_choice(p, count));
+                        sys.step_undoable(p, count, undo);
+                        expect_same_state(sys, *recorded, label + " step");
+                        if (sys.decision_of(p) && !before->decision_of(p))
+                            ++undone_decisions;
+                        if (sys.crashed(p)) {
+                            ++undone_crashes;
+                            if (!c.plan.spec(p).omit_to.empty())
+                                ++undone_omissions;
+                        }
+                        const auto stepped = sys.fork(false);
+                        continue_both(*stepped, *recorded, label + " step");
+                        sys.undo_step(undo);
+                        expect_same_state(sys, *before, label + " undo");
+                    }
+                }
+                const std::optional<StepChoice> choice = walk.next(sys);
+                if (!choice) break;
+                sys.apply_choice(*choice);
+                shadow.apply_choice(*choice);
+                expect_same_state(sys, shadow, run + " walk");
+            }
+            continue_both(sys, shadow, run + " end");
+        }
+    }
+    EXPECT_GT(undone_decisions, 0);
+    EXPECT_GT(undone_crashes, 0);
+    EXPECT_GT(undone_omissions, 0);
+
+    // Preconditions: a recorded step cannot be undone.
+    algo::FloodingKSet flooding(2);
+    System recording(flooding, 3, distinct_inputs(3), {});
+    StepUndo undo;
+    EXPECT_THROW(recording.step_undoable(1, 0, undo), UsageError);
+}
+
+// k undoable steps, then k undos newest first: each undo lands exactly
+// on the state before its step.  Undos out of order are refused.
+TEST(System, UndoStepsUnwindInLifoOrder) {
+    for (const UndoConfig& c : undo_configs()) {
+        for (const std::uint64_t seed : {5u, 9u}) {
+            const std::string run =
+                    c.name + " seed " + std::to_string(seed);
+            System sys(*c.algorithm, c.n, distinct_inputs(c.n), c.plan);
+            sys.set_recording(false);
+            RandomScheduler walk(seed);
+            constexpr std::size_t kSteps = 12;
+            std::vector<std::unique_ptr<System>> before;
+            std::vector<StepUndo> undos(kSteps);
+            for (std::size_t i = 0; i < kSteps; ++i) {
+                const std::optional<StepChoice> choice = walk.next(sys);
+                if (!choice) break;
+                const ProcessId p = choice->process;
+                const std::vector<std::size_t> prefixes =
+                        delivery_prefixes(sys, p);
+                before.push_back(sys.fork(false));
+                sys.step_undoable(p, prefixes[i % prefixes.size()], undos[i]);
+            }
+            const std::size_t k = before.size();
+            ASSERT_GT(k, 1u) << run;
+            EXPECT_THROW(sys.undo_step(undos[0]), UsageError) << run;
+            for (std::size_t i = k; i-- > 0;) {
+                sys.undo_step(undos[i]);
+                expect_same_state(sys, *before[i],
+                                  run + " undo " + std::to_string(i));
+            }
+            // Each capture is spent once undone.
+            EXPECT_THROW(sys.undo_step(undos[0]), UsageError) << run;
+            continue_both(sys, *before[0], run + " root");
+        }
+    }
+}
+
+// Under Policy::kCount a violated precondition is counted and the call
+// carries on, so the undoable step must stay memory-safe: an over-long
+// prefix delivers the whole buffer, and a spent capture undoes nothing.
+TEST(System, UndoableStepIsMemorySafeUnderTheCountPolicy) {
+    check::PolicyGuard guard(check::Policy::kCount);
+    algo::FloodingKSet algorithm(2);
+    System sys(algorithm, 3, distinct_inputs(3), {});
+    sys.set_recording(false);
+    const auto before = sys.fork(false);
+    StepUndo undo;
+    sys.step_undoable(1, 5, undo);  // p1's buffer is empty
+    EXPECT_EQ(check::violation_count(), 1u);
+    sys.undo_step(undo);
+    expect_same_state(sys, *before, "over-long prefix");
+    sys.undo_step(undo);
+    EXPECT_EQ(check::violation_count(), 2u);
+    expect_same_state(sys, *before, "spent capture");
 }
 
 TEST(System, ForkIsIndependentOfTheOriginal) {

@@ -1,10 +1,11 @@
 // Tests for the out-of-core exploration store (src/store/): the bloom
 // tier's no-false-negative guarantee, exact-tier equivalence against a
 // std::set reference, batch-dedup determinism across thread and shard
-// counts, the KSASPILL-1 delta spill round-trip, delta re-fork
-// (Rematerializer) equivalence against direct fork/apply_choice replay,
-// System::fork() round-trips under live Byzantine fault injection, and
-// end-to-end exploration byte-identity under forced spill.
+// counts, the KSASPILL-1 delta spill round-trip, delta replay on the
+// undo trail (Rematerializer) equivalence against direct apply_choice
+// replay, System::fork() round-trips under live Byzantine fault
+// injection, and end-to-end exploration byte-identity under forced
+// spill.
 //
 // doc/performance.md §6 describes the store; the determinism argument
 // tested here is the one stated at the top of store/visited_store.hpp:
@@ -26,6 +27,7 @@
 #include "sim/byzantine.hpp"
 #include "sim/digest.hpp"
 #include "sim/message.hpp"
+#include "sim/payload.hpp"
 #include "sim/system.hpp"
 #include "store/delta_store.hpp"
 #include "store/rematerialize.hpp"
@@ -244,6 +246,7 @@ void expect_matches_direct_replay(const Algorithm& algorithm, int n,
     System direct(algorithm, n, inputs, plan);
     direct.set_recording(false);
     for (const StepChoice& choice : script) direct.apply_choice(choice);
+    EXPECT_EQ(sys.now(), direct.now()) << label;
     for (ProcessId p = 1; p <= n; ++p) {
         EXPECT_EQ(sys.last_digest(p), direct.last_digest(p))
                 << label << " digest of " << p;
@@ -254,9 +257,35 @@ void expect_matches_direct_replay(const Algorithm& algorithm, int n,
         const auto& b = direct.buffer(p);
         ASSERT_EQ(a.size(), b.size()) << label << " buffer of " << p;
         for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].id, b[i].id) << label;  // ids too: fork copies
+            EXPECT_EQ(a[i].id, b[i].id) << label;  // ids too: undo restores
             EXPECT_EQ(a[i].from, b[i].from) << label;
+            EXPECT_EQ(a[i].to, b[i].to) << label;
+            EXPECT_EQ(a[i].sent_at, b[i].sent_at) << label;
             EXPECT_TRUE(a[i].payload == b[i].payload) << label;
+        }
+    }
+}
+
+/// The trail's incremental caches mirror the live System exactly: one
+/// message digest per buffered message, and a stepped flag plus the
+/// behavior's fold_state digest per process.
+void expect_caches_mirror(const MaterializedNode& node, int n,
+                          const std::string& label) {
+    ASSERT_EQ(node.mhash->size(), static_cast<std::size_t>(n)) << label;
+    ASSERT_EQ(node.marks->size(), static_cast<std::size_t>(n)) << label;
+    for (ProcessId p = 1; p <= n; ++p) {
+        const auto& buf = node.sys->buffer(p);
+        ASSERT_EQ((*node.mhash)[p - 1].size(), buf.size()) << label;
+        for (std::size_t i = 0; i < buf.size(); ++i)
+            EXPECT_EQ((*node.mhash)[p - 1][i],
+                      test_msg_hash(buf[i].from, buf[i].payload))
+                    << label;
+        const BehaviorMark& mark = (*node.marks)[p - 1];
+        EXPECT_EQ(mark.stepped, node.sys->steps_of(p) > 0) << label;
+        if (mark.stepped) {
+            StateHasher h;
+            node.sys->behavior_of(p).fold_state(h);
+            EXPECT_EQ(mark.hash, h.digest()) << label << " p" << p;
         }
     }
 }
@@ -284,8 +313,8 @@ TEST(Rematerializer, MaterializesTheExactRecordedStates) {
     deltas.append(DeltaRecord{2, 2, 0});  // 5
 
     Rematerializer remat(algorithm, n, inputs, plan, deltas, &test_msg_hash);
-    // Materialize in a deliberately non-monotonic order: spine reuse,
-    // spine rebuild and the root path are all exercised.
+    // Materialize in a deliberately non-monotonic order: trail reuse,
+    // undo down to the root and redo of whole chains are all exercised.
     for (const std::uint64_t id : {1u, 3u, 4u, 2u, 5u, 4u, 0u, 3u}) {
         const MaterializedNode node = remat.materialize(id);
         ASSERT_NE(node.sys, nullptr);
@@ -293,17 +322,128 @@ TEST(Rematerializer, MaterializesTheExactRecordedStates) {
         expect_matches_direct_replay(algorithm, n, inputs, plan, *node.sys,
                                      script,
                                      "node " + std::to_string(id));
-        // The mhash cache must mirror the live buffers exactly.
-        ASSERT_EQ(node.mhash->size(), static_cast<std::size_t>(n));
-        for (ProcessId p = 1; p <= n; ++p) {
-            const auto& buf = node.sys->buffer(p);
-            ASSERT_EQ((*node.mhash)[p - 1].size(), buf.size());
-            for (std::size_t i = 0; i < buf.size(); ++i)
-                EXPECT_EQ((*node.mhash)[p - 1][i],
-                          test_msg_hash(buf[i].from, buf[i].payload));
-            EXPECT_EQ((*node.marks)[p - 1].stepped,
-                      node.sys->steps_of(p) > 0);
+        expect_caches_mirror(node, n, "node " + std::to_string(id));
+    }
+}
+
+TEST(Rematerializer, UndoesAndRedoesThroughAnOmittingCrashStep) {
+    // flooding(n=3) where p1's first step is its last and omits the
+    // send to p2: that send still uses up message id 1, so every later
+    // id depends on the undo trail restoring the id counter exactly.
+    //   0 root
+    //   1 = 0 after p1 steps delivering nothing (crash, omits to p2)
+    //   2 = 0 after p2 steps delivering nothing
+    //   3 = 1 after p2 steps delivering nothing
+    //   4 = 3 after p3 steps delivering p1's message
+    //   5 = 4 after p2 steps delivering its whole buffer
+    //   6 = 2 after p1 steps delivering p2's message (crash, other branch)
+    //   7 = 1 after p3 steps delivering p1's message
+    algo::FloodingKSet algorithm(2);
+    const int n = 3;
+    const std::vector<Value> inputs = distinct_inputs(n);
+    FailurePlan plan;
+    plan.set_crash(1, CrashSpec{1, {2}});
+    StoreOptions opt;
+    opt.frontier_ram_bytes = 64;  // 4-record window: the chain spills
+    DeltaStore deltas(opt);
+    deltas.append(DeltaRecord{});         // 0: root
+    deltas.append(DeltaRecord{0, 1, 0});  // 1
+    deltas.append(DeltaRecord{0, 2, 0});  // 2
+    deltas.append(DeltaRecord{1, 2, 0});  // 3
+    deltas.append(DeltaRecord{3, 3, 1});  // 4
+    deltas.append(DeltaRecord{4, 2, 1});  // 5
+    deltas.append(DeltaRecord{2, 1, 1});  // 6
+    deltas.append(DeltaRecord{1, 3, 1});  // 7
+    EXPECT_GT(deltas.spilled_records(), 0u);
+
+    Rematerializer remat(algorithm, n, inputs, plan, deltas, &test_msg_hash);
+    // Down to depth 4, back up through the crash level 1, down its
+    // sibling branches, across to the other crash, via the root, and
+    // down through level 1 again.
+    for (const std::uint64_t id :
+         {5u, 1u, 7u, 3u, 5u, 6u, 2u, 0u, 4u, 7u, 5u}) {
+        const std::string label = "node " + std::to_string(id);
+        const MaterializedNode node = remat.materialize(id);
+        ASSERT_NE(node.sys, nullptr);
+        expect_matches_direct_replay(algorithm, n, inputs, plan, *node.sys,
+                                     remat.script_of(id), label);
+        expect_caches_mirror(node, n, label);
+        if (id == 1) {
+            // The omitted send to p2 took id 1; p3's copy is id 2.
+            EXPECT_TRUE(node.sys->crashed(1));
+            EXPECT_TRUE(node.sys->buffer(2).empty());
+            ASSERT_EQ(node.sys->buffer(3).size(), 1u);
+            EXPECT_EQ(node.sys->buffer(3)[0].id, 2u);
         }
+    }
+    EXPECT_GT(remat.replay_steps(), 0u);
+}
+
+/// Sends to every process and decides on every step, so its second step
+/// throws (decisions are write-once) after its sends are already placed:
+/// a step that fails half-applied.
+class DecideEveryStep final : public Behavior {
+  public:
+    explicit DecideEveryStep(int n) : n_(n) {}
+    StepOutput on_step(const StepInput& in) override {
+        received_ += static_cast<int>(in.delivered.size());
+        ++steps_;
+        StepOutput out;
+        for (ProcessId q = 1; q <= n_; ++q)
+            out.sends.emplace_back(q, make_payload("PING", {steps_}));
+        out.decision = 1;
+        return out;
+    }
+    std::string state_digest() const override {
+        return "D(" + std::to_string(steps_) + "," +
+               std::to_string(received_) + ")";
+    }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<DecideEveryStep>(*this);
+    }
+
+  private:
+    int n_;
+    int steps_ = 0;
+    int received_ = 0;
+};
+
+class DecideEveryStepAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId, int n,
+                                            Value) const override {
+        return std::make_unique<DecideEveryStep>(n);
+    }
+    std::string name() const override { return "decide-every-step"; }
+};
+
+TEST(Rematerializer, AStepThatThrowsResetsTheTrail) {
+    //   0 root
+    //   1 = 0 after p1 steps (decides, sends to p1 and p2)
+    //   2 = 1 after p1 steps again: throws after placing its sends
+    //   3 = 1 after p2 steps delivering p1's message
+    DecideEveryStepAlgorithm algorithm;
+    const int n = 2;
+    const std::vector<Value> inputs = distinct_inputs(n);
+    const FailurePlan plan;
+    StoreOptions opt;
+    DeltaStore deltas(opt);
+    deltas.append(DeltaRecord{});         // 0: root
+    deltas.append(DeltaRecord{0, 1, 0});  // 1
+    deltas.append(DeltaRecord{1, 1, 0});  // 2
+    deltas.append(DeltaRecord{1, 2, 1});  // 3
+
+    Rematerializer remat(algorithm, n, inputs, plan, deltas, &test_msg_hash);
+    remat.materialize(1);
+    EXPECT_THROW(remat.materialize(2), UsageError);
+    // The failed step left the live System half-applied; the next call
+    // must not build on it.
+    for (const std::uint64_t id : {3u, 1u, 0u, 3u}) {
+        const std::string label = "node " + std::to_string(id);
+        const MaterializedNode node = remat.materialize(id);
+        expect_matches_direct_replay(algorithm, n, inputs, plan, *node.sys,
+                                     remat.script_of(id), label);
+        expect_caches_mirror(node, n, label);
     }
 }
 
@@ -321,8 +461,8 @@ TEST(Rematerializer, ScriptOfRootIsEmpty) {
 
 // ------------------------------------- fork + fault-injection round-trip
 
-/// The delta re-fork machinery leans on System::fork() copying EVERY
-/// piece of state a later step can observe -- including the effective
+/// Snapshot exploration (kReference) and the store path's Debug
+/// oracles lean on System::fork() copying EVERY piece of state a later step can observe -- including the effective
 /// FailurePlan extensions and forged-id bookkeeping that Byzantine
 /// fault actions mutate.  This drives an n=5 run with corruption and
 /// equivocation faults, forks mid-run, and requires the fork and the
