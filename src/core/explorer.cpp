@@ -855,9 +855,8 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
             if (senders == 1 && sender != pm.p) continue;
             ghost_moves(sys, pm, wk);
             if (!moves_commute(pm)) continue;
-            // Only this process's moves are expanded.  (The absorbed
-            // skips counted above are superseded here.)
-            e.por_skips = total_moves - pm.num;
+            // Only this process's moves are expanded.
+            e.por_skips += total_moves - pm.num;
             for (std::size_t m = 0; m < pm.num; ++m)
                 emit_child(wk.ghosts[m], pm.p);
             return e;

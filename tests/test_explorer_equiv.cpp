@@ -257,6 +257,83 @@ TEST(ReducedEquivalence, FlagshipAtLeastTwofoldReduction) {
     EXPECT_GT(red.por_skips, 0u);
 }
 
+/// p1 decides 1 on its first step and never sends.  p2 sends one
+/// message "M" to p1 on its first step and decides 1 on its second.
+/// Both ignore delivered messages, and a decided process's steps
+/// change nothing, so decisions are final.
+class SendThenDecide final : public Behavior {
+  public:
+    explicit SendThenDecide(ProcessId id) : id_(id) {}
+    StepOutput on_step(const StepInput&) override {
+        StepOutput out;
+        if (id_ == 1 && phase_ == 0) {
+            out.decision = 1;
+            phase_ = 1;
+        } else if (id_ == 2 && phase_ == 0) {
+            out.send(1, make_payload("M"));
+            phase_ = 1;
+        } else if (id_ == 2 && phase_ == 1) {
+            out.decision = 1;
+            phase_ = 2;
+        }
+        return out;
+    }
+    std::string state_digest() const override {
+        return "phase " + std::to_string(phase_);
+    }
+    bool may_send() const override { return id_ == 2 && phase_ == 0; }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<SendThenDecide>(*this);
+    }
+
+  private:
+    ProcessId id_;
+    int phase_ = 0;
+};
+
+class SendThenDecideAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId id, int,
+                                            Value) const override {
+        return std::make_unique<SendThenDecide>(id);
+    }
+    std::string name() const override { return "send-then-decide"; }
+    bool decided_is_final() const override { return true; }
+};
+
+// por_skips adds a node's persistent-set skips to the skipped moves of
+// its absorbed processes.  The reduced run of SendThenDecide, by BFS
+// layer (p1 first; "p1 (1)" delivers p1's oldest message):
+//
+//   R  root.  No persistent set: p2 sends to the live p1, and p1's
+//      move decides a fresh value.  Children: A = R.p1, B = R.p2.
+//   A  p1 decided, empty buffer: its steps are dropped, not counted.
+//      p2 is the persistent set (its send lands at the decided p1)
+//      and the only move: skips 0.  Child: C = A.p2.
+//   B  p1 holds M.  No process may send, but every move decides the
+//      fresh 1: no persistent set.  B.p1 (0) and B.p1 (1) equal C
+//      (p1 decided is keyed by its value alone); child D = B.p2.
+//   C  p1 decided and holding M is absorbed: its moves with 0 and 1
+//      messages delivered are skipped (2).  p2's one move decides the
+//      1 already decided, so p2 is the persistent set; nothing else is
+//      left to skip (0).  Child: E = C.p2.
+//   D  p2 decided with an empty buffer (dropped).  p1's two moves
+//      decide the decided 1: p1 is the persistent set, skips 0.  Both
+//      children equal E.
+//   E  both decided: quiescent.
+//
+// So 6 states, 4 dedup hits and por_skips = 2, all of it from C,
+// where an absorbed process and a persistent-set pick meet.
+TEST(ReducedEquivalence, PorSkipsCountAbsorbedAndPersistentSetSkips) {
+    SendThenDecideAlgorithm algorithm;
+    auto [fast, red] = expect_reduced_agrees(algorithm, base_config(2, 1, 6),
+                                             "send-then-decide");
+    EXPECT_TRUE(red.exhaustive);
+    EXPECT_EQ(red.states_explored, 6u);
+    EXPECT_EQ(red.dedup_hits, 4u);
+    EXPECT_EQ(red.por_skips, 2u);
+}
+
 TEST(ReducedEquivalence, KSetGeneralization) {
     auto algorithm = algo::make_flp_kset(4, 2);
     ExploreConfig cfg = base_config(4, 2, 10);
@@ -319,7 +396,7 @@ TEST(ReducedEquivalence, SymmetricKeyFingerprint) {
         EXPECT_EQ(r.states_explored, 1131u) << label;
         EXPECT_EQ(r.schedules_expanded, 1131u) << label;
         EXPECT_EQ(r.dedup_hits, 3612u) << label;
-        EXPECT_EQ(r.por_skips, 46u) << label;
+        EXPECT_EQ(r.por_skips, 52u) << label;
         EXPECT_EQ(r.filter_definite_new, 371u) << label;
         EXPECT_EQ(r.filter_false_positives, 760u) << label;
     }
