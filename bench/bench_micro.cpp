@@ -217,6 +217,67 @@ void BM_DigestComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestComputation);
 
+// The state hasher in isolation: what every identity and canonical key
+// pays per 64-bit word it absorbs.  One iteration folds kFeeds inputs,
+// made at run time, into one running hasher -- the dependent chain a
+// key fold is -- and reads the digest.  Words per feed: u64 1, fold of
+// a Digest128 2, str of a 2-byte tag 2 (length prefix plus one tail
+// word), Payload::fold of an initial-clique stage-2 payload 9.
+enum class HasherFeed { kU64, kFold, kTag, kPayload };
+
+void BM_StateHasher(benchmark::State& state, HasherFeed feed) {
+    constexpr std::size_t kFeeds = 256;
+    std::mt19937_64 rng(5);
+    std::vector<std::uint64_t> words;
+    std::vector<Digest128> digests;
+    std::vector<std::string> tags;
+    std::vector<Payload> payloads;
+    for (std::size_t i = 0; i < kFeeds; ++i) {
+        words.push_back(rng() % 64);
+        digests.push_back(Digest128{rng(), rng()});
+        tags.push_back({static_cast<char>('A' + rng() % 26),
+                        static_cast<char>('0' + rng() % 10)});
+        const int id = static_cast<int>(1 + rng() % 5);
+        payloads.push_back(make_payload(
+            "S2", {id, static_cast<int>(rng() % 5)}, {{1, id}}));
+    }
+    static constexpr double kWordsPerFeed[] = {1, 2, 2, 9};
+
+    StateHasher h;
+    std::uint64_t feeds = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        h.reset();
+        switch (feed) {
+            case HasherFeed::kU64:
+                for (const std::uint64_t w : words) h.u64(w);
+                break;
+            case HasherFeed::kFold:
+                for (const Digest128& d : digests) h.fold(d);
+                break;
+            case HasherFeed::kTag:
+                for (const std::string& t : tags) h.str(t);
+                break;
+            case HasherFeed::kPayload:
+                for (const Payload& p : payloads) p.fold(h);
+                break;
+        }
+        benchmark::DoNotOptimize(h.digest());
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+        feeds += kFeeds;
+    }
+    const double absorbed =
+        static_cast<double>(feeds) * kWordsPerFeed[static_cast<int>(feed)];
+    state.counters["ns/word"] = absorbed > 0 ? ns / absorbed : 0.0;
+}
+BENCHMARK_CAPTURE(BM_StateHasher, u64, HasherFeed::kU64);
+BENCHMARK_CAPTURE(BM_StateHasher, fold, HasherFeed::kFold);
+BENCHMARK_CAPTURE(BM_StateHasher, tag, HasherFeed::kTag);
+BENCHMARK_CAPTURE(BM_StateHasher, payload, HasherFeed::kPayload);
+
 // Allocations per explored state, fast vs reduced engine, on distinct
 // and on uniform inputs (where the reduced engine's symmetry group is
 // all of S_3).  The ghost stepping + scratch-reuse design keeps this a

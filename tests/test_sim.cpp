@@ -1,11 +1,15 @@
-// Unit tests for the simulation substrate: payloads, messages, failure
-// plans, the System executor (its fork and undo round-trips included),
-// schedulers, admissibility and run queries.
+// Unit tests for the simulation substrate: payloads, messages, the
+// state hasher, failure plans, the System executor (its fork and undo
+// round-trips included), schedulers, admissibility and run queries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "algo/initial_clique.hpp"
 #include "check/contract.hpp"
 #include "sim/admissibility.hpp"
+#include "sim/digest.hpp"
 #include "sim/model.hpp"
 #include "sim/payload.hpp"
 #include "sim/schedulers.hpp"
@@ -42,6 +47,151 @@ TEST(Message, ContentEqualityIgnoresIdentity) {
     Message b{99, 2, 3, 55, make_payload("T", {1})};
     EXPECT_TRUE(content_equal(a, b));
     EXPECT_EQ(a.to_string(), "2->3:T(1)");
+}
+
+// ------------------------------------------------------------ state hasher
+
+Digest128 digest_of_words(const std::vector<std::uint64_t>& words) {
+    StateHasher h;
+    for (std::uint64_t w : words) h.u64(w);
+    return h.digest();
+}
+
+// Every dedup and canonical key is a StateHasher digest, so these pin
+// the hash function itself: a change to it changes every key (and the
+// store's filter counters) and must say so.
+TEST(StateHasher, KnownAnswers) {
+    const auto expect_digest = [](const StateHasher& h, std::uint64_t hi,
+                                  std::uint64_t lo) {
+        EXPECT_EQ(h.digest(), (Digest128{hi, lo}))
+                << h.digest().to_string();
+    };
+    StateHasher h;
+    expect_digest(h, 0x893f92fbbc557e6aull, 0x6bc0810cc751a61bull);
+    h.u64(0);
+    expect_digest(h, 0x5f16df43f6d575beull, 0xcfc098c3c693f402ull);
+    h.reset();
+    h.i64(-1);
+    expect_digest(h, 0x24f7a9ed46272d08ull, 0xa9c5ad81fb15a00eull);
+    h.reset();
+    h.str("IC");
+    expect_digest(h, 0x289a3dde5a57ca05ull, 0xd1eeb726cda6b405ull);
+    h.reset();
+    h.fold(Digest128{0x0123456789abcdefull, 0xfedcba9876543210ull});
+    expect_digest(h, 0xa21f070761a4a131ull, 0x8ffa8c66282d338cull);
+    h.reset();
+    make_payload("E", {1, 2}, {{3}}).fold(h);
+    expect_digest(h, 0x0a2659b32e5d13a8ull, 0xa9f62180e0ec7de1ull);
+}
+
+TEST(StateHasher, BoundaryRules) {
+    // u64(v) absorbs exactly bytes() of v's little-endian bytes, on
+    // every host; a short tail is one zero-padded word.
+    for (const std::uint64_t v :
+         {0ull, 1ull, 0x0102030405060708ull, ~0ull}) {
+        std::array<unsigned char, 8> le{};
+        for (std::size_t i = 0; i < le.size(); ++i)
+            le[i] = static_cast<unsigned char>(v >> (8 * i));
+        StateHasher a, b;
+        a.u64(v);
+        b.bytes(le.data(), le.size());
+        EXPECT_EQ(a.digest(), b.digest()) << v;
+    }
+    const unsigned char eleven[11] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+    StateHasher chunked;
+    chunked.bytes(eleven, sizeof eleven);
+    EXPECT_EQ(chunked.digest(),
+              digest_of_words({0x0807060504030201ull, 0x0b0a09ull}));
+
+    // The length prefix separates what zero padding and concatenation
+    // would merge.
+    StateHasher ab_c, a_bc;
+    ab_c.str("ab");
+    ab_c.str("c");
+    a_bc.str("a");
+    a_bc.str("bc");
+    EXPECT_NE(ab_c.digest(), a_bc.digest());
+    StateHasher empty_str, none;
+    empty_str.str("");
+    EXPECT_NE(empty_str.digest(), none.digest());
+    StateHasher a, a_nul;
+    a.str(std::string("a"));
+    a_nul.str(std::string("a\0", 2));
+    EXPECT_NE(a.digest(), a_nul.digest());
+
+    StateHasher reused;
+    reused.str("state");
+    reused.i64(-7);
+    reused.reset();
+    EXPECT_EQ(reused.digest(), StateHasher{}.digest());
+    reused.u64(42);
+    EXPECT_EQ(reused.digest(), digest_of_words({42}));
+}
+
+// Each lane update is a bijection of the lane state for a fixed word
+// and of the word for a fixed state, so streams of equal length that
+// differ in one word differ in both halves.
+TEST(StateHasher, OneWordChangeNeverCollidesInEitherHalf) {
+    std::mt19937_64 rng(20110411);
+    std::vector<std::uint64_t> words;
+    for (int trial = 0; trial < 100000; ++trial) {
+        words.resize(1 + rng() % 8);
+        for (std::uint64_t& w : words)
+            w = rng() % 2 == 0 ? rng() % 16 : rng();  // small ids too
+        const Digest128 before = digest_of_words(words);
+        std::uint64_t& changed = words[rng() % words.size()];
+        changed ^= rng() % 2 == 0 ? 1 + rng() % 8 : rng() | 1;
+        const Digest128 after = digest_of_words(words);
+        ASSERT_NE(before.hi, after.hi) << "trial " << trial;
+        ASSERT_NE(before.lo, after.lo) << "trial " << trial;
+    }
+}
+
+// Key words are mostly small integers: every 1-word stream below 2^20
+// and every 2-word stream below 2^10 (about 2.1 M digests) must give
+// distinct values in each 64-bit half on its own.
+TEST(StateHasher, SmallStreamsAreDistinctInEachHalf) {
+    std::vector<std::uint64_t> hi, lo;
+    const auto add = [&](const Digest128& d) {
+        hi.push_back(d.hi);
+        lo.push_back(d.lo);
+    };
+    for (std::uint64_t v = 0; v < (1u << 20); ++v) add(digest_of_words({v}));
+    for (std::uint64_t v = 0; v < (1u << 10); ++v)
+        for (std::uint64_t w = 0; w < (1u << 10); ++w)
+            add(digest_of_words({v, w}));
+    for (std::vector<std::uint64_t>* half : {&hi, &lo}) {
+        std::sort(half->begin(), half->end());
+        EXPECT_EQ(std::adjacent_find(half->begin(), half->end()),
+                  half->end());
+    }
+}
+
+// Flipping any input bit of a 4-word stream flips each of the 128
+// output bits with probability near 1/2.
+TEST(StateHasher, Avalanche) {
+    constexpr int kStreams = 2000;
+    constexpr int kWords = 4;
+    constexpr int kInBits = 64 * kWords;
+    std::vector<int> flips(static_cast<std::size_t>(kInBits) * 128, 0);
+    std::mt19937_64 rng(7);
+    std::vector<std::uint64_t> words(kWords);
+    for (int s = 0; s < kStreams; ++s) {
+        for (std::uint64_t& w : words) w = rng() & 0xffff;
+        const Digest128 base = digest_of_words(words);
+        for (int bit = 0; bit < kInBits; ++bit) {
+            words[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+            const Digest128 d = digest_of_words(words);
+            words[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+            const std::uint64_t diff[2] = {d.hi ^ base.hi, d.lo ^ base.lo};
+            for (int out = 0; out < 128; ++out)
+                flips[static_cast<std::size_t>(bit) * 128 + out] +=
+                        static_cast<int>((diff[out / 64] >> (out % 64)) & 1);
+        }
+    }
+    const auto [lo, hi] = std::minmax_element(flips.begin(), flips.end());
+    EXPECT_GE(*lo, kStreams * 40 / 100);
+    EXPECT_LE(*hi, kStreams * 60 / 100);
 }
 
 // ------------------------------------------------------------ failure plan
