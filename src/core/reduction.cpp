@@ -182,12 +182,9 @@ Digest128 renamed_msg_hash(ProcessId from, const Payload& payload,
                            const ProcessRenaming& ren,
                            RenameScratch& scratch) {
     assign_scratch_payload(scratch, payload);
-    // Tested before invariant() builds its std::string message: this
-    // runs |G| times per distinct message of every expanded node.
-    if (!algorithm.rename_payload_ids(scratch.payload, ren))
-        invariant(false, "renamed_msg_hash: algorithm refused to rename a "
-                         "payload after SymmetryGroup::compute probed "
-                         "support");
+    invariant(algorithm.rename_payload_ids(scratch.payload, ren),
+              "renamed_msg_hash: algorithm refused to rename a payload after "
+              "SymmetryGroup::compute probed support");
     return message_digest(ren[static_cast<std::size_t>(from) - 1],
                           scratch.payload);
 }
@@ -196,10 +193,9 @@ Digest128 renamed_behavior_hash(const Behavior& behavior,
                                 const ProcessRenaming& ren,
                                 StateHasher& sub) {
     sub.reset();
-    if (!behavior.fold_state_renamed(sub, ren))  // see renamed_msg_hash
-        invariant(false, "renamed_behavior_hash: behavior refused to fold "
-                         "under a renaming after SymmetryGroup::compute "
-                         "probed support");
+    invariant(behavior.fold_state_renamed(sub, ren),
+              "renamed_behavior_hash: behavior refused to fold under a "
+              "renaming after SymmetryGroup::compute probed support");
     return sub.digest();
 }
 
@@ -353,10 +349,10 @@ void RenamedNodeDigests::build(const System& sys, int n,
 
 Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
                                             Digest128 identity_key) {
-    if (sys_ == nullptr || eff.sends == nullptr || eff.decision == nullptr ||
-        eff.behavior_after == nullptr)  // see renamed_msg_hash
-        invariant(false, "RenamedNodeDigests::min_child_key: no node built "
-                         "or incomplete GhostEffects");
+    invariant(sys_ != nullptr && eff.sends != nullptr &&
+                      eff.decision != nullptr && eff.behavior_after != nullptr,
+              "RenamedNodeDigests::min_child_key: no node built or incomplete "
+              "GhostEffects");
     const System& sys = *sys_;
     const int n = n_;
     const std::size_t procs = static_cast<std::size_t>(n);

@@ -17,6 +17,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ksa {
 
@@ -62,14 +63,18 @@ public:
     explicit SimulationBug(const std::string& what) : Error(what) {}
 };
 
+// The two checks below run on hot paths with literal messages, so they
+// take a view and build the exception's std::string only on failure: a
+// check that holds costs no allocation, however long its message.
+
 /// Throws UsageError with `what` when `cond` is false.
-inline void require(bool cond, const std::string& what) {
-    if (!cond) throw UsageError(what);
+inline void require(bool cond, std::string_view what) {
+    if (!cond) throw UsageError(std::string(what));
 }
 
 /// Throws SimulationBug with `what` when `cond` is false.
-inline void invariant(bool cond, const std::string& what) {
-    if (!cond) throw SimulationBug(what);
+inline void invariant(bool cond, std::string_view what) {
+    if (!cond) throw SimulationBug(std::string(what));
 }
 
 }  // namespace ksa
