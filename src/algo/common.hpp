@@ -33,10 +33,17 @@ protected:
         out.decision = v;
     }
 
-    /// Sends `payload` to every process except self.
-    void broadcast_others(StepOutput& out, const Payload& payload) const {
-        for (ProcessId q = 1; q <= n_; ++q)
+    /// Sends `payload` to every process except self, in ascending id
+    /// order.  The last destination receives `payload` itself, so a
+    /// broadcast makes n-2 copies.
+    void broadcast_others(StepOutput& out, Payload payload) const {
+        const ProcessId last = id_ == n_ ? n_ - 1 : n_;
+        if (last < 1) return;
+        out.sends.reserve(out.sends.size() +
+                          static_cast<std::size_t>(n_ - 1));
+        for (ProcessId q = 1; q < last; ++q)
             if (q != id_) out.send(q, payload);
+        out.send(last, std::move(payload));
     }
 
     /// Digest fragment for a set of ids/values.
@@ -60,12 +67,6 @@ private:
     Value input_;
     bool decided_ = false;
 };
-
-/// Inserts into a sorted vector, keeping it sorted and duplicate-free.
-inline void insert_sorted_unique(std::vector<int>& v, int x) {
-    auto it = std::lower_bound(v.begin(), v.end(), x);
-    if (it == v.end() || *it != x) v.insert(it, x);
-}
 
 // -- fold_state_renamed helpers ---------------------------------------
 //
@@ -97,17 +98,5 @@ private:
     std::array<T, kInline> inline_{};
     std::vector<T> heap_;
 };
-
-/// Folds the sorted id set `ids` as the renamed execution stores it:
-/// length, then every id mapped through `ren` in ascending order.
-inline void fold_renamed_ids(StateHasher& h, const std::vector<int>& ids,
-                             const ProcessRenaming& ren) {
-    StackBuffer<int> out(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        out[i] = renamed_id(ren, ids[i]);
-    std::sort(out.begin(), out.end());
-    h.u64(ids.size());
-    for (int q : out) h.i64(q);
-}
 
 }  // namespace ksa::algo

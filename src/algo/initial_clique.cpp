@@ -1,14 +1,52 @@
 #include "algo/initial_clique.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <optional>
 
-#include "graph/clique.hpp"
-#include "graph/digraph.hpp"
-#include "graph/scc.hpp"
+#include "graph/mask_sources.hpp"
 
 namespace ksa::algo {
 
 namespace {
+
+using graph::VertexMask;
+
+/// The mask bit of process q: processes are 1-based, bits 0-based.
+VertexMask bit(int q) { return VertexMask{1} << (q - 1); }
+
+/// Calls f(q) for every process q in `m`, in ascending id order.
+template <typename F>
+void for_each_id(VertexMask m, F&& f) {
+    for (; m != 0; m &= m - 1) f(std::countr_zero(m) + 1);
+}
+
+/// Folds the id set `m` exactly as its sorted id vector would fold:
+/// length, then every id in ascending order.
+void fold_ids(StateHasher& h, VertexMask m) {
+    h.u64(static_cast<std::uint64_t>(std::popcount(m)));
+    for_each_id(m, [&h](int q) { h.i64(q); });
+}
+
+/// `m` with every id mapped through `ren`.
+VertexMask renamed_mask(VertexMask m, const ProcessRenaming& ren) {
+    VertexMask out = 0;
+    for_each_id(m, [&](int q) { out |= bit(renamed_id(ren, q)); });
+    return out;
+}
+
+/// Digest fragment `{a,b,...}` of the id set `m`, ascending.
+void render_ids(std::ostream& out, VertexMask m) {
+    out << '{';
+    bool first = true;
+    for_each_id(m, [&](int q) {
+        if (!first) out << ',';
+        first = false;
+        out << q;
+    });
+    out << '}';
+}
 
 /// Per-process state machine of the two-stage protocol.
 class InitialCliqueBehavior final : public BehaviorBase {
@@ -16,6 +54,7 @@ public:
     InitialCliqueBehavior(ProcessId id, int n, Value input, int l)
         : BehaviorBase(id, n, input), l_(l) {
         require(l_ >= 1 && l_ <= n, "InitialCliqueKSet: need 1 <= L <= n");
+        require(n <= graph::kMaskVertices, "InitialCliqueKSet: need n <= 64");
     }
 
     StepOutput on_step(const StepInput& in) override {
@@ -28,11 +67,14 @@ public:
             broadcast_others(out, make_payload("S1", {id()}));
             phase_ = 1;
         }
-        if (phase_ == 1 && static_cast<int>(heard_.size()) == l_ - 1) {
+        if (phase_ == 1 && std::popcount(heard_) == l_ - 1) {
             // Stage 2: publish proposal and heard-list.
-            broadcast_others(out,
-                             make_payload("S2", {id(), input()}, {heard_}));
-            for (int q : heard_) insert_sorted_unique(required_, q);
+            std::vector<int> heard;
+            heard.reserve(static_cast<std::size_t>(l_ - 1));
+            for_each_id(heard_, [&heard](int q) { heard.push_back(q); });
+            broadcast_others(out, make_payload("S2", {id(), input()},
+                                               {std::move(heard)}));
+            required_ |= heard_;
             phase_ = 2;
         }
         if (phase_ == 2 && closure_complete()) {
@@ -52,8 +94,7 @@ public:
     /// the claim is monotone as Behavior::message_inert requires.
     bool message_inert(ProcessId /*from*/,
                        const Payload& payload) const override {
-        return payload.tag == "S1" &&
-               static_cast<int>(heard_.size()) >= l_ - 1;
+        return payload.tag == "S1" && std::popcount(heard_) >= l_ - 1;
     }
 
     std::unique_ptr<Behavior> clone() const override {
@@ -63,15 +104,18 @@ public:
     std::string state_digest() const override {
         std::ostringstream d;
         d << "IC(p" << id() << ",x=" << input() << ",ph=" << phase_
-          << ",heard=" << render(heard_) << ",req=" << render(required_)
-          << ",known=";
-        d << '{';
+          << ",heard=";
+        render_ids(d, heard_);
+        d << ",req=";
+        render_ids(d, required_);
+        d << ",known={";
         bool first = true;
-        for (const auto& [q, info] : known_) {
+        for_each_id(known_, [&](int q) {
             if (!first) d << ';';
             first = false;
-            d << q << ":" << info.first << ":" << render(info.second);
-        }
+            d << q << ':' << value_[q - 1] << ':';
+            render_ids(d, list_[q - 1]);
+        });
         d << "})";
         return d.str();
     }
@@ -82,55 +126,61 @@ public:
         h.i64(id());
         h.i64(input());
         h.i64(phase_);
-        h.u64(heard_.size());
-        for (int q : heard_) h.i64(q);
-        h.u64(required_.size());
-        for (int q : required_) h.i64(q);
-        h.u64(known_.size());
-        for (const auto& [q, info] : known_) {
+        fold_ids(h, heard_);
+        fold_ids(h, required_);
+        h.u64(static_cast<std::uint64_t>(std::popcount(known_)));
+        for_each_id(known_, [&](int q) {
             h.i64(q);
-            h.i64(info.first);
-            h.u64(info.second.size());
-            for (int u : info.second) h.i64(u);
-        }
+            h.i64(value_[q - 1]);
+            fold_ids(h, list_[q - 1]);
+        });
     }
 
     /// fold_state under renaming: every id-valued field is mapped
-    /// through `ren` and every id-sorted container re-sorted under the
-    /// new names, exactly as the renamed execution would store it.
-    /// Allocation-free (algo/common.hpp): the sorts run in stack
-    /// buffers.
+    /// through `ren` and every id set walked in ascending new name,
+    /// exactly as the renamed execution would store it.  The known
+    /// senders are walked through an inverse table on the stack, so the
+    /// fold neither sorts nor allocates.
     bool fold_state_renamed(StateHasher& h,
                             const ProcessRenaming& ren) const override {
         h.str("IC");
         h.i64(renamed_id(ren, id()));
         h.i64(input());
         h.i64(phase_);
-        fold_renamed_ids(h, heard_, ren);
-        fold_renamed_ids(h, required_, ren);
-        // known_ re-keyed by renamed sender.  Renaming is a bijection,
-        // so the renamed keys are distinct and sorting by key alone
-        // orders the entries.
-        struct Entry {
-            int q = 0;
-            const std::pair<Value, std::vector<int>>* info = nullptr;
-        };
-        StackBuffer<Entry> known(known_.size());
-        std::size_t k = 0;
-        for (const auto& [q, info] : known_)
-            known[k++] = {renamed_id(ren, q), &info};
-        std::sort(known.begin(), known.end(),
-                  [](const Entry& a, const Entry& b) { return a.q < b.q; });
-        h.u64(known_.size());
-        for (const Entry& e : known) {
-            h.i64(e.q);
-            h.i64(e.info->first);
-            fold_renamed_ids(h, e.info->second, ren);
-        }
+        fold_ids(h, renamed_mask(heard_, ren));
+        fold_ids(h, renamed_mask(required_, ren));
+        std::array<int, graph::kMaskVertices> sender_of{};  // by new id - 1
+        VertexMask renamed_known = 0;
+        for_each_id(known_, [&](int q) {
+            const int r = renamed_id(ren, q);
+            renamed_known |= bit(r);
+            sender_of[r - 1] = q;
+        });
+        h.u64(static_cast<std::uint64_t>(std::popcount(known_)));
+        for_each_id(renamed_known, [&](int r) {
+            const int q = sender_of[r - 1];
+            h.i64(r);
+            h.i64(value_[q - 1]);
+            fold_ids(h, renamed_mask(list_[q - 1], ren));
+        });
         return true;
     }
 
 private:
+    /// True for a process id in 1..n other than our own: the only ids a
+    /// message may name and still be counted.
+    bool is_peer(int q) const { return q >= 1 && q <= n() && q != id(); }
+
+    /// `ids` as a mask, or nullopt when it names an id outside 1..n.
+    std::optional<VertexMask> mask_of(const std::vector<int>& ids) const {
+        VertexMask m = 0;
+        for (int q : ids) {
+            if (q < 1 || q > n()) return std::nullopt;
+            m |= bit(q);
+        }
+        return m;
+    }
+
     void ingest(const StepInput& in) {
         for (const Message& m : in.delivered) {
             if (m.payload.tag == "S1") {
@@ -140,83 +190,65 @@ private:
                 // the receiver itself is discarded: no correct process
                 // sends itself a stage-1 message, so such a payload can
                 // only be forged (it would be a self-loop in the
-                // heard-from graph).
+                // heard-from graph).  So is a claim naming no process.
                 const int v = m.payload.ints.at(0);
-                if (v == id()) continue;
-                if (static_cast<int>(heard_.size()) < l_ - 1)
-                    insert_sorted_unique(heard_, v);
+                if (!is_peer(v)) continue;
+                if (std::popcount(heard_) < l_ - 1) heard_ |= bit(v);
             } else if (m.payload.tag == "S2") {
                 // Likewise, a stage-2 report *about ourselves* is
                 // discarded -- we know our own input and in-neighbours,
-                // and only a forgery would claim to report them.
+                // and only a forgery would claim to report them -- and so
+                // is one naming an id outside 1..n anywhere.
                 const int q = m.payload.ints.at(0);
-                if (q == id()) continue;
+                if (!is_peer(q)) continue;
                 const Value x = m.payload.ints.at(1);
-                const std::vector<int>& list = m.payload.lists.at(0);
-                known_[q] = {x, list};
-                for (int u : list) insert_sorted_unique(required_, u);
+                const std::optional<VertexMask> list =
+                    mask_of(m.payload.lists.at(0));
+                if (!list) continue;
+                known_ |= bit(q);
+                value_[q - 1] = x;
+                list_[q - 1] = *list;
+                required_ |= *list;
             }
         }
     }
 
     /// True when a stage-2 message from every required process arrived.
     bool closure_complete() const {
-        for (int q : required_)
-            if (q != id() && known_.count(q) == 0) return false;
-        return true;
+        return (required_ & ~known_ & ~bit(id())) == 0;
     }
 
-    /// Builds the known (in-closed) part of the heard-from graph and
-    /// applies the source-component decision rule.
+    /// Applies the source-component decision rule to the known
+    /// (in-closed) part of the heard-from graph: self's in-neighbours are
+    /// heard_, a known sender's are its heard-list.
     Value compute_decision() const {
         // Participating vertices: self plus every sender of a stage-2
-        // message we hold.  (0-based for the graph library.)
-        std::vector<int> participants{id() - 1};
-        for (const auto& [q, _] : known_)
-            insert_sorted_unique(participants, q - 1);
-
-        graph::Digraph g(n());
-        for (int u : heard_) g.add_edge(u - 1, id() - 1);
-        for (const auto& [q, info] : known_)
-            for (int u : info.second)
-                if (u != q) g.add_edge(u - 1, q - 1);
-
-        std::vector<int> labels;
-        graph::Digraph sub = g.induced(participants, &labels);
-
-        // Source components of the known subgraph; find those from which
-        // we are reachable and pick the one with the smallest member.
-        auto sources = graph::source_components(sub);
-        invariant(!sources.empty(), "InitialCliqueKSet: no source component");
-        int self_local = -1;
-        for (std::size_t i = 0; i < labels.size(); ++i)
-            if (labels[i] == id() - 1) self_local = static_cast<int>(i);
-        invariant(self_local >= 0, "InitialCliqueKSet: self not a participant");
-
-        int best_member = -1;  // 0-based global id of chosen representative
-        for (const auto& sc : sources) {
-            auto reach = graph::reachable_from(sub, sc);
-            if (!std::binary_search(reach.begin(), reach.end(), self_local))
-                continue;
-            const int member = labels[sc.front()];  // smallest: sc sorted
-            if (best_member == -1 || member < best_member) best_member = member;
-        }
-        invariant(best_member >= 0,
+        // message we hold.  Bit q-1 is process q, as everywhere here.
+        const VertexMask participants = bit(id()) | known_;
+        invariant((participants & bit(id())) != 0,
+                  "InitialCliqueKSet: self not a participant");
+        std::array<VertexMask, graph::kMaskVertices> in = list_;
+        in[id() - 1] = heard_;
+        const int rep_bit =
+            graph::smallest_source_reaching(in, participants, id() - 1);
+        invariant(rep_bit >= 0,
                   "InitialCliqueKSet: no source component reaches this process");
 
-        const ProcessId rep = best_member + 1;
+        const ProcessId rep = rep_bit + 1;
         if (rep == id()) return input();
-        auto it = known_.find(rep);
-        invariant(it != known_.end(),
+        invariant((known_ & bit(rep)) != 0,
                   "InitialCliqueKSet: representative's proposal unknown");
-        return it->second.first;
+        return value_[rep - 1];
     }
 
     int l_;
-    int phase_ = 0;                 // 0 start, 1 stage-1 wait, 2 closure, 3 done
-    std::vector<int> heard_;        // stage-1 in-neighbours (sorted)
-    std::vector<int> required_;     // processes whose stage-2 msg we await
-    std::map<int, std::pair<Value, std::vector<int>>> known_;  // S2 contents
+    int phase_ = 0;            // 0 start, 1 stage-1 wait, 2 closure, 3 done
+    VertexMask heard_ = 0;     // stage-1 in-neighbours
+    VertexMask required_ = 0;  // processes whose stage-2 msg we await
+    VertexMask known_ = 0;     // senders of the stage-2 messages we hold
+    // Per known sender q, at index q-1: its proposal and heard-list.
+    std::array<Value, graph::kMaskVertices> value_{};
+    std::array<VertexMask, graph::kMaskVertices> list_{};
 };
 
 }  // namespace

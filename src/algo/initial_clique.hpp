@@ -27,8 +27,29 @@
 // mentioned in a list is live (it sent a stage-1 message).  It is not
 // resilient to crashes at arbitrary times -- exactly the gap that
 // Theorem 2 proves is unavoidable.
+//
+// Representation.  A process keeps its local state flat, for n <= 64
+// (make_behavior rejects larger n): the heard-from set, the required
+// set and the set of known stage-2 senders are 64-bit masks (bit q-1 is
+// process q), and each known sender's proposal and heard-list mask sit
+// in fixed arrays indexed by id.  The decision is a bit-parallel
+// transitive closure over those masks (graph/mask_sources.hpp): with P
+// = self plus the known senders, a vertex v of P lies in a source
+// component iff every vertex reaching v is reached by v, and the
+// representative is the smallest such v that is self or reaches self.
+// That is the smallest member of the smallest-member source component
+// reaching self, as above.  So cloning a behavior copies one object and
+// neither ingesting a message nor deciding allocates.  fold_state and
+// state_digest walk the masks in ascending id order, which reproduces
+// the sorted id vectors an honest run would hold.
+//
+// Forged messages.  A stage-1 or stage-2 message that names the
+// receiver itself, or any id outside 1..n, is discarded on delivery --
+// it never throws and never changes the state.  A forged heard-list
+// with repeated or unsorted ids is stored as the id set it names; the
+// decision always read a heard-list as an edge set, so only the digest
+// of such a state differs from a list-keeping representation.
 
-#include <map>
 #include <memory>
 
 #include "algo/common.hpp"
@@ -40,7 +61,7 @@ namespace ksa::algo {
 class InitialCliqueKSet final : public Algorithm {
 public:
     /// `l` is the paper's L: a process waits for L-1 stage-1 messages.
-    /// Requires 1 <= l <= n (checked when behaviors are created).
+    /// Requires 1 <= l <= n <= 64 (checked when behaviors are created).
     explicit InitialCliqueKSet(int l) : l_(l) {}
 
     std::unique_ptr<Behavior> make_behavior(ProcessId id, int n,

@@ -85,6 +85,40 @@ TEST(InitialClique, ValidatesThresholdRange) {
     algo::InitialCliqueKSet algorithm(9);
     EXPECT_THROW(algorithm.make_behavior(1, 5, 1), UsageError);
     EXPECT_THROW(algo::make_flp_kset(5, 5), UsageError);
+    // The state is a set of 64-bit masks: n = 64 is the largest system.
+    EXPECT_NO_THROW(algorithm.make_behavior(1, 64, 1));
+    EXPECT_THROW(algorithm.make_behavior(1, 65, 1), UsageError);
+}
+
+TEST(InitialClique, DiscardsMessagesNamingNoProcess) {
+    // A forged stage-1 or stage-2 message naming id 0 or n+1 -- as the
+    // claimed sender or inside a heard-list -- is dropped on delivery
+    // like a self-claim: no throw, no state change, and the stage-1
+    // quota is still free for real senders.
+    const int n = 4;
+    auto algorithm = algo::make_flp_kset(n, 1);  // L = 3
+    auto behavior = algorithm->make_behavior(2, n, 20);
+    auto deliver = [&](Payload payload) {
+        StepInput in;
+        in.delivered.push_back(Message{0, 1, 2, 0, std::move(payload)});
+        return behavior->on_step(in);
+    };
+    ASSERT_EQ(behavior->on_step({}).sends.size(), 3u);  // stage-1 broadcast
+    const std::string before = behavior->state_digest();
+    for (int bad : {0, n + 1}) {
+        for (const Payload& forged :
+             {make_payload("S1", {bad}), make_payload("S2", {bad, 7}, {{1, 3}}),
+              make_payload("S2", {1, 7}, {{3, bad}})}) {
+            StepOutput out;
+            EXPECT_NO_THROW(out = deliver(forged)) << forged.to_string();
+            EXPECT_TRUE(out.sends.empty()) << forged.to_string();
+            EXPECT_EQ(behavior->state_digest(), before) << forged.to_string();
+        }
+    }
+    deliver(make_payload("S1", {1}));
+    const StepOutput stage2 = deliver(make_payload("S1", {3}));
+    ASSERT_EQ(stage2.sends.size(), 3u);
+    EXPECT_EQ(stage2.sends[0].second, make_payload("S2", {2, 20}, {{1, 3}}));
 }
 
 TEST(InitialClique, NotLiveUnderMidRunCrash) {
@@ -280,8 +314,9 @@ Digest128 fold_hash(const Behavior& b) {
     return h.digest();
 }
 
-void audit_clone_and_fold(const Algorithm& algorithm, int n, FailurePlan plan,
-                          int rounds, FdOracle* oracle = nullptr) {
+/// Returns how many processes decided by the end of the run.
+int audit_clone_and_fold(const Algorithm& algorithm, int n, FailurePlan plan,
+                         int rounds, FdOracle* oracle = nullptr) {
     System sys(algorithm, n, distinct_inputs(n), plan, oracle);
     sys.set_recording(false);
     std::map<std::string, Digest128> hash_of_digest;
@@ -325,6 +360,9 @@ void audit_clone_and_fold(const Algorithm& algorithm, int n, FailurePlan plan,
             sys.apply_choice(choice);
             audit();
         }
+    int decided = 0;
+    for (ProcessId p = 1; p <= n; ++p) decided += sys.decision_of(p) ? 1 : 0;
+    return decided;
 }
 
 TEST(CloneAndFold, Flooding) {
@@ -349,6 +387,14 @@ TEST(CloneAndFold, InitialCliqueWithMidRunCrash) {
     FailurePlan plan;
     plan.set_crash(1, CrashSpec{2, {}});  // dies on its second step
     audit_clone_and_fold(*algorithm, 3, plan, 5);
+}
+
+TEST(CloneAndFold, InitialCliqueAtSixtyFourProcesses) {
+    // The widest system the mask state holds: process 64 is bit 63 of
+    // every heard, required and known set that names it.  L = 3, so
+    // every process decides within three rounds.
+    algo::InitialCliqueKSet algorithm(3);
+    EXPECT_EQ(audit_clone_and_fold(algorithm, 64, {}, 3), 64);
 }
 
 TEST(CloneAndFold, DefaultFoldStateMatchesDigest) {

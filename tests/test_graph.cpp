@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "graph/clique.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
+#include "graph/mask_sources.hpp"
 #include "graph/scc.hpp"
 
 namespace ksa::graph {
@@ -233,6 +236,104 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(StageParam{6, 1, 2, 21}, StageParam{8, 3, 2, 22},
                       StageParam{10, 4, 3, 23}, StageParam{12, 3, 4, 24},
                       StageParam{15, 7, 0, 25}, StageParam{20, 9, 5, 26}));
+
+// ------------------------------ the bit-parallel source-component rule
+//
+// smallest_source_reaching must give, for every target vertex of every
+// induced subgraph, what the Digraph path gives: the smallest member of
+// the smallest-member source component from which the target is
+// reachable.
+
+using InMasks = std::array<VertexMask, kMaskVertices>;
+
+/// Checks smallest_source_reaching(in, vertices, t) against the Digraph
+/// rule -- source_components of the subgraph induced by `vertices`,
+/// then reachable_from each of them -- for the largest vertex t and
+/// every `stride`-th one below it, and for one t outside `vertices`.
+void expect_matches_digraph_rule(const InMasks& in, VertexMask vertices,
+                                 int stride = 1) {
+    std::vector<int> ids;  // ascending, so local order is global order
+    for (VertexMask m = vertices; m != 0; m &= m - 1)
+        ids.push_back(std::countr_zero(m));
+    const int k = static_cast<int>(ids.size());
+    Digraph sub(k);
+    for (int w = 0; w < k; ++w)
+        for (int u = 0; u < k; ++u)
+            if (u != w && ((in[ids[w]] >> ids[u]) & 1) != 0) sub.add_edge(u, w);
+    const std::vector<std::vector<int>> sources = source_components(sub);
+    std::vector<std::vector<int>> reach;
+    for (const auto& sc : sources) reach.push_back(reachable_from(sub, sc));
+    for (int t = k - 1; t >= 0; t -= stride) {
+        int expected = -1;
+        for (std::size_t i = 0; i < sources.size(); ++i)
+            if (std::binary_search(reach[i].begin(), reach[i].end(), t)) {
+                const int member = ids[sources[i].front()];
+                if (expected == -1 || member < expected) expected = member;
+            }
+        ASSERT_GE(expected, 0);
+        ASSERT_EQ(smallest_source_reaching(in, vertices, ids[t]), expected)
+                << "target " << ids[t] << " in " << sub.to_string();
+    }
+    if (vertices != ~VertexMask{0}) {
+        EXPECT_EQ(smallest_source_reaching(in, vertices,
+                                           std::countr_one(vertices)),
+                  -1);
+    }
+}
+
+TEST(MaskSources, MatchesDigraphRuleOnEveryGraphUpToFourVertices) {
+    for (int n = 1; n <= 4; ++n) {
+        std::vector<std::pair<int, int>> pairs;
+        for (int u = 0; u < n; ++u)
+            for (int v = 0; v < n; ++v)
+                if (u != v) pairs.emplace_back(u, v);
+        for (unsigned edges = 0; edges < (1u << pairs.size()); ++edges) {
+            InMasks in{};
+            for (std::size_t i = 0; i < pairs.size(); ++i)
+                if (((edges >> i) & 1u) != 0)
+                    in[pairs[i].second] |= VertexMask{1} << pairs[i].first;
+            for (VertexMask subset = 1; subset < (VertexMask{1} << n); ++subset) {
+                expect_matches_digraph_rule(in, subset);
+                if (HasFatalFailure()) return;
+            }
+        }
+    }
+}
+
+TEST(MaskSources, MatchesDigraphRuleOnRandomGraphsUpTo64Vertices) {
+    // splitmix64: the sweep draws about 4k words per graph.
+    std::uint64_t state = 0x5eed;
+    auto rng = [&state] {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    };
+    // Density as expected in-degree: low degrees leave many source
+    // components, high ones a single strongly connected graph.
+    const double degrees[] = {0.3, 1.0, 2.0, 4.0, 8.0, 16.0};
+    const double keep[] = {0.3, 0.7, 1.0};
+    for (int trial = 0; trial < 20000; ++trial) {
+        // Every fourth graph is full-width, and the last vertex is always
+        // kept: vertex 63 (the top bit) is a vertex and a target.
+        const int n = trial % 4 == 0 ? 64 : 5 + static_cast<int>(rng() % 60);
+        const double p = std::min(1.0, degrees[rng() % 6] / (n - 1));
+        const auto edge_cut = static_cast<std::uint64_t>(p * 0x1p64);
+        InMasks in{};
+        for (int v = 0; v < n; ++v)
+            for (int u = 0; u < n; ++u)
+                if (u != v && rng() < edge_cut) in[v] |= VertexMask{1} << u;
+        const auto vertex_cut = static_cast<std::uint64_t>(
+                std::min(keep[rng() % 3] * 0x1p64, 0x1p64 - 2048));
+        VertexMask vertices = VertexMask{1} << (n - 1);
+        for (int v = 0; v < n - 1; ++v)
+            if (rng() < vertex_cut) vertices |= VertexMask{1} << v;
+        // About eight targets per graph: each query redoes the closure.
+        const int stride = (std::popcount(vertices) + 7) / 8;
+        expect_matches_digraph_rule(in, vertices, stride);
+        if (HasFatalFailure()) return;
+    }
+}
 
 TEST(Generators, GnpRespectsBounds) {
     Digraph empty = random_gnp(10, 0.0, 1);
