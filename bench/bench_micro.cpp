@@ -278,40 +278,49 @@ BENCHMARK_CAPTURE(BM_StateHasher, fold, HasherFeed::kFold);
 BENCHMARK_CAPTURE(BM_StateHasher, tag, HasherFeed::kTag);
 BENCHMARK_CAPTURE(BM_StateHasher, payload, HasherFeed::kPayload);
 
-// Allocations per explored state, fast vs reduced engine, on distinct
-// and on uniform inputs (where the reduced engine's symmetry group is
-// all of S_3).  The ghost stepping + scratch-reuse design keeps this a
-// small constant; the reduced engine must not regress it even though
-// every candidate key additionally runs the absorption quotient (and,
-// for symmetric instances, the renamed keys).
+// Allocations per explored state and per candidate (a child key the
+// explorer computed, accepted or a dedup hit), fast vs reduced engine,
+// on distinct and on uniform inputs (where the reduced engine's
+// symmetry group is all of S_n), at n = 3, 4 and 5.  The ghost stepping
+// + scratch-reuse design keeps both a small constant; the reduced
+// engine must not regress them even though every candidate key
+// additionally runs the absorption quotient (and, for symmetric
+// instances, the renamed keys).  Depths keep each case under about 1 s.
 void BM_ExplorerAllocsPerState(benchmark::State& state) {
-    const bool reduced = state.range(0) != 0;
-    const bool uniform = state.range(1) != 0;
-    auto algorithm = algo::make_flp_kset(3, 1);
+    const int n = static_cast<int>(state.range(0));
+    const bool reduced = state.range(1) != 0;
+    const bool uniform = state.range(2) != 0;
+    auto algorithm = algo::make_flp_kset(n, 1);
     core::ExploreConfig cfg;
-    cfg.n = 3;
-    cfg.inputs = uniform ? uniform_inputs(3, 7) : distinct_inputs(3);
+    cfg.n = n;
+    cfg.inputs = uniform ? uniform_inputs(n, 7) : distinct_inputs(n);
     cfg.k = 1;
-    cfg.max_depth = 10;
+    cfg.max_depth = n == 3 ? 10 : n == 4 ? 8 : 6;
     cfg.max_states = 400000;
     cfg.mode = reduced ? core::ExploreMode::kReduced
                        : core::ExploreMode::kFast;
     std::uint64_t allocs = 0;
     std::uint64_t states = 0;
+    std::uint64_t candidates = 0;
     for (auto _ : state) {
         const std::uint64_t before = alloc_calls_now();
         core::ExploreResult r = core::explore_schedules(*algorithm, cfg);
         allocs += alloc_calls_now() - before;
         states += r.states_explored;
+        candidates += r.states_explored - 1 + r.dedup_hits;  // root excluded
         benchmark::DoNotOptimize(r);
     }
-    state.counters["allocs/state"] =
-        states > 0 ? static_cast<double>(allocs) / static_cast<double>(states)
-                   : 0.0;
+    auto per = [allocs](std::uint64_t units) {
+        return units > 0 ? static_cast<double>(allocs) /
+                                   static_cast<double>(units)
+                         : 0.0;
+    };
+    state.counters["allocs/state"] = per(states);
+    state.counters["allocs/candidate"] = per(candidates);
 }
 BENCHMARK(BM_ExplorerAllocsPerState)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->ArgNames({"reduced", "uniform"});
+    ->ArgsProduct({{3, 4, 5}, {0, 1}, {0, 1}})
+    ->ArgNames({"n", "reduced", "uniform"});
 
 // The symmetry layer in isolation: canonical keys of one mid-run node's
 // candidates under the full group S_n of a uniform-input initial-clique
