@@ -28,7 +28,7 @@
 //   --deep appends the out-of-core flagship row: an exhaustive n=5
 //   initial-clique exploration past 10^7 canonical states, run under an
 //   enforced 64 MB frontier ceiling so the delta store demonstrably
-//   spills (doc/performance.md §6).  It takes tens of minutes and is
+//   spills (doc/performance.md §6).  It takes minutes and is
 //   meant for regenerating the committed artifact, not for CI; --check
 //   ignores deep rows (their counts are pinned by the committed entry
 //   itself, their runtime by nobody).
