@@ -102,7 +102,7 @@ int main() {
             stage.filter = [&d, hold_dec](const Message& m, ProcessId) {
                 const bool in_d =
                     std::find(d.begin(), d.end(), m.from) != d.end();
-                return in_d && (!hold_dec || m.payload.tag != "DEC");
+                return in_d && (!hold_dec || m.payload->tag != "DEC");
             };
             stage.done = [](const SystemView& v) {
                 return v.decided(2) && v.decided(3);

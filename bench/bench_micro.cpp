@@ -140,14 +140,25 @@ void BM_SimulatorRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorRandom)->Arg(4)->Arg(16);
 
+// One recorded round-robin run of the Section VI protocol to its
+// decisions: the recording execute path every chaos trial takes.
+// allocs/step counts the allocations of execute_run per recorded step.
 void BM_FlpProtocolEndToEnd(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     auto algorithm = algo::make_flp_consensus(n);
+    std::uint64_t allocs = 0;
+    std::uint64_t steps = 0;
     for (auto _ : state) {
         RoundRobinScheduler rr;
+        const std::uint64_t before = alloc_calls_now();
         Run run = execute_run(*algorithm, n, distinct_inputs(n), {}, rr);
+        allocs += alloc_calls_now() - before;
+        steps += run.steps.size();
         benchmark::DoNotOptimize(run);
     }
+    state.counters["allocs/step"] =
+        steps > 0 ? static_cast<double>(allocs) / static_cast<double>(steps)
+                  : 0.0;
 }
 BENCHMARK(BM_FlpProtocolEndToEnd)->Arg(5)->Arg(9)->Arg(17)->Arg(25);
 

@@ -34,9 +34,8 @@ protected:
     }
 
     /// Sends `payload` to every process except self, in ascending id
-    /// order.  The last destination receives `payload` itself, so a
-    /// broadcast makes n-2 copies.
-    void broadcast_others(StepOutput& out, Payload payload) const {
+    /// order.  Every send holds a handle to the one payload body.
+    void broadcast_others(StepOutput& out, SharedPayload payload) const {
         const ProcessId last = id_ == n_ ? n_ - 1 : n_;
         if (last < 1) return;
         out.sends.reserve(out.sends.size() +

@@ -16,8 +16,8 @@ public:
     StepOutput on_step(const StepInput& in) override {
         StepOutput out;
         for (const Message& m : in.delivered)
-            if (m.payload.tag == "VAL")
-                seen_.emplace(m.payload.ints.at(0), m.payload.ints.at(1));
+            if (m.payload->tag == "VAL")
+                seen_.emplace(m.payload->ints.at(0), m.payload->ints.at(1));
         if (has_decided()) return out;
         if (!announced_) {
             broadcast_others(out, make_payload("VAL", {id(), input()}));

@@ -183,7 +183,7 @@ private:
 
     void ingest(const StepInput& in) {
         for (const Message& m : in.delivered) {
-            if (m.payload.tag == "S1") {
+            if (m.payload->tag == "S1") {
                 // Only the first L-1 senders become in-neighbours; later
                 // stage-1 messages are ignored (the graph edge exists only
                 // if the receiver *counted* the message).  A claim naming
@@ -191,19 +191,19 @@ private:
                 // sends itself a stage-1 message, so such a payload can
                 // only be forged (it would be a self-loop in the
                 // heard-from graph).  So is a claim naming no process.
-                const int v = m.payload.ints.at(0);
+                const int v = m.payload->ints.at(0);
                 if (!is_peer(v)) continue;
                 if (std::popcount(heard_) < l_ - 1) heard_ |= bit(v);
-            } else if (m.payload.tag == "S2") {
+            } else if (m.payload->tag == "S2") {
                 // Likewise, a stage-2 report *about ourselves* is
                 // discarded -- we know our own input and in-neighbours,
                 // and only a forgery would claim to report them -- and so
                 // is one naming an id outside 1..n anywhere.
-                const int q = m.payload.ints.at(0);
+                const int q = m.payload->ints.at(0);
                 if (!is_peer(q)) continue;
-                const Value x = m.payload.ints.at(1);
+                const Value x = m.payload->ints.at(1);
                 const std::optional<VertexMask> list =
-                    mask_of(m.payload.lists.at(0));
+                    mask_of(m.payload->lists.at(0));
                 if (!list) continue;
                 known_ |= bit(q);
                 value_[q - 1] = x;

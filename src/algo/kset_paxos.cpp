@@ -104,8 +104,8 @@ private:
 
     void ingest(const StepInput& in, StepOutput& out) {
         for (const Message& m : in.delivered) {
-            const auto& tag = m.payload.tag;
-            const auto& f = m.payload.ints;
+            const auto& tag = m.payload->tag;
+            const auto& f = m.payload->ints;
             if (tag == "DEC") {
                 if (!has_decided()) {
                     decide(out, f.at(0));

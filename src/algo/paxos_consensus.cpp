@@ -76,8 +76,8 @@ public:
 private:
     void ingest(const StepInput& in, StepOutput& out) {
         for (const Message& m : in.delivered) {
-            const auto& tag = m.payload.tag;
-            const auto& f = m.payload.ints;
+            const auto& tag = m.payload->tag;
+            const auto& f = m.payload->ints;
             if (tag == "PREP") {
                 const int b = f.at(0);
                 if (b > promised_) {

@@ -20,8 +20,8 @@ public:
     StepOutput on_step(const StepInput& in) override {
         StepOutput out;
         for (const Message& m : in.delivered) {
-            const auto& tag = m.payload.tag;
-            const auto& f = m.payload.ints;
+            const auto& tag = m.payload->tag;
+            const auto& f = m.payload->ints;
             if (tag == "PROP") {
                 // No arbitration: acknowledge every proposal.  (This is
                 // the exploitable flaw; see header comment.)

@@ -14,10 +14,10 @@ public:
         StepOutput out;
         for (const Message& m : in.delivered) {
             if (has_decided()) break;
-            if (m.payload.tag == "VAL" && m.payload.ints.at(0) < id()) {
-                decide_and_announce(out, m.payload.ints.at(1));
-            } else if (m.payload.tag == "DEC") {
-                decide_and_announce(out, m.payload.ints.at(0));
+            if (m.payload->tag == "VAL" && m.payload->ints.at(0) < id()) {
+                decide_and_announce(out, m.payload->ints.at(1));
+            } else if (m.payload->tag == "DEC") {
+                decide_and_announce(out, m.payload->ints.at(0));
             }
         }
         if (has_decided()) return out;

@@ -110,7 +110,7 @@ std::string canonical_state_string(const System& sys, int n,
         if (d) out << "D" << *d;
         out << ';';
         for (const Message& m : sys.buffer(p))
-            out << m.from << ':' << m.payload.to_string() << ',';
+            out << m.from << ':' << m.payload->to_string() << ',';
     }
     out << '#';
     for (const std::string& d : digests) out << d << '|';
@@ -202,16 +202,23 @@ struct ArrivingSend {
 };
 
 /// Fills `arriving` with the ghost step's surviving sends in emission
-/// order.  Each message is digested here, once per candidate; from then
-/// on the rematerializer's trail caches its digest
-/// (store/rematerialize.hpp) for every key it participates in.
+/// order.  Each payload body is digested here, once per candidate
+/// however many destinations share it (a broadcast is one run of sends
+/// of one body); from then on the rematerializer's trail caches the
+/// digest (store/rematerialize.hpp) for every key it participates in.
 void fill_arriving(const GhostStep& g, ProcessId stepper,
                    std::vector<ArrivingSend>& arriving) {
     arriving.clear();
-    for (const auto& [dest, payload] : g.out.sends)
-        if (g.send_survives(dest))
-            arriving.push_back(
-                    {dest, message_digest(stepper, payload), &payload});
+    const SharedPayload* digested = nullptr;
+    Digest128 hash{};
+    for (const auto& [dest, payload] : g.out.sends) {
+        if (!g.send_survives(dest)) continue;
+        if (digested == nullptr || !payload.same_body(*digested)) {
+            digested = &payload;
+            hash = message_digest(stepper, *payload);
+        }
+        arriving.push_back({dest, hash, &*payload});
+    }
 }
 
 /// Key of the child configuration reached from `sys` by the ghost step,
@@ -262,7 +269,7 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
         const auto& buf = sys.buffer(q);
         std::size_t live = 0;
         for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
+            if (!dead_message(buf[i].from, *buf[i].payload, receiver, abs))
                 ++live;
         for (const ArrivingSend& a : arriving)
             if (a.dest == q &&
@@ -270,7 +277,7 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
                 ++live;
         h.u64(live);
         for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
+            if (!dead_message(buf[i].from, *buf[i].payload, receiver, abs))
                 h.fold(mh[i]);
         for (const ArrivingSend& a : arriving)
             if (a.dest == q &&
@@ -650,7 +657,7 @@ void check_node_caches(const store::MaterializedNode& node, int n) {
         require(mh.size() == buf.size(),
                 "store path: message-digest cache length mismatch");
         for (std::size_t i = 0; i < mh.size(); ++i)
-            require(mh[i] == message_digest(buf[i].from, buf[i].payload),
+            require(mh[i] == message_digest(buf[i].from, *buf[i].payload),
                     "store path: stale message digest in trail cache");
     }
 }
@@ -680,7 +687,7 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
             const auto& buf = sys.buffer(p);
             const Behavior& recv = sys.behavior_of(p);
             for (const Message& m : buf)
-                if (!dead_message(m.from, m.payload, recv, abs))
+                if (!dead_message(m.from, *m.payload, recv, abs))
                     return false;
         }
     }
@@ -1070,7 +1077,7 @@ std::string baseline_full_digest(const Algorithm& algorithm,
         if (d) out << "D" << *d;
         out << ';';
         for (const Message& m : sys->buffer(p))
-            out << m.from << ':' << m.payload.to_string() << ',';
+            out << m.from << ':' << m.payload->to_string() << ',';
     }
     Run run = sys->finish(StopReason::kSchedulerEnded);
     std::vector<std::string> last(cfg.n);

@@ -7,9 +7,14 @@
 // module enumerates every adversarial schedule up to a depth bound,
 // where at each step the adversary picks (a) which live process steps
 // and (b) one of three delivery modes for that step -- nothing, the
-// oldest buffered message, or the whole buffer.  These three modes
-// suffice to realize every schedule the paper's constructions use, while
-// keeping the branching factor at 3n.
+// oldest buffered message, or the whole buffer.  Each mode delivers a
+// prefix of the buffer, which keeps the branching factor at 3n.  The
+// modes do NOT realize every schedule the paper's constructions use: a
+// pasted run can deliver a set that is not a buffer prefix (the
+// partition scheduler releases intra-block messages while older
+// cross-block messages wait -- step 6 of the Theorem 8 border run at
+// n = 4, f = 2, k = 1 does).  Every verdict below therefore holds
+// against prefix delivery only.
 //
 // States reached by different schedules are deduplicated by
 // configuration digest, so the search explores the reachable
@@ -23,14 +28,16 @@
 //     impossible" (the remark after Theorem 1);
 //   * whether the bound was exhaustive (no frontier node hit the depth
 //     cap), in which case the absence of a violation is a *verified*
-//     small-case possibility result for the fixed plan.
+//     small-case possibility result for the fixed plan against
+//     prefix-delivery adversaries -- not against every schedule.
 //
 // Engine (see doc/performance.md for the full design):
 //
 //   * the default store path (kFast, kReduced) keeps each frontier node
 //     as a 16-byte delta record in the out-of-core store (src/store/)
-//     and re-materializes it by forking its parent's live System and
-//     replaying one step; candidate children are keyed by ghost
+//     and re-materializes it on one live System per worker, undoing
+//     and redoing steps along an undo trail (store/rematerialize.hpp)
+//     -- it never forks; candidate children are keyed by ghost
 //     stepping -- one cloned behavior, no fork -- and only keys that
 //     survive deduplication become records;
 //   * the in-RAM reference (kReference) holds live System snapshots,

@@ -220,11 +220,11 @@ Digest128 reduced_hash_state(const System& sys, int n,
         const Behavior& recv = sys.behavior_of(p);
         std::size_t live = 0;
         for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs)) ++live;
+            if (!dead_message(m.from, *m.payload, recv, abs)) ++live;
         h.u64(live);
         for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs))
-                h.fold(message_digest(m.from, m.payload));
+            if (!dead_message(m.from, *m.payload, recv, abs))
+                h.fold(message_digest(m.from, *m.payload));
     }
     for (ProcessId p = 1; p <= n; ++p) {
         if (abs.decided_final && sys.decision_of(p)) continue;  // collapsed
@@ -269,11 +269,11 @@ Digest128 hash_state_renamed(const System& sys, int n,
         const Behavior& recv = sys.behavior_of(q);
         std::size_t live = 0;
         for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs)) ++live;
+            if (!dead_message(m.from, *m.payload, recv, abs)) ++live;
         h.u64(live);
         for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs))
-                h.fold(renamed_msg_hash(m.from, m.payload, algorithm, ren,
+            if (!dead_message(m.from, *m.payload, recv, abs))
+                h.fold(renamed_msg_hash(m.from, *m.payload, algorithm, ren,
                                         scratch));
     }
     for (ProcessId r = 1; r <= n; ++r) {
@@ -321,7 +321,7 @@ void RenamedNodeDigests::build(const System& sys, int n,
                 }
             msgs_.push_back(&m);
             live_.push_back(
-                    dead_message(m.from, m.payload, receiver, abs) ? 0 : 1);
+                    dead_message(m.from, *m.payload, receiver, abs) ? 0 : 1);
             rep_.push_back(rep);
         }
     }
@@ -341,7 +341,7 @@ void RenamedNodeDigests::build(const System& sys, int n,
         for (std::size_t i = 0; i < msgs_.size(); ++i)
             msg[i] = rep_[i] == i
                              ? renamed_msg_hash(msgs_[i]->from,
-                                                msgs_[i]->payload, algorithm,
+                                                *msgs_[i]->payload, algorithm,
                                                 ren, scratch_)
                              : msg[rep_[i]];
     }
@@ -362,13 +362,14 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
     // One digest slot per run of equal consecutive surviving sends (a
     // broadcast renames once); send_slot_ maps each send to its slot,
     // or to kLost when it does not survive.
-    const std::vector<std::pair<ProcessId, Payload>>& sends = *eff.sends;
+    const std::vector<std::pair<ProcessId, SharedPayload>>& sends =
+            *eff.sends;
     constexpr std::size_t kLost = static_cast<std::size_t>(-1);
     arriving_.clear();
     send_slot_.assign(sends.size(), kLost);
     for (std::size_t s = 0; s < sends.size(); ++s) {
         if (!eff.send_survives(sends[s].first)) continue;
-        const Payload& payload = sends[s].second;
+        const SharedPayload& payload = sends[s].second;
         if (arriving_.empty() || !(*arriving_.back() == payload))
             arriving_.push_back(&payload);
         send_slot_[s] = arriving_.size() - 1;
@@ -406,7 +407,7 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
         if (q == stepper) {
             const auto& buf = sys.buffer(q);
             for (std::size_t i = eff.delivered; i < buf.size(); ++i)
-                if (!dead_message(buf[i].from, buf[i].payload,
+                if (!dead_message(buf[i].from, *buf[i].payload,
                                   *eff.behavior_after, abs_))
                     fold_.push_back(begin + i);
         } else {
@@ -417,7 +418,7 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
                 q == stepper ? *eff.behavior_after : sys.behavior_of(q);
         for (std::size_t s = 0; s < sends.size(); ++s)
             if (send_slot_[s] != kLost && sends[s].first == q &&
-                !dead_message(stepper, sends[s].second, receiver, abs_)) {
+                !dead_message(stepper, *sends[s].second, receiver, abs_)) {
                 fold_.push_back(table_msgs + send_slot_[s]);
                 arriving_folded_[send_slot_[s]] = 1;
             }
@@ -437,7 +438,7 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
         for (std::size_t s = 0; s < arriving_.size(); ++s)
             if (arriving_folded_[s] != 0)
                 arriving_digest_[s] = renamed_msg_hash(
-                        stepper, *arriving_[s], *algorithm_, ren, scratch_);
+                        stepper, **arriving_[s], *algorithm_, ren, scratch_);
         Digest128 stepper_hash{};
         if (!child_[stepper - 1].collapsed)
             stepper_hash = renamed_behavior_hash(*eff.behavior_after, ren,

@@ -257,7 +257,7 @@ struct GhostEffects {
     std::size_t delivered = 0;  ///< delivered prefix length of stepper's buffer
     bool final_crash = false;
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
-    const std::vector<std::pair<ProcessId, Payload>>* sends = nullptr;
+    const std::vector<std::pair<ProcessId, SharedPayload>>* sends = nullptr;
     const std::optional<Value>* decision = nullptr;  ///< decision of the step
     const Behavior* behavior_after = nullptr;  ///< stepper's stepped clone
 
@@ -339,7 +339,7 @@ private:
     /// is table message i; msgs_.size() + s is arriving slot s.
     std::vector<std::size_t> fold_;
     std::vector<std::size_t> send_slot_;    ///< per send of the step
-    std::vector<const Payload*> arriving_;  ///< one per slot
+    std::vector<const SharedPayload*> arriving_;  ///< one per slot
     std::vector<std::uint8_t> arriving_folded_;
     std::vector<Digest128> arriving_digest_;  ///< per slot, current g
 };

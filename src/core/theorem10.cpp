@@ -63,7 +63,7 @@ Theorem10Result run_theorem10(const Algorithm& candidate, int n, int k,
     StagedScheduler::Stage hold;
     hold.active = d;
     hold.filter = [in_d](const Message& m, ProcessId) {
-        return in_d(m.from) && m.payload.tag != "DEC";
+        return in_d(m.from) && m.payload->tag != "DEC";
     };
     hold.done = [ps, pt](const SystemView& v) {
         return v.decided(ps) && v.decided(pt);

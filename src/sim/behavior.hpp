@@ -55,20 +55,16 @@ struct StepInput {
 /// Everything a process emits in one atomic step.
 struct StepOutput {
     /// Messages to send: (destination, payload) pairs.  Destinations must
-    /// be in 1..n.  Self-sends are allowed.
-    std::vector<std::pair<ProcessId, Payload>> sends;
+    /// be in 1..n.  Self-sends are allowed.  Sends of one broadcast share
+    /// one payload body.
+    std::vector<std::pair<ProcessId, SharedPayload>> sends;
     /// If set, the process irrevocably decides this value.  Deciding a
     /// second time is a protocol bug and aborts the simulation.
     std::optional<Value> decision;
 
     /// Appends a send of `payload` to process `to`.
-    void send(ProcessId to, Payload payload) {
+    void send(ProcessId to, SharedPayload payload) {
         sends.emplace_back(to, std::move(payload));
-    }
-    /// Appends a send of `payload` to every process in 1..n (a broadcast,
-    /// which the model of Theorem 2 performs in one atomic step).
-    void broadcast(int n, const Payload& payload) {
-        for (ProcessId q = 1; q <= n; ++q) sends.emplace_back(q, payload);
     }
 };
 

@@ -61,7 +61,7 @@ void run_to_dot(std::ostream& out, const Run& run, const DotOptions& options) {
             if (it == send_node.end()) continue;  // sent beyond the cut
             out << "  " << it->second << " -> " << node.str();
             if (options.show_payloads)
-                out << " [label=\"" << escape(m.payload.to_string())
+                out << " [label=\"" << escape(m.payload->to_string())
                     << "\", fontsize=8]";
             out << ";\n";
         }

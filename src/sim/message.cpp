@@ -6,7 +6,7 @@ namespace ksa {
 
 std::string Message::to_string() const {
     std::ostringstream out;
-    out << from << "->" << to << ':' << payload.to_string();
+    out << from << "->" << to << ':' << payload->to_string();
     return out.str();
 }
 

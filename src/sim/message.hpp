@@ -75,13 +75,14 @@ inline constexpr MessageId equivocated_message_id(MessageId anchor,
 
 /// A message in flight or delivered.  Value type; equality ignores the
 /// simulator-assigned identity fields so that runs can be compared on
-/// their communication content alone.
+/// their communication content alone.  Copies share the payload body
+/// (sim/payload.hpp), so copying a message allocates nothing.
 struct Message {
     MessageId id = 0;    ///< unique, assigned by the System
     ProcessId from = 0;  ///< sender
     ProcessId to = 0;    ///< receiver
     Time sent_at = 0;    ///< global time of the sending step
-    Payload payload;
+    SharedPayload payload;
 
     /// Content equality: sender, receiver and payload (identity fields
     /// are simulator bookkeeping and excluded on purpose).

@@ -38,6 +38,11 @@ void Payload::fold(StateHasher& h) const {
     }
 }
 
+const Payload& SharedPayload::empty() {
+    static const Payload kEmpty;
+    return kEmpty;
+}
+
 Payload make_payload(std::string tag, std::vector<int> ints) {
     return Payload{std::move(tag), std::move(ints), {}};
 }

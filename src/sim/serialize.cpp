@@ -1,6 +1,7 @@
 #include "sim/serialize.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace ksa {
 
@@ -60,11 +61,11 @@ FdSample read_sample(std::istringstream& in) {
 
 void write_message(std::ostream& out, char kind, const Message& m) {
     out << kind << ' ' << m.id << ' ' << m.from << ' ' << m.to << ' '
-        << m.sent_at << ' ' << encode(m.payload.tag) << ' '
-        << m.payload.ints.size();
-    for (int v : m.payload.ints) out << ' ' << v;
-    out << ' ' << m.payload.lists.size();
-    for (const auto& list : m.payload.lists) {
+        << m.sent_at << ' ' << encode(m.payload->tag) << ' '
+        << m.payload->ints.size();
+    for (int v : m.payload->ints) out << ' ' << v;
+    out << ' ' << m.payload->lists.size();
+    for (const auto& list : m.payload->lists) {
         out << ' ' << list.size();
         for (int v : list) out << ' ' << v;
     }
@@ -73,21 +74,23 @@ void write_message(std::ostream& out, char kind, const Message& m) {
 
 Message read_message(std::istringstream& in) {
     Message m;
+    Payload payload;
     std::string tag;
     std::size_t ni = 0, nl = 0;
     in >> m.id >> m.from >> m.to >> m.sent_at >> tag >> ni;
-    m.payload.tag = decode(tag);
-    m.payload.ints.resize(ni);
-    for (auto& v : m.payload.ints) in >> v;
+    payload.tag = decode(tag);
+    payload.ints.resize(ni);
+    for (auto& v : payload.ints) in >> v;
     in >> nl;
-    m.payload.lists.resize(nl);
-    for (auto& list : m.payload.lists) {
+    payload.lists.resize(nl);
+    for (auto& list : payload.lists) {
         std::size_t len = 0;
         in >> len;
         list.resize(len);
         for (auto& v : list) in >> v;
     }
     if (!in) throw UsageError("read_run: malformed message line");
+    m.payload = std::move(payload);
     return m;
 }
 

@@ -220,9 +220,11 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                         "message");
             const Message original = *it;
             // In-place rewrite: same buffer slot (arrival order is
-            // preserved), forged id, mutated payload.
+            // preserved), forged id, mutated payload in a fresh body --
+            // the other copies of its broadcast and any duplicate keep
+            // the original body.
             it->id = corrupted_message_id(original.id);
-            it->payload = corrupt_payload(original.payload,
+            it->payload = corrupt_payload(*original.payload,
                                           action.corrupt_seed, n_);
             rec.tampered.push_back(original);
             rec.forged.push_back(*it);
@@ -245,9 +247,9 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
             const Message anchor = *it;
             // Rewrite every still-buffered sibling of the anchor's
             // broadcast -- same sender, send time and payload -- into a
-            // receiver-specific variant.  At most one sibling per
-            // receiver is rewritten (the forged id embeds the receiver,
-            // so a second rewrite would collide).
+            // receiver-specific variant, each in its own fresh body.  At
+            // most one sibling per receiver is rewritten (the forged id
+            // embeds the receiver, so a second rewrite would collide).
             for (ProcessId q = 1; q <= n_; ++q) {
                 for (Message& m : buffers_[q - 1]) {
                     if (is_injected_message_id(m.id)) continue;
@@ -256,7 +258,7 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                         continue;
                     const Message original = m;
                     m.id = equivocated_message_id(anchor.id, q);
-                    m.payload = equivocate_payload(original.payload,
+                    m.payload = equivocate_payload(*original.payload,
                                                    action.corrupt_seed, q, n_);
                     rec.tampered.push_back(original);
                     rec.forged.push_back(m);

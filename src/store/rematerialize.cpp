@@ -45,7 +45,7 @@ void Rematerializer::reset_to_root() {
         auto& mp = root.mhash[p - 1];
         mp.clear();
         for (const Message& m : live_->buffer(p))
-            mp.push_back(digest_send_(m.from, m.payload));
+            mp.push_back(digest_send_(m.from, *m.payload));
     }
 }
 
@@ -65,7 +65,9 @@ void Rematerializer::redo(std::uint64_t child_id, const DeltaRecord& rec) {
     // Advance the incremental caches exactly the way the step advanced
     // the buffers: only the stepper's behavior changed; the stepper's
     // delivered prefix left its buffer; the step's kept sends were
-    // appended (emission order) to their destinations.
+    // appended (emission order) to their destinations.  Those sends are
+    // all the stepper's, and the copies of a broadcast share one payload
+    // body, which is digested once.
     level.marks = below.marks;
     level.marks[stepper - 1] = BehaviorMark{
             true, behavior_state_hash(live_->behavior_of(stepper))};
@@ -74,13 +76,21 @@ void Rematerializer::redo(std::uint64_t child_id, const DeltaRecord& rec) {
     sm.erase(sm.begin(),
              sm.begin() + static_cast<std::ptrdiff_t>(std::min(
                                   level.undo.input.delivered.size(), sm.size())));
+    const SharedPayload* digested = nullptr;
+    Digest128 hash{};
     for (ProcessId q = 1; q <= n_; ++q) {
         auto& mq = level.mhash[q - 1];
         const auto& b = live_->buffer(q);
         require(b.size() >= mq.size(),
                 "Rematerializer: cache longer than live buffer");
-        for (std::size_t i = mq.size(); i < b.size(); ++i)
-            mq.push_back(digest_send_(b[i].from, b[i].payload));
+        for (std::size_t i = mq.size(); i < b.size(); ++i) {
+            const SharedPayload& payload = b[i].payload;
+            if (digested == nullptr || !payload.same_body(*digested)) {
+                digested = &payload;
+                hash = digest_send_(stepper, *payload);
+            }
+            mq.push_back(hash);
+        }
     }
 }
 

@@ -121,6 +121,39 @@ TEST(InitialClique, DiscardsMessagesNamingNoProcess) {
     EXPECT_EQ(stage2.sends[0].second, make_payload("S2", {2, 20}, {{1, 3}}));
 }
 
+TEST(InitialClique, BroadcastSendsShareOnePayloadBody) {
+    // Both stages broadcast to the n-1 other processes; every send of
+    // one broadcast holds a handle to the same payload body, and the
+    // System buffers those handles without copying the body.
+    for (const int n : {4, 5}) {
+        auto algorithm = algo::make_flp_kset(n, 1);  // L = n - 1
+        const auto expect_one_body = [n](const StepOutput& out,
+                                          const std::string& tag) {
+            ASSERT_EQ(out.sends.size(), static_cast<std::size_t>(n - 1))
+                    << "n=" << n << " " << tag;
+            for (std::size_t i = 0; i < out.sends.size(); ++i) {
+                EXPECT_EQ(out.sends[i].first, static_cast<ProcessId>(i) + 2);
+                EXPECT_TRUE(out.sends[i].second.same_body(out.sends[0].second))
+                        << "n=" << n << " " << tag << " send " << i;
+            }
+            EXPECT_EQ(out.sends[0].second->tag, tag);
+        };
+        auto behavior = algorithm->make_behavior(1, n, 10);
+        expect_one_body(behavior->on_step({}), "S1");
+        StepInput in;
+        for (ProcessId q = 2; q < n; ++q)  // the L - 1 stage-1 quota
+            in.delivered.push_back(Message{0, q, 1, 0, make_payload("S1", {q})});
+        expect_one_body(behavior->on_step(in), "S2");
+
+        System sys(*algorithm, n, distinct_inputs(n), FailurePlan{});
+        sys.apply_choice(sys.prefix_choice(1, 0));
+        for (ProcessId q = 3; q <= n; ++q)
+            EXPECT_TRUE(sys.buffer(q).front().payload.same_body(
+                    sys.buffer(2).front().payload))
+                    << "n=" << n << " buffer " << q;
+    }
+}
+
 TEST(InitialClique, NotLiveUnderMidRunCrash) {
     // The protocol only tolerates *initial* crashes: a process crashing
     // after its stage-1 broadcast can leave others waiting forever for

@@ -294,6 +294,97 @@ TEST(ByzantineSerialization, RoundTripIsExact) {
     EXPECT_TRUE(exercised) << "no Byzantine run in 25 seeds";
 }
 
+// ----------------------------------------- shared payload bodies
+
+/// A fault event on buffered message `target`.
+FaultAction fault_on(FaultAction::Kind kind, MessageId target,
+                     std::uint64_t seed = 0) {
+    FaultAction action;
+    action.kind = kind;
+    action.message = target;
+    action.corrupt_seed = seed;
+    return action;
+}
+
+/// The KSARUN-1 rendering of `run` survives a read back byte for byte.
+void expect_round_trip(const ksa::Run& run) {
+    const std::string text = run_to_string(run);
+    std::istringstream in(text);
+    EXPECT_EQ(run_to_string(read_run(in)), text);
+}
+
+TEST(ByzantineSharedBodies, CorruptionRewritesOnlyItsOwnCopy) {
+    // Process 1's stage-1 broadcast sits in buffers 2, 3 and 4 as three
+    // handles to one payload body.  Duplicating the copy bound for 3
+    // and then corrupting that copy must give the corrupted message a
+    // fresh body and leave the clone, the other destinations' copies
+    // and the recorded sends reading the original payload.
+    const int n = 4;
+    const auto algorithm = algo::make_flp_kset(n, 1);
+    System sys(*algorithm, n, distinct_inputs(n), FailurePlan{});
+    sys.apply_choice(sys.prefix_choice(1, 0));
+    const Message target = sys.buffer(3).front();
+    const Payload original = *target.payload;
+
+    StepChoice choice = sys.prefix_choice(2, 0);
+    choice.faults = {
+            fault_on(FaultAction::Kind::kDuplicateMessage, target.id),
+            fault_on(FaultAction::Kind::kCorruptMessage, target.id, 5)};
+    sys.apply_choice(choice);
+
+    // Buffer 3: the forgery in the original's slot, then the clone, then
+    // process 2's stage-1 message.
+    ASSERT_EQ(sys.buffer(3).size(), 3u);
+    const Message& forged = sys.buffer(3)[0];
+    const Message& clone = sys.buffer(3)[1];
+    EXPECT_EQ(forged.id, corrupted_message_id(target.id));
+    EXPECT_EQ(*forged.payload, corrupt_payload(original, 5, n));
+    EXPECT_FALSE(forged.payload.same_body(target.payload));
+    EXPECT_TRUE(is_injected_message_id(clone.id));
+    EXPECT_FALSE(is_corruption_id(clone.id));
+    EXPECT_EQ(*clone.payload, original);
+    EXPECT_TRUE(clone.payload.same_body(target.payload));
+    for (const ProcessId q : {2, 4}) {
+        EXPECT_EQ(*sys.buffer(q).front().payload, original) << "buffer " << q;
+        EXPECT_TRUE(sys.buffer(q).front().payload.same_body(target.payload));
+    }
+
+    const ksa::Run run = sys.finish(StopReason::kSchedulerEnded);
+    ASSERT_EQ(run.steps.size(), 2u);
+    for (const Message& m : run.steps[0].sent) EXPECT_EQ(*m.payload, original);
+    ASSERT_EQ(run.steps[1].tampered.size(), 1u);
+    EXPECT_EQ(*run.steps[1].tampered[0].payload, original);
+    expect_round_trip(run);
+}
+
+TEST(ByzantineSharedBodies, EquivocationGivesEachSiblingItsOwnBody) {
+    const int n = 4;
+    const auto algorithm = algo::make_flp_kset(n, 1);
+    System sys(*algorithm, n, distinct_inputs(n), FailurePlan{});
+    sys.apply_choice(sys.prefix_choice(1, 0));
+    const Message anchor = sys.buffer(2).front();
+    const Payload original = *anchor.payload;
+
+    StepChoice choice = sys.prefix_choice(4, 0);
+    choice.faults = {fault_on(FaultAction::Kind::kEquivocate, anchor.id, 9)};
+    sys.apply_choice(choice);
+
+    std::vector<SharedPayload> bodies;
+    for (ProcessId q = 2; q <= n; ++q) {
+        const Message& m = sys.buffer(q).front();
+        EXPECT_EQ(m.id, equivocated_message_id(anchor.id, q));
+        EXPECT_EQ(*m.payload, equivocate_payload(original, 9, q, n));
+        EXPECT_FALSE(m.payload.same_body(anchor.payload)) << "buffer " << q;
+        for (const SharedPayload& other : bodies)
+            EXPECT_FALSE(m.payload.same_body(other)) << "buffer " << q;
+        bodies.push_back(m.payload);
+    }
+
+    const ksa::Run run = sys.finish(StopReason::kSchedulerEnded);
+    for (const Message& m : run.steps[0].sent) EXPECT_EQ(*m.payload, original);
+    expect_round_trip(run);
+}
+
 // ------------------------------- classification under Byzantine plans
 
 /// A handcrafted decisive run: every process decides the given value (or

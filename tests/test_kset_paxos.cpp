@@ -119,7 +119,7 @@ TEST(KSetPaxos, TwoSplitLeadersCommitTwoInstancesAtMost) {
     StagedScheduler::Stage hold;
     hold.active = all;
     hold.filter = [](const Message& m, ProcessId) {
-        return m.payload.tag != "DEC";
+        return m.payload->tag != "DEC";
     };
     hold.done = [](const SystemView& v) {
         return v.decided(2) && v.decided(3);

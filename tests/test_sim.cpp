@@ -49,6 +49,40 @@ TEST(Message, ContentEqualityIgnoresIdentity) {
     EXPECT_EQ(a.to_string(), "2->3:T(1)");
 }
 
+TEST(SharedPayload, CopiesShareOneBody) {
+    const SharedPayload a = make_payload("S2", {3, 7}, {{1, 2}});
+    const SharedPayload b = a;
+    EXPECT_TRUE(b.same_body(a));
+    EXPECT_EQ(&*b, &*a);
+    EXPECT_EQ(b->to_string(), "S2(3,7|[1,2])");
+    // A message copy shares its payload body too.
+    const Message m{1, 2, 3, 10, a};
+    const Message copy = m;
+    EXPECT_TRUE(copy.payload.same_body(a));
+}
+
+TEST(SharedPayload, DistinctBodiesCompareByContent) {
+    const SharedPayload a = make_payload("T", {1}, {{2}});
+    const SharedPayload b = make_payload("T", {1}, {{2}});
+    EXPECT_FALSE(a.same_body(b));
+    EXPECT_TRUE(a == b);
+    EXPECT_FALSE(a == SharedPayload(make_payload("T", {1}, {{3}})));
+    EXPECT_TRUE(content_equal(Message{1, 2, 3, 10, a},
+                              Message{9, 2, 3, 55, b}));
+    EXPECT_FALSE(content_equal(Message{1, 2, 3, 10, a},
+                               Message{1, 2, 3, 10, make_payload("T", {1})}));
+}
+
+TEST(SharedPayload, DefaultHandleReadsAsEmptyPayload) {
+    const SharedPayload empty;
+    EXPECT_EQ(*empty, Payload{});
+    EXPECT_EQ(empty->to_string(), "()");
+    EXPECT_TRUE(empty == SharedPayload(Payload{}));
+    EXPECT_FALSE(empty.same_body(SharedPayload(Payload{})));
+    EXPECT_TRUE(empty.same_body(SharedPayload{}));
+    EXPECT_EQ(Message{}.to_string(), "0->0:()");
+}
+
 // ------------------------------------------------------------ state hasher
 
 Digest128 digest_of_words(const std::vector<std::uint64_t>& words) {
@@ -655,7 +689,7 @@ TEST(StagedScheduler, FilterControlsDeliveryByPayload) {
     StagedScheduler::Stage stage;
     stage.active = {1, 2, 3};
     stage.filter = [](const Message& m, ProcessId dest) {
-        return !(dest == 2 && m.payload.tag == "VAL");
+        return !(dest == 2 && m.payload->tag == "VAL");
     };
     StagedScheduler sched({stage});
     ksa::Run run = execute_run(algorithm, 3, distinct_inputs(3), {}, sched);

@@ -278,7 +278,7 @@ void expect_caches_mirror(const MaterializedNode& node, int n,
         ASSERT_EQ((*node.mhash)[p - 1].size(), buf.size()) << label;
         for (std::size_t i = 0; i < buf.size(); ++i)
             EXPECT_EQ((*node.mhash)[p - 1][i],
-                      test_msg_hash(buf[i].from, buf[i].payload))
+                      test_msg_hash(buf[i].from, *buf[i].payload))
                     << label;
         const BehaviorMark& mark = (*node.marks)[p - 1];
         EXPECT_EQ(mark.stepped, node.sys->steps_of(p) > 0) << label;
