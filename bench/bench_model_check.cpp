@@ -7,13 +7,17 @@
 // (possible side: a verified small-case instance of Theorem 8's
 // possibility half for the given crash plan).
 //
+// Every verdict holds against prefix-delivery adversaries only: at each
+// step the adversary delivers nothing, the oldest buffered message or
+// the whole buffer (core/explorer.hpp).
+//
 // Second half: the engine comparison.  Every case is explored by every
-// engine -- the pre-snapshot replay baseline, the in-RAM reference
-// mode, the store path as kFast (1 thread and N threads) and as
-// kReduced -- with wall times and cross-engine agreement written to a
-// BENCH_explorer.json artifact (schema: doc/performance.md).  This is
-// the measurement backing the store path's speedup claim; the baseline
-// is kept in-tree precisely so the comparison stays honest.
+// engine -- the in-RAM reference mode, the store path as kFast (1
+// thread and N threads) and as kReduced -- with wall times and
+// cross-engine agreement written to a BENCH_explorer.json artifact
+// (schema: doc/performance.md).  The reference keys states on
+// collision-free canonical strings, so its verdict is the oracle the
+// store path's hashed keys must reproduce exactly.
 //
 // Usage: bench_model_check [--out FILE] [--threads N] [--quick]
 //                          [--check FILE] [--deep]
@@ -409,19 +413,19 @@ int main(int argc, char** argv) {
                   << c.why << "]\n";
     }
     std::cout << "\n"
-              << (all ? "every verdict matches the theory"
+              << (all ? "every verdict matches the theory "
+                        "(prefix-delivery adversary)"
                       : "MISMATCH AGAINST THEORY")
               << "\n";
 
     // ------------------------------------------------------------------
     // Engine comparison.
-    std::cout << "\nengine comparison (replay baseline vs store path, "
+    std::cout << "\nengine comparison (reference vs store path, "
               << threads << " threads)\n\n";
     std::cout << std::left << std::setw(26) << "case" << std::right
               << std::setw(7) << "depth" << std::setw(10) << "states"
-              << std::setw(13) << "baseline ms" << std::setw(10) << "ref ms"
-              << std::setw(10) << "fast ms" << std::setw(11) << "fast-N ms"
-              << std::setw(10) << "speedup" << std::setw(8) << "agree\n";
+              << std::setw(10) << "ref ms" << std::setw(10) << "fast ms"
+              << std::setw(11) << "fast-N ms" << std::setw(8) << "agree\n";
 
     ksa::bench::BenchReport report("explorer");
     bool engines_agree = true;
@@ -444,14 +448,7 @@ int main(int argc, char** argv) {
         core::ExploreConfig cfg = config_for(c);
         const int reps = quick ? 1 : c.reps;
 
-        core::ExploreResult baseline_r, ref_r, fast_r, fast_mt_r;
-        cfg.mode = core::ExploreMode::kReplayBaseline;
-        const double baseline_ms =
-            ksa::bench::time_call_ms([&] {
-                for (int r = 0; r < reps; ++r)
-                    baseline_r = core::explore_schedules(*c.algorithm, cfg);
-            }) /
-            reps;
+        core::ExploreResult ref_r, fast_r, fast_mt_r;
         cfg.mode = core::ExploreMode::kReference;
         cfg.threads = 1;
         const double ref_ms =
@@ -509,21 +506,16 @@ int main(int argc, char** argv) {
                                 red_r.dedup_hits, reduced_ms, reduced_mt_ms,
                                 fast_ms, red_ratio, red_ok});
 
-        const bool agree = baseline_r.verdict() == ref_r.verdict() &&
-                           baseline_r.verdict() == fast_r.verdict() &&
-                           baseline_r.verdict() == fast_mt_r.verdict() &&
-                           red_ok;
+        const bool agree = ref_r.verdict() == fast_r.verdict() &&
+                           ref_r.verdict() == fast_mt_r.verdict() && red_ok;
         engines_agree = engines_agree && agree;
-        const double best_ms = std::min(fast_ms, fast_mt_ms);
-        const double speedup = best_ms > 0 ? baseline_ms / best_ms : 0.0;
 
         std::cout << std::left << std::setw(26) << c.why << std::right
                   << std::setw(7) << cfg.max_depth << std::setw(10)
-                  << fast_r.states_explored << std::setw(13) << std::fixed
-                  << std::setprecision(1) << baseline_ms << std::setw(10)
-                  << ref_ms << std::setw(10) << fast_ms << std::setw(11)
-                  << fast_mt_ms << std::setw(9) << speedup << "x"
-                  << std::setw(8) << (agree ? "yes" : "NO") << "\n";
+                  << fast_r.states_explored << std::setw(10) << std::fixed
+                  << std::setprecision(1) << ref_ms << std::setw(10)
+                  << fast_ms << std::setw(11) << fast_mt_ms << std::setw(8)
+                  << (agree ? "yes" : "NO") << "\n";
         std::cout.unsetf(std::ios::fixed);
 
         report.entry(c.why)
@@ -537,11 +529,9 @@ int main(int argc, char** argv) {
             .num("expansions", fast_r.schedules_expanded)
             .boolean("violation", fast_r.violation_found)
             .num("threads", threads)
-            .num("baseline_ms", baseline_ms)
             .num("reference_ms", ref_ms)
             .num("fast_ms", fast_ms)
             .num("fast_mt_ms", fast_mt_ms)
-            .num("speedup_vs_baseline", speedup)
             .boolean("engines_agree", agree)
             .num("reduced_ms", reduced_ms)
             .num("reduced_mt_ms", reduced_mt_ms)
@@ -622,7 +612,8 @@ int main(int argc, char** argv) {
                   << ", expansions " << r.schedules_expanded << ", "
                   << (r.exhaustive ? "exhaustive" : "TRUNCATED") << ", "
                   << (r.violation_found ? "VIOLATION" : "no violation")
-                  << "\n  spilled " << r.spilled_records << " records ("
+                  << " (prefix-delivery adversary)\n  spilled "
+                  << r.spilled_records << " records ("
                   << r.spill_bytes / (1024 * 1024) << " MB), peak resident "
                   << r.peak_resident_bytes / (1024 * 1024) << " MB, "
                   << std::fixed << std::setprecision(0) << deep_ms / 1000.0

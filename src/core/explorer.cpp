@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -83,24 +82,24 @@ std::vector<StepChoice> delivery_modes(const System& sys, ProcessId p) {
 //   reached by different schedules deduplicate), and -- iff the process
 //   has stepped at least once -- its canonical behavior digest.
 //
-// "Iff stepped" matters: the pre-snapshot engine recovered behavior
-// digests from StepRecord::digest_after, which only exists for
-// processes that stepped, so an unstepped process contributed the empty
-// string.  The live engines reproduce that convention exactly so that
-// all modes partition the state space identically, state counts match,
-// and the golden equivalence suite can require bit-identical
-// ExploreResults.
+// "Iff stepped" is the convention every engine keys on: an unstepped
+// process contributes no behavior state (the empty string in the
+// reference's canonical strings, an unset BehaviorMark on the store
+// path), so it keys apart from a stepped process whose local state
+// equals its initial one.  Every engine follows it exactly, so all
+// modes partition the state space identically, state counts match, and
+// the golden equivalence suite can require equal verdicts.  The counts
+// BENCH_explorer.json pins rest on it too.
 //
 // Behavior digests are the expensive part of a key (one string
 // rendering over the whole local state).  A child configuration differs
-// from its parent by exactly one step of one process, so the layered
-// engines carry the digest vector alongside each node and re-render
-// only the stepped process's entry: n-1 of the n renderings the replay
-// baseline pays per candidate disappear.
+// from its parent by exactly one step of one process, so the engines
+// carry the per-process behavior state alongside each node and
+// re-render only the stepped process's entry: a key costs one behavior
+// rendering, not n.
 
 /// Canonical string key (reference mode).  `digests[p-1]` must be
-/// steps_of(p) > 0 ? last_digest(p) : "" -- byte-identical to the
-/// pre-snapshot engine's full_digest() of the same configuration.
+/// steps_of(p) > 0 ? last_digest(p) : "" (the iff-stepped convention).
 std::string canonical_state_string(const System& sys, int n,
                                    const std::vector<std::string>& digests) {
     std::ostringstream out;
@@ -344,10 +343,10 @@ void record_parallel_observability(ExploreResult& result,
 // expansion (pure, per-node) happens through parallel_map_grained, and
 // all mutation of the shared result/visited state happens in a
 // sequential merge that consumes the expansions in input order.  The
-// merge replays the exact bookkeeping order of the sequential
-// pre-snapshot engine -- pop-time max_states check, expansion counting,
-// first-in-BFS-order witness, child insertion order -- so the output is
-// byte-identical across engines and thread counts.
+// merge keeps the bookkeeping order of a plain sequential BFS --
+// pop-time max_states check, expansion counting, first-in-BFS-order
+// witness, child insertion order -- so the output is byte-identical
+// across engines and thread counts.
 
 /// One link of a shared schedule-prefix chain.  Frontier nodes share
 /// their prefixes structurally instead of copying O(depth) StepChoices
@@ -367,24 +366,21 @@ std::vector<StepChoice> materialize_script(const ScriptLink* tail) {
     return out;
 }
 
-template <typename Key>
 struct Child {
-    Key key{};
+    std::string key;
     std::unique_ptr<System> sys;
     std::vector<std::string> digests;  ///< per-process behavior digests
     StepChoice choice;
 };
 
-template <typename Key>
 struct Expansion {
     std::set<Value> decided;
     bool is_quiescent = false;
     std::vector<Value> outcome;  ///< filled iff is_quiescent
     bool at_depth = false;
-    std::vector<Child<Key>> children;
+    std::vector<Child> children;
 };
 
-template <typename Key>
 struct Node {
     std::unique_ptr<System> sys;
     /// steps_of(p) > 0 ? last_digest(p) : "" per process -- see the
@@ -398,10 +394,8 @@ struct Node {
 /// or at the depth bound, forks one child per (live process, delivery
 /// mode).  Touches only the node and freshly forked copies -- safe to
 /// run concurrently on distinct nodes.
-template <typename Key, typename KeyFn>
-Expansion<Key> expand_node(const Node<Key>& node, const ExploreConfig& cfg,
-                           const KeyFn& make_key) {
-    Expansion<Key> e;
+Expansion expand_node(const Node& node, const ExploreConfig& cfg) {
+    Expansion e;
     const System& sys = *node.sys;
     e.decided = decision_set(sys, cfg.n);
     if (quiescent(sys, cfg)) {
@@ -425,14 +419,15 @@ Expansion<Key> expand_node(const Node<Key>& node, const ExploreConfig& cfg,
             sys.buffer(p).empty())
             continue;
         for (StepChoice& mode : delivery_modes(sys, p)) {
-            Child<Key> child;
+            Child child;
             child.sys = sys.fork();
             child.sys->apply_choice(mode);
             // Only process p stepped: every other behavior digest is
             // unchanged from the parent.
             child.digests = node.digests;
             child.digests[p - 1] = child.sys->last_digest(p);
-            child.key = make_key(*child.sys, child.digests);
+            child.key = canonical_state_string(*child.sys, cfg.n,
+                                               child.digests);
             child.choice = std::move(mode);
             e.children.push_back(std::move(child));
         }
@@ -440,29 +435,27 @@ Expansion<Key> expand_node(const Node<Key>& node, const ExploreConfig& cfg,
     return e;
 }
 
-template <typename Key, typename KeyFn>
 ExploreResult explore_snapshot(const Algorithm& algorithm,
-                               const ExploreConfig& cfg,
-                               const KeyFn& make_key) {
+                               const ExploreConfig& cfg) {
     ExploreResult result;
     // Deterministic container on purpose (ksa-verify): the frontier is
     // cut off by max_states, so *which* states fall inside the explored
     // set must not depend on hash-iteration order or hash seeding --
     // two runs of the explorer must produce identical reports.
-    std::set<Key> visited;
+    std::set<std::string> visited;
 
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
     const std::size_t threshold = resolve_threshold(cfg, sched);
     std::size_t max_dispatched = 0;
 
-    std::vector<Node<Key>> layer;
+    std::vector<Node> layer;
     {
         auto root =
                 std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
         root->set_recording(false);
-        Node<Key> node;
+        Node node;
         node.digests.assign(static_cast<std::size_t>(cfg.n), std::string());
-        visited.insert(make_key(*root, node.digests));
+        visited.insert(canonical_state_string(*root, cfg.n, node.digests));
         node.sys = std::move(root);
         layer.push_back(std::move(node));
     }
@@ -476,16 +469,14 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
         if (sched.size() > 1 && layer.size() >= threshold &&
             layer.size() > max_dispatched)
             max_dispatched = layer.size();
-        std::vector<Expansion<Key>> expansions = exec::parallel_map_grained(
+        std::vector<Expansion> expansions = exec::parallel_map_grained(
                 sched, layer.size(), /*grain=*/0,
-                [&](std::size_t i, int) {
-                    return expand_node(layer[i], cfg, make_key);
-                },
+                [&](std::size_t i, int) { return expand_node(layer[i], cfg); },
                 threshold);
 
-        // Sequential merge, in input order (= the sequential engine's
-        // pop order).
-        std::vector<Node<Key>> next;
+        // Sequential merge, in input order (= a sequential BFS's pop
+        // order).
+        std::vector<Node> next;
         for (std::size_t i = 0; i < layer.size(); ++i) {
             if (visited.size() > cfg.max_states) {
                 result.exhaustive = false;
@@ -493,7 +484,7 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
                 break;
             }
             ++result.schedules_expanded;
-            Expansion<Key>& e = expansions[i];
+            Expansion& e = expansions[i];
             result.reachable_decision_sets.insert(e.decided);
             if (static_cast<int>(e.decided.size()) > cfg.k &&
                 !result.violation_found) {
@@ -508,9 +499,9 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
                 result.exhaustive = false;
                 continue;
             }
-            for (Child<Key>& c : e.children) {
-                if (visited.insert(c.key).second) {
-                    Node<Key> node;
+            for (Child& c : e.children) {
+                if (visited.insert(std::move(c.key)).second) {
+                    Node node;
                     node.sys = std::move(c.sys);
                     node.digests = std::move(c.digests);
                     node.script = std::make_shared<const ScriptLink>(
@@ -558,8 +549,8 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //      insertion for every thread/shard/block configuration.
 //
 //   3. MERGE (sequential): consumes expansions + verdicts in input
-//      order and replays the exact bookkeeping order of the in-RAM
-//      engines -- pop-order max_states check, expansion counting,
+//      order and keeps the exact bookkeeping order of the in-RAM
+//      reference -- pop-order max_states check, expansion counting,
 //      first-in-BFS-order witness (materialized on demand by delta
 //      replay), child append order.  Appends to the DeltaStore happen
 //      only here, which is the entire concurrency protocol: expansion
@@ -609,7 +600,7 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 // states_explored / schedules_expanded shrink, while violation_found,
 // reachable_decision_sets and quiescent_outcomes are preserved (exactly
 // so on exhaustive explorations).  With every axis off it partitions
-// states exactly like the in-RAM engines.
+// states exactly like the in-RAM reference.
 
 /// A candidate child, described without materializing it: the
 /// (stepper, delivered-prefix-length) pair fully describes the step --
@@ -642,8 +633,8 @@ struct Reductions {
 /// The executable form of the rematerializer contract: the trail's
 /// incrementally advanced caches equal a fresh recompute from the live
 /// System.  An accepted child's ghost key is a pure function of these
-/// caches, so this is the store-path descendant of the old "ghost key
-/// == realized state hash" assertion of the in-RAM engines.
+/// caches, so this checks "ghost key == realized state hash" one node
+/// later, without realizing any rejected candidate.
 void check_node_caches(const store::MaterializedNode& node, int n) {
     for (ProcessId q = 1; q <= n; ++q) {
         const BehaviorMark& m = (*node.marks)[q - 1];
@@ -916,7 +907,7 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
                                            scratch, red.abs));
     }
     deltas.append(store::DeltaRecord{});  // the root: id 0, no real step
-    // Pop-order truncation bookkeeping.  The in-RAM engines check
+    // Pop-order truncation bookkeeping.  The in-RAM reference checks
     // `visited.size() > max_states` when popping a node; insert_batch
     // pre-inserts a whole block's survivors at once, so the equivalent
     // sequential quantity -- root + children accepted by the merge so
@@ -1042,117 +1033,12 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     return result;
 }
 
-// ---------------------------------------------------------------------
-// Replay baseline.
-//
-// The pre-snapshot engine, kept verbatim: every frontier entry is a
-// schedule script, every expansion replays the script on a fresh System
-// and every candidate key additionally replays *and finishes* a
-// throwaway copy to recover behavior digests from the Run record.  It
-// exists (a) as the baseline bench_model_check measures the store path
-// against and (b) as the golden equivalence suite's reference that
-// never calls System::fork().  Single-threaded by nature.
-
-/// Runs `script` on a fresh system; returns the system for inspection.
-std::unique_ptr<System> replay(const Algorithm& algorithm,
-                               const ExploreConfig& cfg,
-                               const std::vector<StepChoice>& script) {
-    auto sys = std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    for (const StepChoice& c : script) sys->apply_choice(c);
-    return sys;
-}
-
-/// Configuration-state digest *including* the per-process behavior
-/// state, reconstructed the pre-snapshot way: replay, then finish() a
-/// throwaway copy and read the digests out of the Run record.
-std::string baseline_full_digest(const Algorithm& algorithm,
-                                 const ExploreConfig& cfg,
-                                 const std::vector<StepChoice>& script) {
-    auto sys = std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    for (const StepChoice& c : script) sys->apply_choice(c);
-    std::ostringstream out;
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        out << '|' << (sys->crashed(p) ? "X" : "");
-        auto d = sys->decision_of(p);
-        if (d) out << "D" << *d;
-        out << ';';
-        for (const Message& m : sys->buffer(p))
-            out << m.from << ':' << m.payload->to_string() << ',';
-    }
-    Run run = sys->finish(StopReason::kSchedulerEnded);
-    std::vector<std::string> last(cfg.n);
-    for (const StepRecord& s : run.steps) last[s.process - 1] = s.digest_after;
-    out << '#';
-    for (const std::string& d : last) out << d << '|';
-    return out.str();
-}
-
-ExploreResult explore_replay_baseline(const Algorithm& algorithm,
-                                      const ExploreConfig& cfg) {
-    ExploreResult result;
-    std::set<std::string> visited;
-    std::deque<std::vector<StepChoice>> frontier;
-    frontier.push_back({});
-    visited.insert(baseline_full_digest(algorithm, cfg, {}));
-
-    while (!frontier.empty()) {
-        if (visited.size() > cfg.max_states) {
-            result.exhaustive = false;
-            break;
-        }
-        std::vector<StepChoice> script = std::move(frontier.front());
-        frontier.pop_front();
-        ++result.schedules_expanded;
-
-        auto sys = replay(algorithm, cfg, script);
-        const std::set<Value> decided = decision_set(*sys, cfg.n);
-        result.reachable_decision_sets.insert(decided);
-        if (static_cast<int>(decided.size()) > cfg.k &&
-            !result.violation_found) {
-            result.violation_found = true;
-            result.witness = script;
-        }
-        if (quiescent(*sys, cfg)) {
-            std::vector<Value> outcome(cfg.n, kNoValue);
-            for (ProcessId p = 1; p <= cfg.n; ++p) {
-                auto d = sys->decision_of(p);
-                if (d) outcome[p - 1] = *d;
-            }
-            result.quiescent_outcomes.insert(std::move(outcome));
-            continue;
-        }
-        if (static_cast<int>(script.size()) >= cfg.max_depth) {
-            result.exhaustive = false;
-            continue;
-        }
-
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            if (!sys->can_step(p)) continue;
-            if (!cfg.plan.is_faulty(p) && sys->decision_of(p) &&
-                sys->buffer(p).empty())
-                continue;
-            for (StepChoice& mode : delivery_modes(*sys, p)) {
-                std::vector<StepChoice> child = script;
-                child.push_back(std::move(mode));
-                std::string digest = baseline_full_digest(algorithm, cfg, child);
-                if (visited.insert(std::move(digest)).second)
-                    frontier.push_back(std::move(child));
-                else
-                    ++result.dedup_hits;
-            }
-        }
-    }
-    result.states_explored = visited.size();
-    return result;
-}
-
 }  // namespace
 
 std::string to_string(ExploreMode mode) {
     switch (mode) {
         case ExploreMode::kFast: return "fast";
         case ExploreMode::kReference: return "reference";
-        case ExploreMode::kReplayBaseline: return "replay-baseline";
         case ExploreMode::kReduced: return "reduced";
     }
     return "unknown";
@@ -1167,7 +1053,8 @@ std::string ExploreVerdict::summary() const {
     out << "), " << (exhaustive ? "exhaustive" : "TRUNCATED") << ", "
         << quiescent_outcomes.size() << " quiescent outcomes, "
         << reachable_decision_sets.size() << " reachable decision sets, "
-        << (violation_found ? "VIOLATION FOUND" : "no violation");
+        << (violation_found ? "VIOLATION FOUND" : "no violation")
+        << " (prefix-delivery adversary)";
     return out.str();
 }
 
@@ -1180,14 +1067,7 @@ ExploreResult explore_schedules(const Algorithm& algorithm,
 
     switch (cfg.mode) {
         case ExploreMode::kReference:
-            return explore_snapshot<std::string>(
-                    algorithm, cfg,
-                    [&cfg](const System& sys,
-                           const std::vector<std::string>& digests) {
-                        return canonical_state_string(sys, cfg.n, digests);
-                    });
-        case ExploreMode::kReplayBaseline:
-            return explore_replay_baseline(algorithm, cfg);
+            return explore_snapshot(algorithm, cfg);
         case ExploreMode::kFast:
         case ExploreMode::kReduced:
             return explore_reduced(algorithm, cfg);

@@ -41,18 +41,18 @@
 //     stepping -- one cloned behavior, no fork -- and only keys that
 //     survive deduplication become records;
 //   * the in-RAM reference (kReference) holds live System snapshots,
-//     making children by System::fork() + one apply_choice; the replay
-//     baseline (kReplayBaseline) rebuilds every state from its schedule
-//     prefix and never forks;
+//     making children by System::fork() + one apply_choice, and keys
+//     them on collision-free canonical strings: the oracle the store
+//     path is cross-checked against;
 //   * frontier layers are expanded in parallel on the work-stealing
 //     scheduler (exec/task_scheduler.hpp, via exec/parallel_map.hpp)
 //     and merged sequentially in input order, so N-thread output is
 //     byte-identical to 1-thread output;
 //   * deduplication keys are deterministic 128-bit hashes
 //     (sim/digest.hpp) on the store path and canonical strings in the
-//     cross-checks, and every mode inserts states in the same BFS
-//     order -- the max_states truncation cuts the same frontier
-//     regardless of mode or thread count.
+//     reference, and every mode inserts states in the same BFS order --
+//     the max_states truncation cuts the same frontier regardless of
+//     mode or thread count.
 
 #include <cstdint>
 #include <set>
@@ -68,10 +68,10 @@
 
 namespace ksa::core {
 
-/// Which engine the exploration uses.  kFast, kReference and
-/// kReplayBaseline produce identical ExploreVerdicts on the same config
-/// (the golden equivalence suite in tests/test_explorer_equiv.cpp
-/// enforces it); they differ only in speed.
+/// Which engine the exploration uses.  kFast and kReference produce
+/// identical ExploreVerdicts on the same config (the golden equivalence
+/// suite in tests/test_explorer_equiv.cpp enforces it); they differ
+/// only in speed and memory.
 enum class ExploreMode {
     /// The store path (default): delta-record frontier, ghost stepping
     /// and incremental 128-bit hash dedup -- kReduced with every
@@ -79,16 +79,9 @@ enum class ExploreMode {
     kFast,
     /// In-RAM snapshot stepping + canonical-string dedup: the reference
     /// the store path is cross-checked against.  Slower (one full
-    /// string rendering per candidate state), collision-free by
-    /// construction.
+    /// string rendering per candidate state) and bounded by RAM (one
+    /// live System per frontier node), collision-free by construction.
     kReference,
-    /// The pre-snapshot engine: every candidate state is digested by
-    /// replaying its entire schedule prefix on a fresh System and
-    /// finishing a throwaway copy.  Kept as a second cross-check -- the
-    /// one engine that never calls System::fork() -- and as the
-    /// baseline BENCH_explorer.json measures the store path against.
-    /// Single-threaded; ignores `threads`.
-    kReplayBaseline,
     /// The store path plus the reduction axes ExploreConfig::reduction
     /// selects (core/reduction.hpp): symmetry canonicalization of dedup
     /// keys, an observational absorption quotient (decided-process
@@ -104,7 +97,7 @@ enum class ExploreMode {
 };
 
 /// Renders an ExploreMode for reports ("fast" / "reference" /
-/// "replay-baseline" / "reduced").
+/// "reduced").
 std::string to_string(ExploreMode mode);
 
 /// Exploration parameters.
@@ -139,17 +132,17 @@ struct ExploreConfig {
     /// tier, the delta-frontier spill budget and the expansion block
     /// size.  Every knob trades CPU or resident memory only -- verdicts
     /// are identical for every setting (the equivalence suite sweeps
-    /// them).  kReference/kReplayBaseline ignore this: they are the
-    /// deliberately simple in-RAM cross-checks.
+    /// them).  kReference ignores this: it is the deliberately simple
+    /// in-RAM cross-check.
     store::StoreOptions store;
 };
 
 /// What an exploration established: the semantic result, a pure
 /// function of the algorithm, the config's exploration parameters and
-/// the mode.  kFast, kReference and kReplayBaseline produce equal
-/// verdicts on every config, and every mode's verdict is identical for
-/// every thread count and store setting (the golden equivalence suite
-/// compares verdicts with ==).
+/// the mode.  kFast and kReference produce equal verdicts on every
+/// config, and every mode's verdict is identical for every thread count
+/// and store setting (the golden equivalence suite compares verdicts
+/// with ==).
 struct ExploreVerdict {
     std::size_t states_explored = 0;
     std::size_t schedules_expanded = 0;
@@ -173,14 +166,16 @@ struct ExploreVerdict {
     friend bool operator==(const ExploreVerdict&,
                            const ExploreVerdict&) = default;
 
+    /// One-line report.  It names the adversary class the verdict was
+    /// checked against (prefix delivery, see the file comment), so no
+    /// report says "no violation" without it.
     std::string summary() const;
 };
 
 /// How an exploration ran: observability that depends on the engine,
 /// the machine, the timing or the store configuration, so it stays out
 /// of the verdict.  The store-path engine (kFast/kReduced) fills all of
-/// it; the in-RAM reference leaves the store and spill counters 0, and
-/// the replay baseline leaves everything 0.
+/// it; the in-RAM reference leaves the store and spill counters 0.
 struct ExploreStats {
     /// Frontier size of each BFS layer, filled iff
     /// ExploreConfig::collect_layer_sizes.

@@ -59,8 +59,8 @@
 namespace ksa::store {
 
 /// Per-process behavior-state entry of a hashed state key.  `stepped`
-/// mirrors the replay baseline's convention of keying an unstepped
-/// process on the empty digest (see the state-key commentary in
+/// carries the convention every engine keys on: an unstepped process
+/// contributes no behavior state (see the state-key commentary in
 /// core/explorer.cpp).
 struct BehaviorMark {
     bool stepped = false;

@@ -1,17 +1,16 @@
 // Golden equivalence suite for the exploration engines.
 //
 // core/explorer.hpp promises that kFast (the store path: delta records,
-// ghost stepping, hashed keys), kReference (in-RAM snapshot stepping +
-// canonical strings) and kReplayBaseline (the pre-snapshot engine)
-// produce IDENTICAL ExploreVerdicts on every configuration -- same
-// state, expansion and dedup counts, same exhaustiveness, same witness
-// schedule step for step, same quiescent outcomes and decision sets --
-// and that the store path's verdict is additionally identical across
-// thread counts.  This suite is the enforcement: every
+// ghost stepping, hashed keys) and kReference (in-RAM snapshot stepping
+// + collision-free canonical strings) produce IDENTICAL ExploreVerdicts
+// on every configuration -- same state, expansion and dedup counts,
+// same exhaustiveness, same witness schedule step for step, same
+// quiescent outcomes and decision sets -- and that both verdicts are
+// identical across thread counts.  This suite is the enforcement: every
 // bench_model_check case, a chaos-style crash plan with final-step
 // omissions, and a max_states truncation case (where any divergence in
-// insertion *order* becomes a divergence in *content*) run through all
-// engines.
+// insertion *order* becomes a divergence in *content*) run through both
+// engines, anchored on the single-threaded reference.
 //
 // If the store path's ghost stepping or hash keying ever drifts from
 // the real transition semantics, it shows up here as a state-count or
@@ -51,26 +50,30 @@ void expect_equal_with_store_counters(const ExploreResult& a,
     EXPECT_EQ(a.spill_bytes, b.spill_bytes) << label;
 }
 
-/// Runs `cfg` through the replay baseline, then through the reference
-/// and the store path at threads 1, 2, 4 and the hardware count, and
-/// requires every verdict to equal the baseline's.  Returns the
-/// baseline result for case-specific assertions.
+/// Runs `cfg` through the reference at 1 thread -- the anchor -- then
+/// through the reference at threads 2, 4 and the hardware count and the
+/// store path at threads 1, 2, 4 and the hardware count, and requires
+/// every verdict to equal the anchor's.  Returns the anchor result for
+/// case-specific assertions.
 ExploreResult expect_all_engines_agree(const Algorithm& algorithm,
                                        ExploreConfig cfg,
                                        const std::string& label) {
-    cfg.mode = ExploreMode::kReplayBaseline;
-    const ExploreResult baseline = explore_schedules(algorithm, cfg);
+    cfg.mode = ExploreMode::kReference;
+    cfg.threads = 1;
+    const ExploreResult anchor = explore_schedules(algorithm, cfg);
     for (const int threads : {1, 2, 4, exec::hardware_threads()}) {
         cfg.threads = threads;
         for (const ExploreMode mode :
              {ExploreMode::kReference, ExploreMode::kFast}) {
+            if (mode == ExploreMode::kReference && threads == 1) continue;
             cfg.mode = mode;
-            expect_same_verdict(baseline, explore_schedules(algorithm, cfg),
-                                label + ": baseline vs " + to_string(mode) +
-                                        "(" + std::to_string(threads) + ")");
+            expect_same_verdict(anchor, explore_schedules(algorithm, cfg),
+                                label + ": reference(1) vs " +
+                                        to_string(mode) + "(" +
+                                        std::to_string(threads) + ")");
         }
     }
-    return baseline;
+    return anchor;
 }
 
 ExploreConfig base_config(int n, int k, int depth) {

@@ -462,7 +462,7 @@ TEST(Flow, RacedScratchCopyOfExplorerCallSiteIsCaught) {
         "            sched, layer.size(), /*grain=*/0,\n"
         "            [&](std::size_t i, int) {\n"
         "                ++result.schedules_expanded;\n"
-        "                return expand_node(layer[i], cfg, make_key);\n"
+        "                return expand_node(layer[i], cfg);\n"
         "            },\n"
         "            threshold);\n"
         "}\n"));

@@ -491,7 +491,10 @@ std::vector<UndoConfig> undo_configs() {
 // apply_choice(prefix_choice(...)) does, and its undo restores every
 // buffer, behavior, flag and counter, so that a System carried up and
 // down a trail of undone steps stays bit-identical to one that only
-// ever stepped forward.
+// ever stepped forward.  Each walk step also checks the fork contract
+// kReference rests on, against a System that never forks: fork(false)
+// plus the walk's apply_choice lands on the same state as `shadow`,
+// which only ever stepped forward from the root along the walk.
 TEST(System, UndoStepRestoresTheExactState) {
     int undone_decisions = 0;
     int undone_crashes = 0;
@@ -535,9 +538,12 @@ TEST(System, UndoStepRestoresTheExactState) {
                 }
                 const std::optional<StepChoice> choice = walk.next(sys);
                 if (!choice) break;
+                const auto forked = sys.fork(false);
+                forked->apply_choice(*choice);
                 sys.apply_choice(*choice);
                 shadow.apply_choice(*choice);
                 expect_same_state(sys, shadow, run + " walk");
+                expect_same_state(*forked, shadow, run + " fork + walk step");
             }
             continue_both(sys, shadow, run + " end");
         }
