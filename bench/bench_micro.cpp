@@ -337,7 +337,8 @@ BENCHMARK(BM_ExplorerAllocsPerState)
 // candidates under the full group S_n of a uniform-input initial-clique
 // system (|G| = 6, 24, 120 for n = 3, 4, 5).  One iteration is what the
 // reduced explorer pays per expanded node on top of the identity keys:
-// RenamedNodeDigests::build once, then min_child_key per candidate.
+// NodeLiveness::build and RenamedNodeDigests::build once, then
+// min_child_key per candidate.
 // The node comes from a seeded random schedule; the candidates are the
 // explorer's (process, delivery-prefix) moves, ghost-stepped up front.
 // allocs/candidate is counted after a warm-up pass and must be 0.
@@ -401,9 +402,11 @@ void BM_CanonicalKey(benchmark::State& state) {
 
     // Every renamed key competes: the identity key is the maximum.
     const Digest128 identity{~std::uint64_t{0}, ~std::uint64_t{0}};
+    core::NodeLiveness live;
     core::RenamedNodeDigests table;
     auto key_node = [&] {
-        table.build(sys, n, *algorithm, group, abs);
+        live.build(sys, n, abs);
+        table.build(sys, n, *algorithm, group, live, abs);
         for (const core::GhostEffects& eff : effects)
             benchmark::DoNotOptimize(table.min_child_key(eff, identity));
     };
@@ -540,6 +543,61 @@ BENCHMARK(BM_Rematerialize)
     ->Arg(2)
     ->Arg(kRematDepth)
     ->ArgName("hops");
+
+// Spilled-record reads through DeltaStore::Reader's block cache.  A
+// 2^18-record store (a fanout-4 tree, parent = id / 4) sits behind a
+// 64 KiB window, so nearly every record is on disk.  One iteration is a
+// fresh reader making kReads reads: in BFS order, each id of a run of
+// consecutive ids and then its parent (the rematerializer's walk up a
+// delta chain), or at uniformly random spilled ids.  fetches/1k reads
+// is how many block fetches (seek + read) a thousand reads cost.
+enum class SpillOrder { kBfs, kRandom };
+
+void BM_SpillRead(benchmark::State& state, SpillOrder order) {
+    constexpr std::uint64_t kRecords = std::uint64_t{1} << 18;
+    constexpr std::size_t kReads = 16384;
+    store::StoreOptions opt;
+    opt.frontier_ram_bytes = 64 << 10;
+    store::DeltaStore deltas(opt);
+    for (std::uint64_t i = 0; i < kRecords; ++i)
+        deltas.append({i / 4, static_cast<std::uint32_t>(1 + i % 4),
+                       static_cast<std::uint32_t>(i % 3)});
+    const std::uint64_t spilled = deltas.spilled_records();
+
+    std::vector<std::uint64_t> ids;
+    ids.reserve(kReads);
+    if (order == SpillOrder::kBfs) {
+        for (std::uint64_t id = spilled - kReads / 2; ids.size() < kReads;
+             ++id) {
+            ids.push_back(id);
+            ids.push_back(id / 4);
+        }
+    } else {
+        std::mt19937_64 rng(/*seed=*/29);
+        while (ids.size() < kReads) ids.push_back(rng() % spilled);
+    }
+
+    std::uint64_t reads = 0;
+    std::uint64_t fetches = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        store::DeltaStore::Reader reader(deltas);
+        for (const std::uint64_t id : ids)
+            benchmark::DoNotOptimize(reader.get(id));
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+        reads += ids.size();
+        fetches += reader.spill_reads();
+    }
+    const double per = reads > 0 ? 1.0 / static_cast<double>(reads) : 0.0;
+    state.counters["ns/read"] = ns * per;
+    state.counters["fetches/1k reads"] =
+        1000.0 * static_cast<double>(fetches) * per;
+}
+BENCHMARK_CAPTURE(BM_SpillRead, bfs, SpillOrder::kBfs);
+BENCHMARK_CAPTURE(BM_SpillRead, random, SpillOrder::kRandom);
 
 // Whole-process heap high-water mark of a spill-forced exploration,
 // and the cross-check of the explorer's own accounting: the reported

@@ -226,13 +226,16 @@ void fill_arriving(const GhostStep& g, ProcessId stepper,
 /// -- decided processes fold to their decision alone and dead messages
 /// (judged by the receiver's CHILD-state behavior) leave buffer keys;
 /// with `abs` all off this is the plain configuration key.  `arriving`
-/// must hold the surviving sends in emission order (fill_arriving).
+/// must hold the surviving sends in emission order (fill_arriving);
+/// `live` is the node's liveness, read only under abs.strip_inert.
+/// `folded` is per-worker scratch.
 Digest128 hash_child(const System& sys, int n, ProcessId stepper,
                      const GhostStep& g,
                      const std::vector<BehaviorMark>& parent_marks,
                      const MessageHashes& parent_mhash,
                      const std::vector<ArrivingSend>& arriving,
-                     const AbsorptionContext& abs) {
+                     const NodeLiveness& live, const AbsorptionContext& abs,
+                     std::vector<Digest128>& folded) {
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
         auto d = sys.decision_of(q);
@@ -262,26 +265,31 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
                 if (a.dest == q) h.fold(a.hash);
             continue;
         }
-        // Delete dead messages anywhere in that buffer.
+        // Delete dead messages anywhere in that buffer.  Only the
+        // stepper's behavior changed, so another process's buffered
+        // messages keep the node's liveness; the stepper's remaining
+        // buffer is judged by its stepped clone, and each arriving send
+        // once, by its receiver in the child.
         const Behavior& receiver =
                 q == stepper ? *g.behavior : sys.behavior_of(q);
-        const auto& buf = sys.buffer(q);
-        std::size_t live = 0;
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, *buf[i].payload, receiver, abs))
-                ++live;
+        folded.clear();
+        if (q == stepper) {
+            const auto& buf = sys.buffer(q);
+            for (std::size_t i = skip; i < mh.size(); ++i)
+                if (!dead_message(buf[i].from, *buf[i].payload, receiver,
+                                  abs))
+                    folded.push_back(mh[i]);
+        } else {
+            const std::size_t first = live.begin(q);
+            for (std::size_t i = 0; i < mh.size(); ++i)
+                if (live.live(first + i)) folded.push_back(mh[i]);
+        }
         for (const ArrivingSend& a : arriving)
             if (a.dest == q &&
                 !dead_message(stepper, *a.payload, receiver, abs))
-                ++live;
-        h.u64(live);
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, *buf[i].payload, receiver, abs))
-                h.fold(mh[i]);
-        for (const ArrivingSend& a : arriving)
-            if (a.dest == q &&
-                !dead_message(stepper, *a.payload, receiver, abs))
-                h.fold(a.hash);
+                folded.push_back(a.hash);
+        h.u64(folded.size());
+        for (const Digest128& d : folded) h.fold(d);
     }
     for (ProcessId q = 1; q <= n; ++q) {
         if (abs.decided_final) {
@@ -701,8 +709,10 @@ struct ProcMoves {
 struct ReducedWorker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
+    NodeLiveness live;  ///< the node's liveness, absorption or non-trivial G
     RenamedNodeDigests renamed;  ///< the node's table, non-trivial G only
     std::vector<ArrivingSend> arriving;
+    std::vector<Digest128> folded;  ///< one child buffer's live digests
     std::vector<ProcMoves> moves;       ///< the node's enumerable moves
     std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
 };
@@ -770,17 +780,19 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         wk.moves.push_back(pm);
     }
 
-    // Renamed digests every candidate of this node reuses, tabulated
-    // once (core/reduction.hpp).
+    // The liveness and renamed digests every candidate of this node
+    // reuses, judged and tabulated once (core/reduction.hpp).
     const bool symmetric = !red.group.is_trivial();
+    if ((abs.strip_inert || symmetric) && total_moves > 0)
+        wk.live.build(sys, cfg.n, abs);
     if (symmetric && total_moves > 0)
-        wk.renamed.build(sys, cfg.n, algorithm, red.group, abs);
+        wk.renamed.build(sys, cfg.n, algorithm, red.group, wk.live, abs);
 
     auto emit_child = [&](const GhostStep& g, ProcessId p) {
         fill_arriving(g, p, wk.arriving);
         StoreChild child;
         child.key = hash_child(sys, cfg.n, p, g, *node.marks, *node.mhash,
-                               wk.arriving, abs);
+                               wk.arriving, wk.live, abs, wk.folded);
         if (symmetric) {
             GhostEffects eff;
             eff.stepper = p;

@@ -209,7 +209,9 @@ struct ExploreStats {
     /// Delta-chain steps replayed by re-materialization (undo-trail
     /// misses).
     std::uint64_t replay_steps = 0;
-    /// Spilled-record reads during re-materialization.
+    /// Spill-file block fetches during re-materialization: each is one
+    /// seek and one read of up to DeltaStore::Reader::kBlockRecords
+    /// records, however many spilled records it then serves.
     std::uint64_t spill_reads = 0;
     /// Peak bytes resident in the store-owned structures (visited
     /// shards + delta window), sampled per expansion block.

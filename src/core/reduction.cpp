@@ -288,29 +288,42 @@ Digest128 hash_state_renamed(const System& sys, int n,
     return h.digest();
 }
 
+void NodeLiveness::build(const System& sys, int n,
+                         const AbsorptionContext& abs) {
+    begin_.resize(static_cast<std::size_t>(n) + 1);
+    live_.clear();
+    for (ProcessId p = 1; p <= n; ++p) {
+        begin_[p - 1] = live_.size();
+        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
+        const Behavior& receiver = sys.behavior_of(p);
+        for (const Message& m : sys.buffer(p))
+            live_.push_back(
+                    dead_message(m.from, *m.payload, receiver, abs) ? 0 : 1);
+    }
+    begin_[static_cast<std::size_t>(n)] = live_.size();
+}
+
 void RenamedNodeDigests::build(const System& sys, int n,
                                const Algorithm& algorithm,
                                const SymmetryGroup& group,
+                               const NodeLiveness& live,
                                const AbsorptionContext& abs) {
     sys_ = &sys;
     algorithm_ = &algorithm;
     group_ = &group;
+    live_ = &live;
     abs_ = abs;
     n_ = n;
     const std::size_t procs = static_cast<std::size_t>(n);
 
-    // The messages of every non-absorbed buffer, each with its liveness
-    // at its receiver and the earliest equal message (its digests'
+    // The messages of every non-absorbed buffer, in NodeLiveness order,
+    // each with the earliest equal message (its digests'
     // representative).  Absorbed buffers are never folded, so they
     // contribute no entry -- and hence no representative.
     msgs_.clear();
-    live_.clear();
     rep_.clear();
-    msg_begin_.assign(procs + 1, 0);
     for (ProcessId p = 1; p <= n; ++p) {
-        msg_begin_[p - 1] = msgs_.size();
         if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
-        const Behavior& receiver = sys.behavior_of(p);
         for (const Message& m : sys.buffer(p)) {
             std::size_t rep = msgs_.size();
             for (std::size_t j = 0; j < msgs_.size(); ++j)
@@ -320,12 +333,11 @@ void RenamedNodeDigests::build(const System& sys, int n,
                     break;
                 }
             msgs_.push_back(&m);
-            live_.push_back(
-                    dead_message(m.from, *m.payload, receiver, abs) ? 0 : 1);
             rep_.push_back(rep);
         }
     }
-    msg_begin_[procs] = msgs_.size();
+    invariant(msgs_.size() == live.size(),
+              "RenamedNodeDigests::build: liveness table of another node");
 
     const std::size_t stride = procs + msgs_.size();
     table_.resize((group.size() - 1) * stride);
@@ -403,7 +415,7 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
         // prefix, then q's surviving arrivals in emission order (as
         // apply_choice appends them), dead messages deleted as judged
         // by q's behavior in the child.
-        const std::size_t begin = msg_begin_[q - 1];
+        const std::size_t begin = live_->begin(q);
         if (q == stepper) {
             const auto& buf = sys.buffer(q);
             for (std::size_t i = eff.delivered; i < buf.size(); ++i)
@@ -411,8 +423,8 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
                                   *eff.behavior_after, abs_))
                     fold_.push_back(begin + i);
         } else {
-            for (std::size_t i = begin; i < msg_begin_[q]; ++i)
-                if (live_[i] != 0) fold_.push_back(i);
+            for (std::size_t i = begin; i < live_->begin(q + 1); ++i)
+                if (live_->live(i)) fold_.push_back(i);
         }
         const Behavior& receiver =
                 q == stepper ? *eff.behavior_after : sys.behavior_of(q);

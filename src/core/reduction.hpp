@@ -230,6 +230,37 @@ inline bool dead_message(ProcessId from, const Payload& payload,
     return abs.strip_inert && receiver.message_inert(from, payload);
 }
 
+/// The liveness (dead_message) of every message one expanded node
+/// buffers at a non-absorbed process, judged once per node against its
+/// receiver's behavior at the node.  Entries run process by process in
+/// buffer order; an absorbed process (decided under
+/// AbsorptionContext::decided_final) keys on its decision alone and
+/// gets none.  A ghost step changes only its stepper's behavior, so
+/// every other process's entries hold in each candidate child too: the
+/// explorer's child keys read them and judge only the stepper's
+/// remaining buffer and the arriving sends.  RenamedNodeDigests
+/// tabulates the same message sequence and reads the same entries.  One
+/// per worker, rebuilt per node, allocation-free once its buffers have
+/// grown.
+class NodeLiveness {
+public:
+    /// Judges the node `sys`.  With abs.strip_inert off every entry is
+    /// live and no behavior is asked.
+    void build(const System& sys, int n, const AbsorptionContext& abs);
+
+    /// Process p's entries are [begin(p), begin(p + 1)): entry
+    /// begin(p) + i is message i of its buffer.  1 <= p <= n + 1.
+    std::size_t begin(ProcessId p) const {
+        return begin_[static_cast<std::size_t>(p) - 1];
+    }
+    std::size_t size() const { return live_.size(); }
+    bool live(std::size_t entry) const { return live_[entry] != 0; }
+
+private:
+    std::vector<std::size_t> begin_;  ///< n + 1 offsets into live_
+    std::vector<std::uint8_t> live_;
+};
+
 /// Full-state digest under the identity renaming, recomputed from the
 /// live System: field-for-field the explorer's cached child key, with
 /// the absorption quotient applied (decided processes fold to their
@@ -278,9 +309,9 @@ struct GhostEffects {
 /// its decision alone and gets no entries).  A broadcast sits in up to
 /// n-1 buffers, so a message whose sender and payload EQUAL those of an
 /// earlier entry reuses that entry's digests (compared by value, never
-/// by digest: the table adds no collision assumption).  The liveness of
-/// each entry (dead_message, renaming-invariant) is judged once here
-/// too.
+/// by digest: the table adds no collision assumption).  The entries run
+/// in NodeLiveness order, and each entry's liveness (renaming-invariant)
+/// is read from the node's NodeLiveness.
 ///
 /// min_child_key() then keys one ghost step's child under every g as a
 /// fold of table entries, plus what the step itself changes: the
@@ -290,10 +321,12 @@ struct GhostEffects {
 /// byte stream is exactly hash_state_renamed's over the realized child.
 class RenamedNodeDigests {
 public:
-    /// Tabulates the node `sys` for `group`.  `sys`, `algorithm` and
-    /// `group` are borrowed until the next build().
+    /// Tabulates the node `sys` for `group`; `live` must have been
+    /// built on the same node with the same `abs`.  `sys`, `algorithm`,
+    /// `group` and `live` are borrowed until the next build().
     void build(const System& sys, int n, const Algorithm& algorithm,
-               const SymmetryGroup& group, const AbsorptionContext& abs);
+               const SymmetryGroup& group, const NodeLiveness& live,
+               const AbsorptionContext& abs);
 
     /// Canonical key of the child the ghost step `eff` reaches from the
     /// built node: the minimum of `identity_key` (the caller's cached
@@ -318,15 +351,15 @@ private:
     const System* sys_ = nullptr;
     const Algorithm* algorithm_ = nullptr;
     const SymmetryGroup* group_ = nullptr;
+    /// The node's liveness; p's messages are msgs_[live_->begin(p) ..
+    /// live_->begin(p + 1)).
+    const NodeLiveness* live_ = nullptr;
     AbsorptionContext abs_;
     int n_ = 0;
     RenameScratch scratch_;
 
     // Per node.
     std::vector<const Message*> msgs_;  ///< tabulated messages, by process
-    /// p's messages are msgs_[msg_begin_[p-1] .. msg_begin_[p]).
-    std::vector<std::size_t> msg_begin_;
-    std::vector<std::uint8_t> live_;    ///< liveness at the parent receiver
     std::vector<std::size_t> rep_;      ///< earliest equal message
     /// (|G|-1) blocks of n + msgs_.size() digests, one per non-identity
     /// element: block g-1 holds g's behavior digests (slot p-1, valid

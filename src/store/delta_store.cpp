@@ -1,5 +1,6 @@
 #include "store/delta_store.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -120,23 +121,60 @@ DeltaRecord DeltaStore::Reader::get(std::uint64_t id) {
     require(id < store_->size(), "DeltaStore::Reader: id out of range");
     if (id >= store_->flushed_)
         return store_->window_[static_cast<std::size_t>(id - store_->flushed_)];
-    ++spill_reads_;
-    if (!in_.is_open()) {
-        in_.open(store_->path_, std::ios::binary);
-        require(in_.good(), "DeltaStore::Reader: cannot open spill file");
-    }
-    char buf[kRecordBytes];
-    // The file grows between reads (later spills append); clear any
-    // stale eof state from a previous read near the then-current end.
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(kHeaderBytes + id * kRecordBytes));
-    in_.read(buf, sizeof(buf));
-    require(in_.good(), "DeltaStore::Reader: spill read failed");
+    const std::size_t slot = slot_of(id);
+    const char* buf = bytes_.data() +
+                      (slot * kBlockRecords + (id - blocks_[slot].first)) *
+                              kRecordBytes;
     DeltaRecord r;
     r.parent = get_u64le(buf);
     r.stepper = get_u32le(buf + 8);
     r.delivered = get_u32le(buf + 12);
     return r;
+}
+
+std::size_t DeltaStore::Reader::slot_of(std::uint64_t id) {
+    if (blocks_.empty()) {
+        blocks_.resize(kBlocks);
+        bytes_.resize(kBlocks * kBlockRecords * kRecordBytes);
+    }
+    const std::uint64_t first = id - id % kBlockRecords;
+    // The block's slot if it is cached, else the least recently used
+    // one (empty slots carry stamp 0 and go first).
+    std::size_t slot = 0;
+    bool cached = false;
+    for (std::size_t s = 0; s < kBlocks; ++s) {
+        if (blocks_[s].valid != 0 && blocks_[s].first == first) {
+            slot = s;
+            cached = true;
+            break;
+        }
+        if (blocks_[s].used < blocks_[slot].used) slot = s;
+    }
+    Block& block = blocks_[slot];
+    block.used = ++clock_;
+    if (cached && id - first < block.valid) return slot;
+
+    // Fetch the block's spilled part: a cached partial tail block whose
+    // end the file has grown past is refilled in place.
+    ++spill_reads_;
+    if (!in_.is_open()) {
+        in_.open(store_->path_, std::ios::binary);
+        require(in_.good(), "DeltaStore::Reader: cannot open spill file");
+    }
+    const std::uint64_t count =
+            std::min<std::uint64_t>(kBlockRecords, store_->flushed_ - first);
+    block.first = first;
+    block.valid = 0;  // empty until the read has succeeded
+    // The file grows between reads (later spills append); clear any
+    // stale eof state from a previous read near the then-current end.
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(kHeaderBytes +
+                                          first * kRecordBytes));
+    in_.read(bytes_.data() + slot * kBlockRecords * kRecordBytes,
+             static_cast<std::streamsize>(count * kRecordBytes));
+    require(in_.good(), "DeltaStore::Reader: spill read failed");
+    block.valid = static_cast<std::size_t>(count);
+    return slot;
 }
 
 }  // namespace ksa::store

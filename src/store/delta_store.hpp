@@ -23,13 +23,17 @@
 // records of three little-endian fields (u64 parent, u32 stepper, u32
 // delivered), 16 bytes each, at file offset 8 + 16*id.  Fixed-size
 // records make spilled nodes random-access (a seek, not a scan), which
-// re-materialization depends on.
+// re-materialization depends on; a Reader fetches the aligned block of
+// records around an id with one seek and one read, since a delta
+// chain's next ids -- siblings, the parent -- mostly sit in the blocks
+// it has just read.
 //
 // CONCURRENCY.  Appends happen only in the sequential merge phase;
 // parallel expansion phases only read.  RAM-window reads are plain
 // const reads of a vector that no one mutates during the phase; spill
 // reads go through per-worker Reader objects, each owning its private
-// file handle.  No locks anywhere -- phase separation is the protocol.
+// file handle and block cache.  No locks anywhere -- phase separation
+// is the protocol.
 
 #include <cstddef>
 #include <cstdint>
@@ -73,18 +77,42 @@ class DeltaStore {
     const std::string& spill_path() const { return path_; }
 
     /// Per-worker random-access reader.  RAM-window hits are lock-free
-    /// const reads; spilled ids are read through this reader's private
-    /// ifstream.  Valid only while the store outlives it; must not be
-    /// used concurrently with append().
+    /// const reads; spilled ids are served from a few cached blocks of
+    /// kBlockRecords aligned records, fetched through this reader's
+    /// private ifstream (one seek and one read of the block's spilled
+    /// part) and replaced least-recently-used first.  Spilled records
+    /// never change, so a cached record is never stale; a block that
+    /// was the file's partial tail when fetched is fetched again once
+    /// an id past its end is asked for.  Valid only while the store
+    /// outlives it; must not be used concurrently with append().
     class Reader {
       public:
+        static constexpr std::size_t kBlockRecords = 256;
+        static constexpr std::size_t kBlocks = 8;
+
         explicit Reader(const DeltaStore& store) : store_(&store) {}
         DeltaRecord get(std::uint64_t id);
+        /// Blocks fetched from the spill file so far.
         std::uint64_t spill_reads() const { return spill_reads_; }
 
       private:
+        struct Block {
+            std::uint64_t first = 0;  ///< id of the block's first record
+            std::size_t valid = 0;    ///< records held (0: empty slot)
+            std::uint64_t used = 0;   ///< last-use stamp
+        };
+
+        /// The slot holding the spilled id `id`, fetched if need be.
+        std::size_t slot_of(std::uint64_t id);
+
         const DeltaStore* store_;
         std::ifstream in_;  ///< lazily opened on the first spilled read
+        /// kBlocks slots and their raw KSASPILL-1 bytes, slot s at
+        /// bytes_[s * kBlockRecords * 16]; allocated on the first
+        /// spilled read.
+        std::vector<Block> blocks_;
+        std::vector<char> bytes_;
+        std::uint64_t clock_ = 0;
         std::uint64_t spill_reads_ = 0;
     };
 

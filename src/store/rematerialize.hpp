@@ -111,7 +111,7 @@ class Rematerializer {
     /// depends on work distribution, so it is excluded from every
     /// equivalence comparison, like steal counts).
     std::uint64_t replay_steps() const { return replay_steps_; }
-    /// Spilled-record reads so far (observability).
+    /// Spill-file block fetches so far (observability; DeltaStore::Reader).
     std::uint64_t spill_reads() const { return reader_.spill_reads(); }
 
   private:

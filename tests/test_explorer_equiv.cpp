@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
@@ -50,6 +53,17 @@ void expect_equal_with_store_counters(const ExploreResult& a,
     EXPECT_EQ(a.spill_bytes, b.spill_bytes) << label;
 }
 
+/// `counts` plus the hardware thread count, each distinct count once,
+/// in ascending order: on a machine whose hardware count is already
+/// listed, that configuration runs once, not twice.
+std::vector<int> thread_counts(std::initializer_list<int> counts) {
+    std::vector<int> out(counts);
+    out.push_back(exec::hardware_threads());
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
 /// Runs `cfg` through the reference at 1 thread -- the anchor -- then
 /// through the reference at threads 2, 4 and the hardware count and the
 /// store path at threads 1, 2, 4 and the hardware count, and requires
@@ -61,7 +75,7 @@ ExploreResult expect_all_engines_agree(const Algorithm& algorithm,
     cfg.mode = ExploreMode::kReference;
     cfg.threads = 1;
     const ExploreResult anchor = explore_schedules(algorithm, cfg);
-    for (const int threads : {1, 2, 4, exec::hardware_threads()}) {
+    for (const int threads : thread_counts({1, 2, 4})) {
         cfg.threads = threads;
         for (const ExploreMode mode :
              {ExploreMode::kReference, ExploreMode::kFast}) {
@@ -209,7 +223,8 @@ std::pair<ExploreResult, ExploreResult> expect_reduced_agrees(
     const ExploreResult fast = explore_schedules(algorithm, cfg);
     cfg.mode = ExploreMode::kReduced;
     const ExploreResult red1 = explore_schedules(algorithm, cfg);
-    for (const int threads : {2, 4, exec::hardware_threads()}) {
+    for (const int threads : thread_counts({2, 4})) {
+        if (threads == 1) continue;  // red1 itself
         cfg.threads = threads;
         const ExploreResult red_n = explore_schedules(algorithm, cfg);
         expect_same_verdict(red1, red_n,
@@ -406,6 +421,32 @@ TEST(ReducedEquivalence, SymmetricKeyFingerprint) {
     }
 }
 
+// The same pin for the path that absorption alone shapes: distinct
+// inputs make the group trivial, so every key is an identity key from
+// hash_child, whose dead-message deletion reads the node's liveness
+// table for the non-stepping processes and judges the stepper's
+// remaining buffer and the arriving sends per candidate.  Depth 7 is
+// deep enough for decided (absorbed) processes and persistent-set
+// skips; the 1-bit filter makes the tier counters sensitive to every
+// key, as in SymmetricKeyFingerprint.
+TEST(ReducedEquivalence, AbsorptionKeyFingerprint) {
+    auto algorithm = algo::make_flp_kset(4, 1);
+    ExploreConfig cfg = base_config(4, 1, 7);
+    cfg.mode = ExploreMode::kReduced;
+    cfg.store.filter_bits_per_key = 1;
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        const ExploreResult r = explore_schedules(*algorithm, cfg);
+        const std::string label = "threads " + std::to_string(threads);
+        EXPECT_EQ(r.states_explored, 26797u) << label;
+        EXPECT_EQ(r.schedules_expanded, 26797u) << label;
+        EXPECT_EQ(r.dedup_hits, 84500u) << label;
+        EXPECT_EQ(r.por_skips, 1056u) << label;
+        EXPECT_EQ(r.filter_definite_new, 7869u) << label;
+        EXPECT_EQ(r.filter_false_positives, 18928u) << label;
+    }
+}
+
 // With every reduction switched off, kReduced must not merely agree --
 // it must run exactly as kFast does: the same verdict (counts, witness,
 // everything) and, because it feeds the visited store the very same
@@ -576,7 +617,8 @@ TEST(StoreEquivalence, CountersAreThreadCountInvariant) {
             cfg.store = opt;
             cfg.threads = 1;
             const ExploreResult one = explore_schedules(*algorithm, cfg);
-            for (const int threads : {2, exec::hardware_threads()}) {
+            for (const int threads : thread_counts({2})) {
+                if (threads == 1) continue;  // `one` itself
                 cfg.threads = threads;
                 const ExploreResult many = explore_schedules(*algorithm, cfg);
                 expect_equal_with_store_counters(

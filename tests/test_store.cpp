@@ -1,11 +1,12 @@
 // Tests for the out-of-core exploration store (src/store/): the bloom
 // tier's no-false-negative guarantee, exact-tier equivalence against a
 // std::set reference, batch-dedup determinism across thread and shard
-// counts, the KSASPILL-1 delta spill round-trip, delta replay on the
-// undo trail (Rematerializer) equivalence against direct apply_choice
-// replay, System::fork() round-trips under live Byzantine fault
-// injection, and end-to-end exploration byte-identity under forced
-// spill.
+// counts, the KSASPILL-1 delta spill round-trip and the spill reader's
+// block cache (tail refills, a truncated file, fetch counts), delta
+// replay on the undo trail (Rematerializer) equivalence against direct
+// apply_choice replay, System::fork() round-trips under live Byzantine
+// fault injection, and end-to-end exploration byte-identity under
+// forced spill.
 //
 // doc/performance.md §6 describes the store; the determinism argument
 // tested here is the one stated at the top of store/visited_store.hpp:
@@ -169,18 +170,27 @@ TEST(ShardedVisitedStore, BatchVerdictsMatchSequentialInsertion) {
 
 // ------------------------------------------------------- delta spill
 
+DeltaRecord numbered_record(std::uint64_t i) {
+    DeltaRecord rec;
+    rec.parent = i * 3;
+    rec.stepper = static_cast<std::uint32_t>(i % 7 + 1);
+    rec.delivered = static_cast<std::uint32_t>(i % 5);
+    return rec;
+}
+
+void expect_numbered(const DeltaRecord& rec, std::uint64_t i) {
+    EXPECT_EQ(rec.parent, i * 3) << i;
+    EXPECT_EQ(rec.stepper, i % 7 + 1) << i;
+    EXPECT_EQ(rec.delivered, i % 5) << i;
+}
+
 TEST(DeltaStore, SpillRoundTripPreservesEveryRecord) {
     StoreOptions opt;
     opt.frontier_ram_bytes = 64;  // 4-record window: spill constantly
     DeltaStore deltas(opt);
     const std::uint64_t kCount = 1000;
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-        DeltaRecord rec;
-        rec.parent = i * 3;
-        rec.stepper = static_cast<std::uint32_t>(i % 7 + 1);
-        rec.delivered = static_cast<std::uint32_t>(i % 5);
-        EXPECT_EQ(deltas.append(rec), i);
-    }
+    for (std::uint64_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(deltas.append(numbered_record(i)), i);
     EXPECT_EQ(deltas.size(), kCount);
     EXPECT_GT(deltas.spilled_records(), 0u);
     EXPECT_EQ(deltas.spill_bytes(), deltas.spilled_records() * 16);
@@ -191,14 +201,92 @@ TEST(DeltaStore, SpillRoundTripPreservesEveryRecord) {
     DeltaStore::Reader fwd(deltas);
     DeltaStore::Reader bwd(deltas);
     for (std::uint64_t i = 0; i < kCount; ++i) {
-        for (const std::uint64_t id : {i, kCount - 1 - i}) {
-            const DeltaRecord rec = (id == i ? fwd : bwd).get(id);
-            EXPECT_EQ(rec.parent, id * 3) << id;
-            EXPECT_EQ(rec.stepper, id % 7 + 1) << id;
-            EXPECT_EQ(rec.delivered, id % 5) << id;
-        }
+        for (const std::uint64_t id : {i, kCount - 1 - i})
+            expect_numbered((id == i ? fwd : bwd).get(id), id);
     }
     EXPECT_GT(fwd.spill_reads(), 0u);
+}
+
+constexpr std::uint64_t kBlock = DeltaStore::Reader::kBlockRecords;
+
+// A reader that fetched the spill file's partial tail block must not
+// answer from it for ids a later spill wrote past its end: it fetches
+// that block again.
+TEST(DeltaStore, ReaderRefillsACachedPartialTailBlock) {
+    StoreOptions opt;
+    opt.frontier_ram_bytes = 1024;  // 64-record window, spills of 32
+    DeltaStore deltas(opt);
+    std::uint64_t next = 0;
+    while (deltas.spilled_records() == 0)
+        deltas.append(numbered_record(next++));
+    const std::uint64_t cached = deltas.spilled_records();
+    ASSERT_LT(cached, kBlock);  // the file ends inside block 0
+
+    DeltaStore::Reader reader(deltas);
+    for (std::uint64_t id = 0; id < cached; ++id)
+        expect_numbered(reader.get(id), id);
+    EXPECT_EQ(reader.spill_reads(), 1u);
+
+    while (deltas.spilled_records() < 2 * kBlock)
+        deltas.append(numbered_record(next++));
+    for (std::uint64_t id = cached; id < kBlock; ++id)
+        expect_numbered(reader.get(id), id);
+    EXPECT_EQ(reader.spill_reads(), 2u);  // one refill serves the rest
+    for (std::uint64_t id = 0; id < kBlock; ++id)
+        expect_numbered(reader.get(id), id);
+    EXPECT_EQ(reader.spill_reads(), 2u);
+}
+
+// A spill file that lost its tail (a full disk, an outside truncation)
+// makes a read of a lost id fail loudly; it never yields a record that
+// was not written.  Records a reader already holds were written and
+// stay readable.
+TEST(DeltaStore, TruncatedSpillFileFailsLoudly) {
+    StoreOptions opt;
+    opt.frontier_ram_bytes = 1024;
+    DeltaStore deltas(opt);
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        deltas.append(numbered_record(i));
+    ASSERT_GT(deltas.spilled_records(), 3 * kBlock);
+
+    DeltaStore::Reader warm(deltas);
+    expect_numbered(warm.get(5), 5);  // caches block 0
+    const std::uint64_t kept = kBlock + kBlock / 2;
+    std::filesystem::resize_file(deltas.spill_path(), 8 + 16 * kept);
+
+    expect_numbered(warm.get(7), 7);
+    DeltaStore::Reader cold(deltas);
+    for (DeltaStore::Reader* reader : {&warm, &cold}) {
+        EXPECT_THROW(reader->get(kept + 1), UsageError);       // block 1
+        EXPECT_THROW(reader->get(2 * kBlock + 3), UsageError);  // block 2
+        EXPECT_THROW(reader->get(kept + 1), UsageError);  // no half block
+    }
+    expect_numbered(cold.get(kBlock - 1), kBlock - 1);  // block 0 is whole
+}
+
+// Consecutive ids share block fetches, and a node's block and its
+// parent's block -- slots a direct-mapped cache would collide on --
+// stay cached side by side.
+TEST(DeltaStore, SpilledReadsAreServedInBlocks) {
+    StoreOptions opt;
+    opt.frontier_ram_bytes = 1024;
+    DeltaStore deltas(opt);
+    for (std::uint64_t i = 0; i < 20 * kBlock; ++i)
+        deltas.append(numbered_record(i));
+    ASSERT_GT(deltas.spilled_records(), 1000u);
+
+    DeltaStore::Reader reader(deltas);
+    for (std::uint64_t id = 0; id < 1000; ++id)
+        expect_numbered(reader.get(id), id);
+    EXPECT_LE(reader.spill_reads(), 1000u / 16);
+
+    DeltaStore::Reader pairs(deltas);
+    const std::uint64_t far = DeltaStore::Reader::kBlocks * kBlock;
+    for (std::uint64_t id = far; id < far + kBlock; ++id) {
+        expect_numbered(pairs.get(id), id);
+        expect_numbered(pairs.get(id - far), id - far);
+    }
+    EXPECT_EQ(pairs.spill_reads(), 2u);
 }
 
 TEST(DeltaStore, SpillFileIsRemovedOnDestruction) {
