@@ -93,14 +93,21 @@ void DeltaStore::spill_window() {
     // next expansion phase will re-materialize most -- stays resident.
     const std::size_t count = window_.size() / 2;
     if (count == 0) return;
+    namespace fs = std::filesystem;
     if (path_.empty()) {
-        namespace fs = std::filesystem;
         const fs::path dir =
                 dir_.empty() ? fs::temp_directory_path() : fs::path(dir_);
         path_ = (dir / unique_spill_name()).string();
         out_.open(path_, std::ios::binary | std::ios::trunc);
         require(out_.good(), "DeltaStore: cannot create spill file");
         out_.write(kMagic, sizeof(kMagic));
+    } else {
+        // A file cut short under the store would make this append leave
+        // a zero-filled hole that reads back as records never written.
+        std::error_code ec;
+        const std::uintmax_t bytes = fs::file_size(path_, ec);
+        require(!ec && bytes == kHeaderBytes + flushed_ * kRecordBytes,
+                "DeltaStore: spill file changed size under the store");
     }
     char buf[kRecordBytes];
     for (std::size_t i = 0; i < count; ++i) {

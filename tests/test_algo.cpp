@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include "algo/flooding.hpp"
+#include "algo/floodmin.hpp"
 #include "algo/initial_clique.hpp"
+#include "algo/kset_paxos.hpp"
+#include "algo/one_third_rule.hpp"
 #include "algo/paxos_consensus.hpp"
 #include "algo/quorum_leader_kset.hpp"
 #include "algo/ranked_set_agreement.hpp"
 #include "core/kset_spec.hpp"
 #include "fd/sources.hpp"
+#include "sim/rounds.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
 #include "sim/trace.hpp"
@@ -438,6 +442,181 @@ TEST(CloneAndFold, DefaultFoldStateMatchesDigest) {
     FailurePlan plan;
     auto oracle = benign_oracle(4, plan);
     audit_clone_and_fold(algorithm, 4, plan, 6, oracle.get());
+}
+
+// ------------------------------------------------ state_digest literals
+//
+// Known answers for every algorithm's state_digest(), one case per
+// algorithm: the strings a recorded step stores as digest_after and the
+// reference explorer keys states on.  Each case renders every process
+// after a few seeded random steps (or executed rounds), with inputs
+// chosen so the literals cover a `dec=` flag both ways, an empty id set
+// and a negative value wherever the state can hold one.  A renderer
+// that drifts by a byte fails here.
+
+/// Every process's state_digest() after `steps` steps of
+/// RandomScheduler(seed), one line per process.
+std::string digests_after(const Algorithm& algorithm, int n,
+                          std::vector<Value> inputs, FailurePlan plan,
+                          int steps, std::uint64_t seed,
+                          FdOracle* oracle = nullptr) {
+    System sys(algorithm, n, std::move(inputs), std::move(plan), oracle);
+    RandomScheduler sched(seed);
+    for (int i = 0; i < steps; ++i) {
+        const std::optional<StepChoice> choice = sched.next(sys);
+        if (!choice) break;
+        sys.apply_choice(*choice);
+    }
+    std::string out;
+    for (ProcessId p = 1; p <= n; ++p) out += sys.last_digest(p) + "\n";
+    return out;
+}
+
+/// Every record's digest_after of a full-HO round run, one per line.
+std::string round_digests(const ho::RoundAlgorithm& algorithm,
+                          std::vector<Value> inputs, int rounds) {
+    ho::FullHo full;
+    const int n = static_cast<int>(inputs.size());
+    const ho::HoRun run =
+            ho::execute_ho(algorithm, n, std::move(inputs), full, rounds);
+    std::string out;
+    for (const ho::HoRecord& rec : run.records) out += rec.digest_after + "\n";
+    return out;
+}
+
+std::unique_ptr<FdOracle> quorum_leaders_oracle(int n, const FailurePlan& plan,
+                                                std::vector<ProcessId> leaders) {
+    return std::make_unique<fd::ComposedOracle>(
+            std::make_unique<fd::CorrectSetQuorum>(n, plan),
+            std::make_unique<fd::StableLeaders>(std::move(leaders), 0));
+}
+
+TEST(DigestLiterals, InitialClique) {
+    const auto algorithm = algo::make_flp_kset(4, 1);  // L = 3
+    FailurePlan plan;
+    plan.set_initially_dead(2);
+    const std::vector<Value> inputs{-7, 4, 0, -12};
+    EXPECT_EQ(digests_after(*algorithm, 4, inputs, plan, 0, 1),
+              "IC(p1,x=-7,ph=0,heard={},req={},known={})\n"
+              "IC(p2,x=4,ph=0,heard={},req={},known={})\n"
+              "IC(p3,x=0,ph=0,heard={},req={},known={})\n"
+              "IC(p4,x=-12,ph=0,heard={},req={},known={})\n");
+    EXPECT_EQ(digests_after(*algorithm, 4, inputs, plan, 9, 3),
+              "IC(p1,x=-7,ph=1,heard={3},req={},known={})\n"
+              "IC(p2,x=4,ph=0,heard={},req={},known={})\n"
+              "IC(p3,x=0,ph=1,heard={},req={},known={})\n"
+              "IC(p4,x=-12,ph=2,heard={1,3},req={1,3},known={})\n");
+    EXPECT_EQ(digests_after(*algorithm, 4, inputs, plan, 40, 3),
+              "IC(p1,x=-7,ph=3,heard={3,4},req={1,3,4},known={3:0:{1,4};4:-12:{1,3}})\n"
+              "IC(p2,x=4,ph=0,heard={},req={},known={})\n"
+              "IC(p3,x=0,ph=3,heard={1,4},req={1,3,4},known={1:-7:{3,4};4:-12:{1,3}})\n"
+              "IC(p4,x=-12,ph=3,heard={1,3},req={1,3,4},known={1:-7:{3,4};3:0:{1,4}})\n");
+}
+
+TEST(DigestLiterals, Flooding) {
+    algo::FloodingKSet algorithm(2);
+    const std::vector<Value> inputs{-3, 5, -9};
+    EXPECT_EQ(digests_after(algorithm, 3, inputs, {}, 0, 1),
+              "FL(p1,x=-3,ann=0,seen={1:-3})\n"
+              "FL(p2,x=5,ann=0,seen={2:5})\n"
+              "FL(p3,x=-9,ann=0,seen={3:-9})\n");
+    EXPECT_EQ(digests_after(algorithm, 3, inputs, {}, 4, 7),
+              "FL(p1,x=-3,ann=1,seen={1:-3,3:-9})\n"
+              "FL(p2,x=5,ann=0,seen={2:5})\n"
+              "FL(p3,x=-9,ann=1,seen={3:-9})\n");
+}
+
+TEST(DigestLiterals, TrivialWaitFree) {
+    algo::TrivialWaitFree algorithm;
+    EXPECT_EQ(digests_after(algorithm, 2, {-4, 2}, {}, 1, 1),
+              "TR(p1,x=-4,dec=1)\n"
+              "TR(p2,x=2,dec=0)\n");
+}
+
+TEST(DigestLiterals, RankedSetAgreement) {
+    algo::RankedSetAgreement algorithm;
+    FailurePlan plan;
+    auto oracle = std::make_unique<fd::ComposedOracle>(
+            std::make_unique<fd::CorrectSetQuorum>(3, plan), nullptr);
+    EXPECT_EQ(digests_after(algorithm, 3, {-2, -5, 8}, plan, 5, 99,
+                            oracle.get()),
+              "RK(p1,x=-2,ann=1,dec=0)\n"
+              "RK(p2,x=-5,ann=1,dec=0)\n"
+              "RK(p3,x=8,ann=1,dec=1)\n");
+}
+
+TEST(DigestLiterals, QuorumLeader) {
+    algo::QuorumLeaderKSet algorithm;
+    FailurePlan plan;
+    auto oracle = quorum_leaders_oracle(4, plan, {1, 3});
+    EXPECT_EQ(digests_after(algorithm, 4, {-6, 3, -1, 9}, plan, 7, 5,
+                            oracle.get()),
+              "QL(p1,x=-6,est=-6,prop=1,acks={1},dec=0)\n"
+              "QL(p2,x=3,est=3,prop=0,acks={},dec=0)\n"
+              "QL(p3,x=-1,est=-1,prop=1,acks={1,3,4},dec=0)\n"
+              "QL(p4,x=9,est=9,prop=0,acks={},dec=0)\n");
+    EXPECT_EQ(digests_after(algorithm, 4, {-6, 3, -1, 9}, plan, 30, 5,
+                            oracle.get()),
+              "QL(p1,x=-6,est=-6,prop=1,acks={1,2,3,4},dec=1)\n"
+              "QL(p2,x=3,est=3,prop=0,acks={},dec=1)\n"
+              "QL(p3,x=-1,est=-1,prop=1,acks={1,2,3,4},dec=1)\n"
+              "QL(p4,x=9,est=9,prop=0,acks={},dec=1)\n");
+}
+
+TEST(DigestLiterals, Paxos) {
+    algo::PaxosConsensus algorithm;
+    FailurePlan plan;
+    auto oracle = benign_oracle(3, plan);
+    EXPECT_EQ(digests_after(algorithm, 3, {-8, 6, -2}, plan, 8, 11,
+                            oracle.get()),
+              "PX(p1,x=-8,est=-8,pb=4,ab=0,av=0,b=4,ph=1,prop=0,#prom=2,#acc=0,dec=0)\n"
+              "PX(p2,x=6,est=6,pb=0,ab=0,av=0,b=0,ph=0,prop=0,#prom=0,#acc=0,dec=0)\n"
+              "PX(p3,x=-2,est=-2,pb=4,ab=0,av=0,b=0,ph=0,prop=0,#prom=0,#acc=0,dec=0)\n");
+    EXPECT_EQ(digests_after(algorithm, 3, {-8, 6, -2}, plan, 30, 11,
+                            oracle.get()),
+              "PX(p1,x=-8,est=-8,pb=4,ab=4,av=-8,b=4,ph=2,prop=-8,#prom=3,#acc=3,dec=1)\n"
+              "PX(p2,x=6,est=6,pb=4,ab=4,av=-8,b=0,ph=0,prop=0,#prom=0,#acc=0,dec=1)\n"
+              "PX(p3,x=-2,est=-2,pb=4,ab=4,av=-8,b=0,ph=0,prop=0,#prom=0,#acc=0,dec=1)\n");
+}
+
+TEST(DigestLiterals, KSetPaxos) {
+    algo::KSetPaxos algorithm(2);
+    FailurePlan plan;
+    auto oracle = quorum_leaders_oracle(3, plan, {1, 2});
+    EXPECT_EQ(digests_after(algorithm, 3, {-5, 7, -1}, plan, 8, 13,
+                            oracle.get()),
+              "KP(p1,x=-5,dec=0;i0:pb=4,ab=0,av=0,b=4,ph=1,#pr=1,#ac=0;i1:pb=5,ab=0,av=0,b=0,ph=0,#pr=0,#ac=0)\n"
+              "KP(p2,x=7,dec=0;i0:pb=4,ab=0,av=0,b=0,ph=0,#pr=0,#ac=0;i1:pb=5,ab=0,av=0,b=5,ph=1,#pr=1,#ac=0)\n"
+              "KP(p3,x=-1,dec=0;i0:pb=0,ab=0,av=0,b=0,ph=0,#pr=0,#ac=0;i1:pb=0,ab=0,av=0,b=0,ph=0,#pr=0,#ac=0)\n");
+    EXPECT_EQ(digests_after(algorithm, 3, {-5, 7, -1}, plan, 40, 13,
+                            oracle.get()),
+              "KP(p1,x=-5,dec=1;i0:pb=4,ab=4,av=-5,b=4,ph=2,#pr=3,#ac=3;i1:pb=5,ab=5,av=7,b=0,ph=0,#pr=0,#ac=0)\n"
+              "KP(p2,x=7,dec=1;i0:pb=4,ab=4,av=-5,b=0,ph=0,#pr=0,#ac=0;i1:pb=5,ab=5,av=7,b=5,ph=2,#pr=3,#ac=3)\n"
+              "KP(p3,x=-1,dec=1;i0:pb=4,ab=4,av=-5,b=0,ph=0,#pr=0,#ac=0;i1:pb=5,ab=5,av=7,b=0,ph=0,#pr=0,#ac=0)\n");
+}
+
+TEST(DigestLiterals, FloodMin) {
+    algo::FloodMin algorithm(2);
+    EXPECT_EQ(round_digests(algorithm, {4, -11, 0}, 3),
+              "FM(p1,est=-11,dec=0)\n"
+              "FM(p2,est=-11,dec=0)\n"
+              "FM(p3,est=-11,dec=0)\n"
+              "FM(p1,est=-11,dec=1)\n"
+              "FM(p2,est=-11,dec=1)\n"
+              "FM(p3,est=-11,dec=1)\n");
+}
+
+TEST(DigestLiterals, OneThirdRule) {
+    algo::OneThirdRule algorithm;
+    EXPECT_EQ(round_digests(algorithm, {-3, 2, -3, 5}, 3),
+              "OTR(p1,est=-3,dec=0)\n"
+              "OTR(p2,est=-3,dec=0)\n"
+              "OTR(p3,est=-3,dec=0)\n"
+              "OTR(p4,est=-3,dec=0)\n"
+              "OTR(p1,est=-3,dec=1)\n"
+              "OTR(p2,est=-3,dec=1)\n"
+              "OTR(p3,est=-3,dec=1)\n"
+              "OTR(p4,est=-3,dec=1)\n");
 }
 
 }  // namespace

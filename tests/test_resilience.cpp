@@ -113,6 +113,63 @@ TEST(ResilienceSweep, ReportsRender) {
     EXPECT_NE(md.find("Theorem 8"), std::string::npos);
 }
 
+/// Every outcome counter of a sweep, summed over its cells, as one line.
+std::string sweep_totals(const chaos::SweepReport& report) {
+    chaos::CellResult t;
+    for (const chaos::CellResult& c : report.cells) {
+        t.trials += c.trials;
+        t.decided += c.decided;
+        t.agreement_violations += c.agreement_violations;
+        t.validity_violations += c.validity_violations;
+        t.timeouts += c.timeouts;
+        t.inadmissible += c.inadmissible;
+        t.inconclusive += c.inconclusive;
+        t.retries += c.retries;
+        t.faults_injected += c.faults_injected;
+    }
+    return "cells=" + std::to_string(report.cells.size()) +
+           " trials=" + std::to_string(t.trials) +
+           " decided=" + std::to_string(t.decided) +
+           " agreement=" + std::to_string(t.agreement_violations) +
+           " validity=" + std::to_string(t.validity_violations) +
+           " timeouts=" + std::to_string(t.timeouts) +
+           " inadmissible=" + std::to_string(t.inadmissible) +
+           " inconclusive=" + std::to_string(t.inconclusive) +
+           " retries=" + std::to_string(t.retries) +
+           " faults=" + std::to_string(t.faults_injected);
+}
+
+// The totals of a small grid, pinned: a change in how the injector
+// draws its dice, how a run is recorded or how a trial is classified
+// moves at least one of these counts.
+TEST(ResilienceSweep, CrashGridTotalsArePinned) {
+    chaos::SweepConfig config;
+    config.min_n = 2;
+    config.max_n = 5;
+    config.seeds_per_cell = 6;
+    config.base_seed = 1;
+    config.profile = chaos::guarded_profile(1);
+    EXPECT_EQ(sweep_totals(chaos::resilience_sweep(config)),
+              "cells=40 trials=240 decided=211 agreement=29 validity=0 "
+              "timeouts=0 inadmissible=0 inconclusive=0 retries=0 "
+              "faults=286");
+}
+
+TEST(ResilienceSweep, ByzantineGridTotalsArePinned) {
+    chaos::SweepConfig config;
+    config.model = chaos::SweepConfig::FaultModel::kByzantine;
+    config.min_n = 2;
+    config.max_n = 5;
+    config.seeds_per_cell = 6;
+    config.base_seed = 1;
+    config.profile = chaos::byzantine_profile(1, -1);
+    config.limits.max_steps = 6000;
+    EXPECT_EQ(sweep_totals(chaos::resilience_sweep(config)),
+              "cells=40 trials=240 decided=189 agreement=6 validity=0 "
+              "timeouts=0 inadmissible=0 inconclusive=45 retries=72 "
+              "faults=847");
+}
+
 // ------------------------------------------------------------ the shrinker
 
 /// A deliberately messy agreement violation: impossible side of

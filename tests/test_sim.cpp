@@ -36,6 +36,14 @@ TEST(Payload, RenderingIsCanonical) {
     EXPECT_EQ(make_payload("PING").to_string(), "PING()");
 }
 
+TEST(Payload, RenderingKeepsSignsAndEmptyLists) {
+    const Payload p = make_payload("E", {-3, 0, 2147483647, -2147483647 - 1},
+                                   {{}, {-1, 5}, {}});
+    EXPECT_EQ(p.to_string(), "E(-3,0,2147483647,-2147483648|[],[-1,5],[])");
+    EXPECT_EQ(make_payload("L", {}, {{}}).to_string(), "L(|[])");
+    EXPECT_EQ(make_payload("", {-40}).to_string(), "(-40)");
+}
+
 TEST(Payload, EqualityIsStructural) {
     EXPECT_EQ(make_payload("A", {1}), make_payload("A", {1}));
     EXPECT_NE(make_payload("A", {1}), make_payload("A", {2}));

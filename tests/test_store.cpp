@@ -264,6 +264,28 @@ TEST(DeltaStore, TruncatedSpillFileFailsLoudly) {
     expect_numbered(cold.get(kBlock - 1), kBlock - 1);  // block 0 is whole
 }
 
+// A spill file cut short under a live store: the next spill must not
+// append past the cut and leave a zero-filled hole that a read of a
+// lost id would return as the record {0, 0, 0}.  Either the append or
+// that read fails loudly.
+TEST(DeltaStore, SpillAfterTruncationFailsLoudly) {
+    StoreOptions opt;
+    opt.frontier_ram_bytes = 1024;  // 64-record window, spills of 32
+    DeltaStore deltas(opt);
+    std::uint64_t next = 0;
+    while (next < 1000) deltas.append(numbered_record(next++));
+    ASSERT_GT(deltas.spilled_records(), 400u);
+    std::filesystem::resize_file(deltas.spill_path(), 8 + 16 * 300);
+
+    EXPECT_THROW(
+            {
+                while (next < 1200) deltas.append(numbered_record(next++));
+                DeltaStore::Reader reader(deltas);
+                (void)reader.get(400);
+            },
+            UsageError);
+}
+
 // Consecutive ids share block fetches, and a node's block and its
 // parent's block -- slots a direct-mapped cache would collide on --
 // stay cached side by side.
