@@ -4,11 +4,11 @@
 #include <algorithm>
 #include <array>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/behavior.hpp"
+#include "sim/text_writer.hpp"
 #include "sim/types.hpp"
 
 namespace ksa::algo {
@@ -45,10 +45,9 @@ protected:
         out.send(last, std::move(payload));
     }
 
-    /// Digest fragment for a set of ids/values.
+    /// Appends the digest fragment `{a,b,...}` of a set of ids/values.
     template <typename Container>
-    static std::string render(const Container& xs) {
-        std::ostringstream out;
+    static void render(TextWriter& out, const Container& xs) {
         out << '{';
         bool first = true;
         for (const auto& x : xs) {
@@ -57,7 +56,6 @@ protected:
             out << x;
         }
         out << '}';
-        return out.str();
     }
 
 private:

@@ -49,7 +49,8 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
+        std::string s;
+        TextWriter d(s);
         d << "FL(p" << id() << ",x=" << input() << ",ann=" << announced_
           << ",seen={";
         bool first = true;
@@ -59,7 +60,7 @@ public:
             d << q << ':' << v;
         }
         d << "})";
-        return d.str();
+        return s;
     }
 
     /// Same fields as state_digest, folded directly (no string).
@@ -122,10 +123,10 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
-        d << "TR(p" << id() << ",x=" << input() << ",dec=" << has_decided()
-          << ')';
-        return d.str();
+        std::string s;
+        TextWriter(s) << "TR(p" << id() << ",x=" << input()
+                      << ",dec=" << has_decided() << ')';
+        return s;
     }
 
     /// Same fields as state_digest, folded directly (no string).

@@ -1,6 +1,6 @@
 #include "algo/floodmin.hpp"
 
-#include <sstream>
+#include "sim/text_writer.hpp"
 
 namespace ksa::algo {
 
@@ -29,9 +29,10 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream out;
-        out << "FM(p" << id_ << ",est=" << est_ << ",dec=" << decided_ << ')';
-        return out.str();
+        std::string s;
+        TextWriter(s) << "FM(p" << id_ << ",est=" << est_ << ",dec=" << decided_
+                      << ')';
+        return s;
     }
 
     std::unique_ptr<ho::RoundBehavior> clone() const override {

@@ -37,7 +37,7 @@ VertexMask renamed_mask(VertexMask m, const ProcessRenaming& ren) {
 }
 
 /// Digest fragment `{a,b,...}` of the id set `m`, ascending.
-void render_ids(std::ostream& out, VertexMask m) {
+void render_ids(TextWriter& out, VertexMask m) {
     out << '{';
     bool first = true;
     for_each_id(m, [&](int q) {
@@ -102,7 +102,11 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
+        // Every recorded step renders one: sized so that most states
+        // take a single allocation (about 40 bytes plus 10-20 per id).
+        std::string s;
+        s.reserve(32 + 16 * static_cast<std::size_t>(n()));
+        TextWriter d(s);
         d << "IC(p" << id() << ",x=" << input() << ",ph=" << phase_
           << ",heard=";
         render_ids(d, heard_);
@@ -117,7 +121,7 @@ public:
             render_ids(d, list_[q - 1]);
         });
         d << "})";
-        return d.str();
+        return s;
     }
 
     /// Same fields as state_digest, folded directly (no string).

@@ -73,7 +73,8 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream out;
+        std::string s;
+        TextWriter out(s);
         out << "KP(p" << id() << ",x=" << input() << ",dec=" << has_decided();
         for (int j = 0; j < k_; ++j) {
             const Acceptor& a = acceptor_[j];
@@ -84,7 +85,7 @@ public:
                 << ",#pr=" << d.promises.size() << ",#ac=" << d.accepts.size();
         }
         out << ')';
-        return out.str();
+        return s;
     }
 
 private:

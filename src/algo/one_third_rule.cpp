@@ -1,7 +1,8 @@
 #include "algo/one_third_rule.hpp"
 
 #include <map>
-#include <sstream>
+
+#include "sim/text_writer.hpp"
 
 namespace ksa::algo {
 
@@ -38,9 +39,10 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream out;
-        out << "OTR(p" << id_ << ",est=" << est_ << ",dec=" << decided_ << ')';
-        return out.str();
+        std::string s;
+        TextWriter(s) << "OTR(p" << id_ << ",est=" << est_
+                      << ",dec=" << decided_ << ')';
+        return s;
     }
 
     std::unique_ptr<ho::RoundBehavior> clone() const override {

@@ -64,13 +64,14 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
+        std::string s;
+        TextWriter d(s);
         d << "PX(p" << id() << ",x=" << input() << ",est=" << est_
           << ",pb=" << promised_ << ",ab=" << accepted_ballot_
           << ",av=" << accepted_value_ << ",b=" << ballot_ << ",ph=" << phase_
           << ",prop=" << proposal_ << ",#prom=" << promises_.size()
           << ",#acc=" << accepts_.size() << ",dec=" << has_decided() << ')';
-        return d.str();
+        return s;
     }
 
 private:

@@ -66,11 +66,13 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
+        std::string s;
+        TextWriter d(s);
         d << "QL(p" << id() << ",x=" << input() << ",est=" << est_
-          << ",prop=" << proposed_ << ",acks=" << render(ackers_)
-          << ",dec=" << has_decided() << ')';
-        return d.str();
+          << ",prop=" << proposed_ << ",acks=";
+        render(d, ackers_);
+        d << ",dec=" << has_decided() << ')';
+        return s;
     }
 
 private:

@@ -37,10 +37,11 @@ public:
     }
 
     std::string state_digest() const override {
-        std::ostringstream d;
+        std::string s;
+        TextWriter d(s);
         d << "RK(p" << id() << ",x=" << input() << ",ann=" << announced_
           << ",dec=" << has_decided() << ')';
-        return d.str();
+        return s;
     }
 
 private:

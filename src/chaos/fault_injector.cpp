@@ -168,7 +168,7 @@ void FaultInjector::perturb(StepChoice& choice, const SystemView& view) {
         // -- duplicate (the original is still deliverable below) -------
         if (stats_.duplicates < profile_.max_duplicates &&
             !is_injected_message_id(id) &&
-            dup_done_[id] + 1 < static_cast<int>(kMaxDuplicatesPerMessage) &&
+            clones_of(id) + 1 < static_cast<int>(kMaxDuplicatesPerMessage) &&
             chance(profile_.duplicate_per_mille)) {
             FaultAction a;
             a.kind = FaultAction::Kind::kDuplicateMessage;
@@ -191,6 +191,11 @@ void FaultInjector::perturb(StepChoice& choice, const SystemView& view) {
     }
 
     maybe_inject_crash(choice, view);
+}
+
+int FaultInjector::clones_of(MessageId id) const {
+    const auto it = dup_done_.find(id);
+    return it == dup_done_.end() ? 0 : it->second;
 }
 
 bool FaultInjector::may_victimize(ProcessId sender, int n) const {

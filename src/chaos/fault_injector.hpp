@@ -103,6 +103,9 @@ private:
     /// True iff `sender` may be charged another Byzantine fault event
     /// under the victim-cap and per-victim budgets.
     bool may_victimize(ProcessId sender, int n) const;
+    /// Clones issued of source message `id` so far (a lookup: a
+    /// candidate that draws no clone leaves no map entry behind).
+    int clones_of(MessageId id) const;
 
     Scheduler* inner_;
     ChaosProfile profile_;

@@ -104,12 +104,13 @@ std::string to_string(Outcome outcome) {
 
 Outcome classify_run(const Run& run, int k) {
     if (run.stop == StopReason::kStepLimit) return Outcome::kTimedOut;
-    const AdmissibilityReport adm = check_admissibility(run);
+    const RunTally tally = run.tally();
+    const AdmissibilityReport adm = check_admissibility(run, tally);
     if (!adm.admissible) return Outcome::kInadmissible;
 
     const std::set<ProcessId>& byz = run.plan.byzantine();
     if (byz.empty()) {
-        const core::KSetCheck check = core::check_kset_agreement(run, k);
+        const core::KSetCheck check = core::check_kset_agreement(run, k, tally);
         if (!check.k_agreement) return Outcome::kAgreementViolated;
         if (!check.validity) return Outcome::kValidityViolated;
         if (!check.termination) return Outcome::kTimedOut;
@@ -126,11 +127,11 @@ Outcome classify_run(const Run& run, int k) {
         return Outcome::kAgreementViolated;
     const std::set<Value> proposed(run.inputs.begin(), run.inputs.end());
     for (ProcessId p : honest) {
-        const std::optional<Value> d = run.decision_of(p);
+        const std::optional<Value>& d = tally.decision[p - 1];
         if (d && proposed.count(*d) == 0) return Outcome::kValidityViolated;
     }
     for (ProcessId p : honest)
-        if (!run.plan.is_faulty(p) && !run.decision_of(p))
+        if (!run.plan.is_faulty(p) && !tally.decision[p - 1])
             return Outcome::kTimedOut;
     return Outcome::kDecidedCorrectly;
 }

@@ -11,6 +11,7 @@
 #include "exec/task_scheduler.hpp"
 #include "sim/digest.hpp"
 #include "sim/system.hpp"
+#include "sim/text_writer.hpp"
 #include "store/delta_store.hpp"
 #include "store/rematerialize.hpp"
 #include "store/visited_store.hpp"
@@ -91,29 +92,32 @@ std::vector<StepChoice> delivery_modes(const System& sys, ProcessId p) {
 // the golden equivalence suite can require equal verdicts.  The counts
 // BENCH_explorer.json pins rest on it too.
 //
-// Behavior digests are the expensive part of a key (one string
-// rendering over the whole local state).  A child configuration differs
-// from its parent by exactly one step of one process, so the engines
-// carry the per-process behavior state alongside each node and
-// re-render only the stepped process's entry: a key costs one behavior
-// rendering, not n.
+// A behavior digest walks the whole local state of its process.  A
+// child configuration differs from its parent by exactly one step of
+// one process, so the engines carry the per-process behavior state
+// alongside each node and re-render only the stepped process's entry: a
+// key costs one behavior rendering, not n.
 
 /// Canonical string key (reference mode).  `digests[p-1]` must be
 /// steps_of(p) > 0 ? last_digest(p) : "" (the iff-stepped convention).
 std::string canonical_state_string(const System& sys, int n,
                                    const std::vector<std::string>& digests) {
-    std::ostringstream out;
+    std::string key;
+    TextWriter out(key);
     for (ProcessId p = 1; p <= n; ++p) {
         out << '|' << (sys.crashed(p) ? "X" : "");
         auto d = sys.decision_of(p);
         if (d) out << "D" << *d;
         out << ';';
-        for (const Message& m : sys.buffer(p))
-            out << m.from << ':' << m.payload->to_string() << ',';
+        for (const Message& m : sys.buffer(p)) {
+            out << m.from << ':';
+            m.payload->render(out);
+            out << ',';
+        }
     }
     out << '#';
     for (const std::string& d : digests) out << d << '|';
-    return out.str();
+    return key;
 }
 
 /// 128-bit digest of one behavior's local state (Behavior::fold_state

@@ -6,10 +6,14 @@
 namespace ksa::core {
 
 KSetCheck check_kset_agreement(const Run& run, int k) {
+    return check_kset_agreement(run, k, run.tally());
+}
+
+KSetCheck check_kset_agreement(const Run& run, int k, const RunTally& tally) {
     require(k >= 1, "check_kset_agreement: k must be >= 1");
     KSetCheck check;
 
-    const auto decided = run.distinct_decisions();
+    const std::set<Value>& decided = tally.distinct;
     if (static_cast<int>(decided.size()) > k) {
         check.k_agreement = false;
         std::ostringstream out;
@@ -19,7 +23,7 @@ KSetCheck check_kset_agreement(const Run& run, int k) {
     }
 
     for (ProcessId p = 1; p <= run.n; ++p) {
-        auto d = run.decision_of(p);
+        const std::optional<Value>& d = tally.decision[p - 1];
         if (!d) continue;
         if (std::find(run.inputs.begin(), run.inputs.end(), *d) ==
             run.inputs.end()) {
@@ -33,7 +37,7 @@ KSetCheck check_kset_agreement(const Run& run, int k) {
 
     for (ProcessId p = 1; p <= run.n; ++p) {
         if (run.plan.is_faulty(p)) continue;
-        if (!run.decision_of(p)) {
+        if (!tally.decision[p - 1]) {
             check.termination = false;
             std::ostringstream out;
             out << "termination violated: correct p" << p << " never decided"

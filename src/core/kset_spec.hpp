@@ -30,6 +30,10 @@ struct KSetCheck {
 /// Validates `run` against k-set agreement for the given k.
 KSetCheck check_kset_agreement(const Run& run, int k);
 
+/// The same check, reading per-process facts from `tally`, which must
+/// be run.tally() (a caller that runs several checkers walks once).
+KSetCheck check_kset_agreement(const Run& run, int k, const RunTally& tally);
+
 /// Convenience for tests/benches: validates and throws UsageError with a
 /// readable message on failure.
 void expect_kset_agreement(const Run& run, int k);

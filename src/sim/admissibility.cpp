@@ -5,20 +5,25 @@
 namespace ksa {
 
 AdmissibilityReport check_admissibility(const Run& run) {
+    return check_admissibility(run, run.tally());
+}
+
+AdmissibilityReport check_admissibility(const Run& run, const RunTally& tally) {
     AdmissibilityReport report;
     if (run.stop == StopReason::kStepLimit) report.conclusive = false;
 
     for (ProcessId p = 1; p <= run.n; ++p) {
+        const std::size_t i = static_cast<std::size_t>(p) - 1;
         const bool faulty = run.plan.is_faulty(p);
-        const int steps = run.steps_of(p);
+        const int steps = tally.steps[i];
 
         // A Byzantine sender (ByzantineSpec in the effective plan) is
         // outside the crash-model obligations entirely: Byzantine k-set
         // agreement binds correct processes only, so neither a decision
         // nor drained channels are required of it.  Messages *to* a
         // correct receiver that a Byzantine channel forged still count --
-        // Run::undelivered_to transfers the delivery obligation from the
-        // tampered original to the forgery.
+        // Run::tally transfers the delivery obligation from the tampered
+        // original to the forgery.
         if (!faulty && run.plan.is_byzantine(p)) continue;
 
         if (faulty) {
@@ -40,7 +45,7 @@ AdmissibilityReport check_admissibility(const Run& run) {
         }
 
         // Correct process: must have kept stepping until it decided.
-        if (report.conclusive && !run.decision_of(p).has_value()) {
+        if (report.conclusive && !tally.decision[i].has_value()) {
             std::ostringstream out;
             out << "correct process " << p
                 << " never decided in a decisive prefix";
@@ -49,7 +54,7 @@ AdmissibilityReport check_admissibility(const Run& run) {
         // Eventual delivery: nothing addressed to a correct process may
         // remain buffered in a decisive prefix.
         if (report.conclusive) {
-            auto pending = run.undelivered_to(p);
+            const std::vector<MessageId>& pending = tally.pending[i];
             if (!pending.empty()) {
                 std::ostringstream out;
                 out << pending.size()

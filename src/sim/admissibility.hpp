@@ -42,4 +42,8 @@ struct AdmissibilityReport {
 /// Checks conditions (1')-(3') above on a recorded prefix.
 AdmissibilityReport check_admissibility(const Run& run);
 
+/// The same check, reading per-process facts from `tally`, which must
+/// be run.tally() (a caller that runs several checkers walks once).
+AdmissibilityReport check_admissibility(const Run& run, const RunTally& tally);
+
 }  // namespace ksa

@@ -4,9 +4,9 @@
 // The configuration-space explorer (core/explorer.hpp) deduplicates
 // reached configurations.  Its reference mode keys the visited set by a
 // canonical rendering of the full configuration -- unambiguous but
-// allocation-heavy: every candidate state pays an ostringstream pass
-// over every buffer and behavior.  The fast path instead folds the same
-// canonical byte stream into the 128-bit hash below.
+// allocation-heavy: every candidate state renders every buffer and the
+// stepped behavior into a fresh string key.  The fast path instead
+// folds the same canonical byte stream into the 128-bit hash below.
 //
 // Requirements (and why std::hash is banned here):
 //

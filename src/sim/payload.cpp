@@ -1,11 +1,15 @@
 #include "sim/payload.hpp"
 
-#include <sstream>
-
 namespace ksa {
 
 std::string Payload::to_string() const {
-    std::ostringstream out;
+    std::string s;
+    TextWriter out(s);
+    render(out);
+    return s;
+}
+
+void Payload::render(TextWriter& out) const {
     out << tag << '(';
     for (std::size_t i = 0; i < ints.size(); ++i) {
         if (i > 0) out << ',';
@@ -24,7 +28,6 @@ std::string Payload::to_string() const {
         }
     }
     out << ')';
-    return out.str();
 }
 
 void Payload::fold(StateHasher& h) const {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "sim/digest.hpp"
+#include "sim/text_writer.hpp"
 #include "sim/types.hpp"
 
 namespace ksa {
@@ -45,6 +46,10 @@ struct Payload {
     /// Canonical single-line rendering, e.g. `ECHO(3,7|[1,2],[4])`.
     /// Stable across runs; used for digests and traces.
     std::string to_string() const;
+
+    /// Appends to_string()'s rendering to `out` without building a
+    /// string of its own (the reference explorer's keys, core/).
+    void render(TextWriter& out) const;
 
     /// Folds the payload into `h` without materializing any string:
     /// tag, then length-prefixed ints, then length-prefixed lists.  The

@@ -123,27 +123,63 @@ std::size_t Run::messages_sent() const {
 }
 
 std::vector<MessageId> Run::undelivered_to(ProcessId p) const {
-    std::set<MessageId> sent_ids;
+    if (p < 1 || p > n) return {};
+    return std::move(tally().pending[static_cast<std::size_t>(p) - 1]);
+}
+
+RunTally Run::tally() const {
+    const std::size_t size = n > 0 ? static_cast<std::size_t>(n) : 0;
+    const auto slot = [size](ProcessId p) {
+        return p >= 1 && static_cast<std::size_t>(p) <= size
+                       ? static_cast<std::size_t>(p) - 1
+                       : size;
+    };
+    RunTally t;
+    t.steps.assign(size, 0);
+    t.decision.assign(size, std::nullopt);
+    t.pending.assign(size, {});
+    // The delivery obligation, per receiver: every id in `owed[q]` must
+    // reach q unless `settled[q]` holds it too.
+    std::vector<std::vector<MessageId>>& owed = t.pending;
+    std::vector<std::vector<MessageId>> settled(size);
+    const auto note = [&](const std::vector<Message>& msgs,
+                          std::vector<std::vector<MessageId>>& into) {
+        for (const Message& m : msgs)
+            if (const std::size_t q = slot(m.to); q < size)
+                into[q].push_back(m.id);
+    };
     for (const StepRecord& s : steps) {
-        for (const Message& m : s.sent)
-            if (m.to == p) sent_ids.insert(m.id);
+        if (s.decision) t.distinct.insert(*s.decision);
+        if (const std::size_t i = slot(s.process); i < size) {
+            ++t.steps[i];
+            if (s.decision && !t.decision[i]) t.decision[i] = s.decision;
+            for (const Message& m : s.delivered) settled[i].push_back(m.id);
+        }
+        note(s.sent, owed);
         // Injected duplicates are in-flight messages like any other:
         // leaving a clone addressed to a correct process undelivered
         // violates eventual delivery exactly as losing the original does.
-        for (const Message& m : s.injected)
-            if (m.to == p) sent_ids.insert(m.id);
+        note(s.injected, owed);
         // A Byzantine forgery *replaces* its original in flight: the
-        // forged id inherits the original's delivery obligation.
-        for (const Message& m : s.forged)
-            if (m.to == p) sent_ids.insert(m.id);
+        // forged id inherits the original's delivery obligation, and the
+        // tampered original is owed no more.
+        note(s.forged, owed);
+        note(s.tampered, settled);
     }
-    for (const StepRecord& s : steps) {
-        for (const Message& m : s.tampered)
-            if (m.to == p) sent_ids.erase(m.id);
-        if (s.process == p)
-            for (const Message& m : s.delivered) sent_ids.erase(m.id);
+    for (std::size_t q = 0; q < size; ++q) {
+        std::vector<MessageId>& ids = owed[q];
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        std::vector<MessageId>& done = settled[q];
+        std::sort(done.begin(), done.end());
+        ids.erase(std::remove_if(ids.begin(), ids.end(),
+                                 [&done](MessageId id) {
+                                     return std::binary_search(
+                                             done.begin(), done.end(), id);
+                                 }),
+                  ids.end());
     }
-    return {sent_ids.begin(), sent_ids.end()};
+    return t;
 }
 
 std::vector<std::pair<std::size_t, FaultAction>> Run::fault_events() const {

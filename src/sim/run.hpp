@@ -60,6 +60,17 @@ enum class StopReason {
 /// Renders a StopReason for reports.
 std::string to_string(StopReason r);
 
+/// Per-process facts of a run, gathered in one walk over its steps by
+/// Run::tally().  Entry p-1 belongs to process p, for p in 1..n.  The
+/// run's checkers (sim/admissibility, core/kset_spec) read these instead
+/// of walking the run once per process and question.
+struct RunTally {
+    std::vector<int> steps;                       ///< Run::steps_of(p)
+    std::vector<std::optional<Value>> decision;   ///< Run::decision_of(p)
+    std::vector<std::vector<MessageId>> pending;  ///< Run::undelivered_to(p)
+    std::set<Value> distinct;                     ///< Run::distinct_decisions()
+};
+
 /// A recorded (finite prefix of a) run.
 struct Run {
     int n = 0;                          ///< system size the algorithm believes
@@ -126,10 +137,14 @@ struct Run {
     std::size_t messages_sent() const;
 
     /// Message ids sent to `p` (duplicate injections included) that were
-    /// never delivered in this prefix.  Messages removed by an injected
-    /// drop stay listed: a drop to a correct receiver is exactly the
-    /// eventual-delivery violation admissibility checking must flag.
+    /// never delivered in this prefix, ascending.  Messages removed by an
+    /// injected drop stay listed: a drop to a correct receiver is exactly
+    /// the eventual-delivery violation admissibility checking must flag.
     std::vector<MessageId> undelivered_to(ProcessId p) const;
+
+    /// Every process's step count, decision and undelivered ids, plus
+    /// the distinct decisions, from one walk over the steps.
+    RunTally tally() const;
 
     // -- chaos-layer accessors ---------------------------------------
 

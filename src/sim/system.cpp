@@ -335,9 +335,9 @@ void System::apply_choice(const StepChoice& choice) {
     transition(p, input, recording_ ? &rec : nullptr, nullptr);
 
     if (recording_) {
-        // The digest rendering is the single most expensive part of a
-        // recorded step (an ostringstream pass over the whole local
-        // state); non-recording mode skips it along with the record.
+        // The digest renders p's whole local state into a fresh string
+        // (sim/text_writer.hpp); non-recording mode skips it along with
+        // the record.
         rec.digest_after = behaviors_[p - 1]->state_digest();
         run_.steps.push_back(std::move(rec));
     }

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algo/initial_clique.hpp"
 #include "algo/kset_paxos.hpp"
@@ -190,6 +192,66 @@ TEST(FaultInjector, HavocModeIsFlaggedInadmissible) {
         flagged = true;
     }
     EXPECT_TRUE(flagged) << "havoc profile never dropped in 10 seeds";
+}
+
+// ------------------------------------------------------------ run tally
+
+/// Run::undelivered_to's rule, spelled out per receiver with sets: ids
+/// sent, injected or forged to p, minus those tampered on the way to p
+/// or delivered at p.
+std::vector<MessageId> undelivered_by_scan(const ksa::Run& run, ProcessId p) {
+    std::set<MessageId> owed;
+    for (const StepRecord& s : run.steps)
+        for (const auto* msgs : {&s.sent, &s.injected, &s.forged})
+            for (const Message& m : *msgs)
+                if (m.to == p) owed.insert(m.id);
+    for (const StepRecord& s : run.steps) {
+        for (const Message& m : s.tampered)
+            if (m.to == p) owed.erase(m.id);
+        if (s.process == p)
+            for (const Message& m : s.delivered) owed.erase(m.id);
+    }
+    return {owed.begin(), owed.end()};
+}
+
+// The one-walk tally the classifier reads must say what the
+// per-process scans say, on runs that drop (havoc), duplicate (guard)
+// and forge (Byzantine) messages.
+TEST(RunTally, AgreesWithPerProcessScans) {
+    std::vector<ksa::Run> runs;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        RoundRobinScheduler base;
+        chaos::FaultInjector injector(base, chaos::havoc_profile(seed));
+        const auto algorithm = algo::make_flp_kset(4, 0);
+        runs.push_back(execute_run(*algorithm, 4, distinct_inputs(4),
+                                   FailurePlan{}, injector, nullptr,
+                                   {.max_steps = 4000}));
+        runs.push_back(chaos::chaos_trial(5, 2, 2, chaos::guarded_profile(seed),
+                                          seed)
+                               .run);
+        runs.push_back(chaos::byzantine_trial(
+                               5, 1, 2, chaos::byzantine_profile(seed, -1),
+                               seed, {.max_steps = 6000})
+                               .run);
+    }
+    int pending = 0, forged = 0;
+    for (const ksa::Run& run : runs) {
+        const RunTally tally = run.tally();
+        ASSERT_EQ(tally.steps.size(), static_cast<std::size_t>(run.n));
+        EXPECT_EQ(tally.distinct, run.distinct_decisions());
+        for (ProcessId p = 1; p <= run.n; ++p) {
+            const std::size_t i = static_cast<std::size_t>(p) - 1;
+            EXPECT_EQ(tally.steps[i], run.steps_of(p));
+            EXPECT_EQ(tally.decision[i], run.decision_of(p));
+            EXPECT_EQ(tally.pending[i], undelivered_by_scan(run, p));
+            EXPECT_EQ(run.undelivered_to(p), tally.pending[i]);
+            pending += tally.pending[i].empty() ? 0 : 1;
+        }
+        for (const StepRecord& s : run.steps)
+            forged += static_cast<int>(s.forged.size());
+    }
+    EXPECT_GT(pending, 0) << "no run left a message undelivered";
+    EXPECT_GT(forged, 0) << "no run forged a message";
 }
 
 TEST(FaultInjector, InjectedCrashIsFlaggedByFdValidators) {
