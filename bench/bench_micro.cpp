@@ -1,7 +1,8 @@
 // M1 -- micro-benchmarks of the substrate: simulator step throughput
-// under each scheduler, run-recording overhead, SCC scaling, failure
-// detector query cost, digest computation, delta rematerialization,
-// and heap-allocation counts of the explorer hot paths.
+// under each scheduler, run-recording overhead, one chaos trial, SCC
+// scaling, failure detector query cost, digest computation, delta
+// rematerialization, and heap-allocation counts of the explorer hot
+// paths.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,8 @@
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
 #include "algo/paxos_consensus.hpp"
+#include "chaos/profile.hpp"
+#include "chaos/resilience.hpp"
 #include "core/explorer.hpp"
 // The message-digest and canonical-key micro-benchmarks measure the
 // reduction layer's own hot paths, so this is a justified importer of
@@ -161,6 +164,31 @@ void BM_FlpProtocolEndToEnd(benchmark::State& state) {
                   : 0.0;
 }
 BENCHMARK(BM_FlpProtocolEndToEnd)->Arg(5)->Arg(9)->Arg(17)->Arg(25);
+
+// One guarded chaos trial at f = 1, k = 1: what every cell of the
+// resilience sweep repeats -- three seeded RNGs, a fault-injected
+// recording run whose every step renders a state digest, and one
+// classification walk.  Each iteration takes the next trial seed, so
+// the time column reads us per trial over a fixed seed sequence.
+void BM_ChaosTrial(benchmark::State& state) {
+    const int n = static_cast<int>(state.range(0));
+    const chaos::ChaosProfile profile = chaos::guarded_profile(1);
+    std::uint64_t seed = 1;
+    std::uint64_t allocs = 0;
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        const std::uint64_t before = alloc_calls_now();
+        chaos::TrialResult trial = chaos::chaos_trial(n, 1, 1, profile, seed++);
+        allocs += alloc_calls_now() - before;
+        steps += trial.run.steps.size();
+        benchmark::DoNotOptimize(trial);
+    }
+    state.counters["allocs/step"] =
+        steps > 0 ? static_cast<double>(allocs) / static_cast<double>(steps)
+                  : 0.0;
+}
+BENCHMARK(BM_ChaosTrial)->Arg(5)->Arg(7)->ArgName("n")->Unit(
+        benchmark::kMicrosecond);
 
 void BM_PaxosEndToEnd(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

@@ -630,6 +630,7 @@ int main(int argc, char** argv) {
             .num("max_depth", cfg.max_depth)
             .num("timing_reps", 1)
             .num("threads", threads)
+            .num("hardware_threads", exec::hardware_threads())
             .boolean("violation", r.violation_found)
             .boolean("exhaustive", r.exhaustive)
             .num("canonical_states", r.states_explored)

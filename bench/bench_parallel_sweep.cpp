@@ -13,7 +13,9 @@
 // --check is the scaling-regression gate (ctest: perf_scaling_regression):
 // it re-measures on THIS machine and fails when the work-stealing core
 // stops paying -- 4-thread sweep speedup < 1.5x, or the flagship
-// explorer slower multi-threaded than single-threaded.  On machines
+// explorer slower multi-threaded than single-threaded.  Both ratios
+// come from 1-thread and 4-thread runs taken alternately, best of 3
+// each.  On machines
 // with fewer than 4 hardware threads it exits 77 (ctest SKIP): the
 // scheduler clamps to the hardware there, so "4-thread" scaling is not
 // a measurable quantity.
@@ -21,6 +23,7 @@
 // Usage: bench_parallel_sweep [--out FILE] [--threads N] [--quick]
 //                             [--check]
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
@@ -129,14 +132,22 @@ int main(int argc, char** argv) {
     cfg.base_seed = 1;
     cfg.profile = chaos::guarded_profile(1);
 
-    cfg.threads = 1;
-    chaos::SweepReport seq;
-    const double sweep_seq_ms = ksa::bench::time_call_ms(
-        [&] { seq = chaos::resilience_sweep(cfg); });
-    cfg.threads = threads;
-    chaos::SweepReport par;
-    const double sweep_par_ms = ksa::bench::time_call_ms(
-        [&] { par = chaos::resilience_sweep(cfg); });
+    // The 1-thread and N-thread sweeps alternate, best of 3 each: the
+    // host's speed drifts over seconds, and a single pair taken across
+    // a slow phase (a VM waking from idle) can read well under the
+    // gate's ratio on unchanged code.
+    chaos::SweepReport seq, par;
+    double sweep_seq_ms = 1e300, sweep_par_ms = 1e300;
+    for (int r = 0; r < 3; ++r) {
+        cfg.threads = 1;
+        sweep_seq_ms = std::min(sweep_seq_ms, ksa::bench::time_call_ms([&] {
+                                    seq = chaos::resilience_sweep(cfg);
+                                }));
+        cfg.threads = threads;
+        sweep_par_ms = std::min(sweep_par_ms, ksa::bench::time_call_ms([&] {
+                                    par = chaos::resilience_sweep(cfg);
+                                }));
+    }
 
     const bool sweep_identical = seq.to_json() == par.to_json() &&
                                  seq.to_markdown() == par.to_markdown();

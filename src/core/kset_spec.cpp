@@ -11,6 +11,9 @@ KSetCheck check_kset_agreement(const Run& run, int k) {
 
 KSetCheck check_kset_agreement(const Run& run, int k, const RunTally& tally) {
     require(k >= 1, "check_kset_agreement: k must be >= 1");
+    require(tally.decision.size() ==
+                    static_cast<std::size_t>(std::max(run.n, 0)),
+            "check_kset_agreement: the tally belongs to another run");
     KSetCheck check;
 
     const std::set<Value>& decided = tally.distinct;

@@ -1,5 +1,6 @@
 #include "sim/admissibility.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ksa {
@@ -9,6 +10,8 @@ AdmissibilityReport check_admissibility(const Run& run) {
 }
 
 AdmissibilityReport check_admissibility(const Run& run, const RunTally& tally) {
+    require(tally.steps.size() == static_cast<std::size_t>(std::max(run.n, 0)),
+            "check_admissibility: the tally belongs to another run");
     AdmissibilityReport report;
     if (run.stop == StopReason::kStepLimit) report.conclusive = false;
 

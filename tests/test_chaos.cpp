@@ -252,6 +252,12 @@ TEST(RunTally, AgreesWithPerProcessScans) {
     }
     EXPECT_GT(pending, 0) << "no run left a message undelivered";
     EXPECT_GT(forged, 0) << "no run forged a message";
+
+    // A tally of a run of another size is refused, not read past its end.
+    ASSERT_NE(runs[0].n, runs[1].n);
+    EXPECT_THROW(check_admissibility(runs[0], runs[1].tally()), UsageError);
+    EXPECT_THROW(core::check_kset_agreement(runs[0], 1, runs[1].tally()),
+                 UsageError);
 }
 
 TEST(FaultInjector, InjectedCrashIsFlaggedByFdValidators) {
