@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -196,16 +197,9 @@ void ghost_step(const System& sys, ProcessId p, std::size_t delivered,
     g.bhash = behavior_hash(*g.behavior);
 }
 
-/// One message the ghost step adds to a buffer, pre-hashed.  Kept in
-/// emission order.
-struct ArrivingSend {
-    ProcessId dest = 0;
-    Digest128 hash{};
-    const Payload* payload = nullptr;  ///< borrowed from the GhostStep
-};
-
-/// Fills `arriving` with the ghost step's surviving sends in emission
-/// order.  Each payload body is digested here, once per candidate
+/// Fills `arriving` (core/reduction.hpp) with the ghost step's
+/// surviving sends in emission order, every one live until hash_child
+/// judges it.  Each payload body is digested here, once per candidate
 /// however many destinations share it (a broadcast is one run of sends
 /// of one body); from then on the rematerializer's trail caches the
 /// digest (store/rematerialize.hpp) for every key it participates in.
@@ -220,8 +214,20 @@ void fill_arriving(const GhostStep& g, ProcessId stepper,
             digested = &payload;
             hash = message_digest(stepper, *payload);
         }
-        arriving.push_back({dest, hash, &*payload});
+        arriving.push_back({dest, hash, &payload});
     }
+}
+
+/// True iff the ghost step `g` reaches its node's own configuration: it
+/// delivers nothing, sends nothing and decides nothing, it is not its
+/// process's final crash step, and it leaves the process's behavior
+/// digest where the node's mark `m` has it (an unstepped process's
+/// first step changes its stepped flag, so the process must have
+/// stepped before).  The child's key is then the node's key, which the
+/// visited store already holds (doc/performance.md §2.2).
+bool stutters(const GhostStep& g, const BehaviorMark& m) {
+    return g.delivered == 0 && g.out.sends.empty() && !g.out.decision &&
+           !g.final_crash && m.stepped && g.bhash == m.hash;
 }
 
 /// Key of the child configuration reached from `sys` by the ghost step,
@@ -232,13 +238,17 @@ void fill_arriving(const GhostStep& g, ProcessId stepper,
 /// with `abs` all off this is the plain configuration key.  `arriving`
 /// must hold the surviving sends in emission order (fill_arriving);
 /// `live` is the node's liveness, read only under abs.strip_inert.
-/// `folded` is per-worker scratch.
+/// Under abs.strip_inert the verdicts reached here are left for the
+/// renamed keys (GhostEffects): each arrival's in its `live` flag, the
+/// stepper's remaining buffer's in `stepper_live`.  `folded` is
+/// per-worker scratch.
 Digest128 hash_child(const System& sys, int n, ProcessId stepper,
                      const GhostStep& g,
                      const std::vector<BehaviorMark>& parent_marks,
                      const MessageHashes& parent_mhash,
-                     const std::vector<ArrivingSend>& arriving,
+                     std::vector<ArrivingSend>& arriving,
                      const NodeLiveness& live, const AbsorptionContext& abs,
+                     std::vector<std::uint8_t>& stepper_live,
                      std::vector<Digest128>& folded) {
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
@@ -279,19 +289,23 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
         folded.clear();
         if (q == stepper) {
             const auto& buf = sys.buffer(q);
-            for (std::size_t i = skip; i < mh.size(); ++i)
-                if (!dead_message(buf[i].from, *buf[i].payload, receiver,
-                                  abs))
-                    folded.push_back(mh[i]);
+            stepper_live.clear();
+            for (std::size_t i = skip; i < mh.size(); ++i) {
+                const bool alive = !dead_message(buf[i].from, *buf[i].payload,
+                                                 receiver, abs);
+                stepper_live.push_back(alive ? 1 : 0);
+                if (alive) folded.push_back(mh[i]);
+            }
         } else {
             const std::size_t first = live.begin(q);
             for (std::size_t i = 0; i < mh.size(); ++i)
                 if (live.live(first + i)) folded.push_back(mh[i]);
         }
-        for (const ArrivingSend& a : arriving)
-            if (a.dest == q &&
-                !dead_message(stepper, *a.payload, receiver, abs))
-                folded.push_back(a.hash);
+        for (ArrivingSend& a : arriving) {
+            if (a.dest != q) continue;
+            a.live = !dead_message(stepper, **a.payload, receiver, abs);
+            if (a.live) folded.push_back(a.hash);
+        }
         h.u64(folded.size());
         for (const Digest128& d : folded) h.fold(d);
     }
@@ -551,7 +565,9 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //      which moves the worker's one live System along an undo trail of
 //      the root path, so the common case undoes one step and redoes
 //      one -- and ghost-steps every (live process, delivery mode)
-//      candidate into a dedup key.  Pure reads of the shared stores.
+//      candidate into a dedup key, except stutter moves (stutters()),
+//      which reach the node's own key and are counted as dedup hits
+//      unkeyed.  Pure reads of the shared stores.
 //
 //   2. DEDUP (parallel): the block's candidate keys, flattened in
 //      BFS candidate order, go through ShardedVisitedStore::
@@ -582,10 +598,10 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //     the algorithm declares equivariance under): one representative
 //     per G-orbit is explored.  The identity element reuses the
 //     incremental caches (hash_child); the non-identity elements fold
-//     a per-node table of renamed behavior and message digests
-//     (RenamedNodeDigests, built once per expanded node), so each
-//     candidate renames only its stepper's behavior and its arriving
-//     sends.  Decision-value sets are G-invariant; per-process
+//     renamed behavior and message digests from a per-worker memo
+//     (RenamedNodeDigests), which renames each local state once per
+//     exploration, on its first appearance.  Decision-value sets are
+//     G-invariant; per-process
 //     quiescent outcome vectors are orbit-expanded over G before the
 //     result is returned.
 //
@@ -630,6 +646,9 @@ struct StoreExpansion {
     std::vector<Value> outcome;  ///< filled iff is_quiescent
     bool at_depth = false;
     std::size_t por_skips = 0;
+    /// Stutter moves (stutters()): dedup hits of the node itself, never
+    /// keyed or probed.
+    std::size_t stutters = 0;
     std::vector<StoreChild> children;
 };
 
@@ -714,8 +733,11 @@ struct ReducedWorker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
     NodeLiveness live;  ///< the node's liveness, absorption or non-trivial G
-    RenamedNodeDigests renamed;  ///< the node's table, non-trivial G only
+    /// The renamed-digest memo, non-trivial G only.
+    std::optional<RenamedNodeDigests> renamed;
+    std::vector<Digest128> behavior_digests;  ///< the node's marks' digests
     std::vector<ArrivingSend> arriving;
+    std::vector<std::uint8_t> stepper_live;  ///< hash_child's verdicts
     std::vector<Digest128> folded;  ///< one child buffer's live digests
     std::vector<ProcMoves> moves;       ///< the node's enumerable moves
     std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
@@ -730,10 +752,11 @@ void ghost_moves(const System& sys, const ProcMoves& pm, ReducedWorker& wk) {
 /// Classify, pick the persistent set, ghost-step and key the surviving
 /// candidates of one materialized node.  Reads the node, the calling
 /// worker's scratch and clones single behaviors only -- safe to run
-/// concurrently on distinct nodes.
+/// concurrently on distinct nodes.  `algorithm` is read by the Debug
+/// key checks only.
 StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                               const ExploreConfig& cfg,
-                              const Algorithm& algorithm,
+                              [[maybe_unused]] const Algorithm& algorithm,
                               const Reductions& red, ReducedWorker& wk) {
     StoreExpansion e;
     const System& sys = *node.sys;
@@ -784,43 +807,70 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         wk.moves.push_back(pm);
     }
 
-    // The liveness and renamed digests every candidate of this node
-    // reuses, judged and tabulated once (core/reduction.hpp).
+    // The liveness every candidate of this node reuses, judged once, and
+    // the node's renamed digests, resolved in the worker's memo
+    // (core/reduction.hpp).
     const bool symmetric = !red.group.is_trivial();
     if ((abs.strip_inert || symmetric) && total_moves > 0)
         wk.live.build(sys, cfg.n, abs);
-    if (symmetric && total_moves > 0)
-        wk.renamed.build(sys, cfg.n, algorithm, red.group, wk.live, abs);
+    if (symmetric && total_moves > 0) {
+        wk.behavior_digests.clear();
+        for (const BehaviorMark& m : *node.marks)
+            wk.behavior_digests.push_back(m.hash);
+        wk.renamed->build(sys, wk.live, wk.behavior_digests, *node.mhash);
+    }
 
-    auto emit_child = [&](const GhostStep& g, ProcessId p) {
+    auto child_key = [&](const GhostStep& g, ProcessId p) {
         fill_arriving(g, p, wk.arriving);
-        StoreChild child;
-        child.key = hash_child(sys, cfg.n, p, g, *node.marks, *node.mhash,
-                               wk.arriving, wk.live, abs, wk.folded);
+        Digest128 key = hash_child(sys, cfg.n, p, g, *node.marks,
+                                   *node.mhash, wk.arriving, wk.live, abs,
+                                   wk.stepper_live, wk.folded);
         if (symmetric) {
             GhostEffects eff;
             eff.stepper = p;
             eff.delivered = g.delivered;
             eff.final_crash = g.final_crash;
-            eff.omit_to = g.omit_to;
-            eff.sends = &g.out.sends;
+            eff.arriving = &wk.arriving;
+            eff.stepper_live = &wk.stepper_live;
             eff.decision = &g.out.decision;
             eff.behavior_after = g.behavior.get();
-            child.key = wk.renamed.min_child_key(eff, child.key);
+            eff.behavior_digest = g.bhash;
+            key = wk.renamed->min_child_key(eff, key);
 #ifndef NDEBUG
             // The renamed counterpart of check_node_caches: the ghost
-            // key folded from the node's table equals a from-scratch
-            // canonical walk of the realized child.
+            // key folded from the memo equals a from-scratch canonical
+            // walk of the realized child.
             std::unique_ptr<System> realized = sys.fork(false);
             realized->apply_choice(sys.prefix_choice(p, g.delivered));
             RenameScratch scratch;
-            require(child.key == canonical_state_key(*realized, cfg.n,
-                                                     algorithm, red.group,
-                                                     scratch, abs),
+            require(key == canonical_state_key(*realized, cfg.n, algorithm,
+                                               red.group, scratch, abs),
                     "store path: renamed child key differs from the "
                     "realized child's canonical key");
 #endif
         }
+        return key;
+    };
+
+    auto emit_child = [&](const GhostStep& g, ProcessId p) {
+        if (stutters(g, (*node.marks)[p - 1])) {
+#ifndef NDEBUG
+            // The skipped key is the node's own: the key the move would
+            // have been probed with equals a from-scratch canonical walk
+            // of the node.
+            RenameScratch scratch;
+            require(child_key(g, p) == canonical_state_key(sys, cfg.n,
+                                                           algorithm,
+                                                           red.group,
+                                                           scratch, abs),
+                    "store path: a stutter move's key differs from its "
+                    "node's canonical key");
+#endif
+            ++e.stutters;
+            return;
+        }
+        StoreChild child;
+        child.key = child_key(g, p);
         child.stepper = p;
         child.delivered = static_cast<std::uint32_t>(g.delivered);
         e.children.push_back(child);
@@ -911,10 +961,13 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     store::ShardedVisitedStore visited(cfg.store);
     store::DeltaStore deltas(cfg.store);
     std::vector<ReducedWorker> workers(static_cast<std::size_t>(sched.size()));
-    for (ReducedWorker& w : workers)
+    for (ReducedWorker& w : workers) {
         w.remat = std::make_unique<store::Rematerializer>(
                 algorithm, cfg.n, cfg.inputs, cfg.plan, deltas,
                 &message_digest);
+        if (!red.group.is_trivial())
+            w.renamed.emplace(cfg.n, algorithm, red.group, red.abs);
+    }
 
     {
         System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
@@ -1001,6 +1054,7 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
                     result.exhaustive = false;
                     continue;
                 }
+                result.dedup_hits += e.stutters;
                 for (const StoreChild& c : e.children) {
                     if (verdict[vi++] != 0) {
                         ++states_accepted;

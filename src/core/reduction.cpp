@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
 
 #include "sim/system.hpp"
 
@@ -303,97 +305,103 @@ void NodeLiveness::build(const System& sys, int n,
     begin_[static_cast<std::size_t>(n)] = live_.size();
 }
 
-void RenamedNodeDigests::build(const System& sys, int n,
-                               const Algorithm& algorithm,
-                               const SymmetryGroup& group,
-                               const NodeLiveness& live,
-                               const AbsorptionContext& abs) {
+RenamedNodeDigests::RenamedNodeDigests(int n, const Algorithm& algorithm,
+                                       const SymmetryGroup& group,
+                                       const AbsorptionContext& abs)
+    : n_(n),
+      algorithm_(&algorithm),
+      group_(&group),
+      abs_(abs),
+      width_(group.size() - 1) {}
+
+std::size_t RenamedNodeDigests::memo_entries() const {
+    return width_ == 0 ? 0 : renamed_.size() / width_;
+}
+
+std::size_t RenamedNodeDigests::add_entry() {
+    const std::size_t offset = renamed_.size();
+    renamed_.resize(offset + width_);
+    return offset;
+}
+
+std::size_t RenamedNodeDigests::behavior_entry(Digest128 digest,
+                                               const Behavior& behavior) {
+    const auto it = behaviors_.find(digest);
+    if (it != behaviors_.end()) return it->second;
+    const std::size_t offset = add_entry();
+    for (std::size_t g = 1; g <= width_; ++g)
+        renamed_[offset + g - 1] = renamed_behavior_hash(
+                behavior, group_->renaming(g), scratch_.sub);
+    behaviors_.emplace(digest, offset);
+    return offset;
+}
+
+std::size_t RenamedNodeDigests::message_entry(Digest128 digest,
+                                              ProcessId from,
+                                              const SharedPayload& payload) {
+    const auto [first, last] = messages_.equal_range(digest);
+    for (auto it = first; it != last; ++it)
+        if (it->second.from == from && it->second.payload == payload)
+            return it->second.entry;
+    const std::size_t offset = add_entry();
+    for (std::size_t g = 1; g <= width_; ++g)
+        renamed_[offset + g - 1] = renamed_msg_hash(
+                from, *payload, *algorithm_, group_->renaming(g), scratch_);
+    messages_.emplace(digest, MessageEntry{from, payload, offset});
+    return offset;
+}
+
+void RenamedNodeDigests::build(
+        const System& sys, const NodeLiveness& live,
+        const std::vector<Digest128>& behavior_digests,
+        const std::vector<std::vector<Digest128>>& message_digests) {
+    if (renamed_.size() * sizeof(Digest128) > kMemoBytes) {
+        renamed_.clear();
+        behaviors_.clear();
+        messages_.clear();
+    }
     sys_ = &sys;
-    algorithm_ = &algorithm;
-    group_ = &group;
     live_ = &live;
-    abs_ = abs;
-    n_ = n;
-    const std::size_t procs = static_cast<std::size_t>(n);
 
-    // The messages of every non-absorbed buffer, in NodeLiveness order,
-    // each with the earliest equal message (its digests'
-    // representative).  Absorbed buffers are never folded, so they
-    // contribute no entry -- and hence no representative.
-    msgs_.clear();
-    rep_.clear();
-    for (ProcessId p = 1; p <= n; ++p) {
-        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
-        for (const Message& m : sys.buffer(p)) {
-            std::size_t rep = msgs_.size();
-            for (std::size_t j = 0; j < msgs_.size(); ++j)
-                if (msgs_[j]->from == m.from &&
-                    msgs_[j]->payload == m.payload) {
-                    rep = j;
-                    break;
-                }
-            msgs_.push_back(&m);
-            rep_.push_back(rep);
-        }
+    // Absorbed processes are never folded, so they resolve no entry.
+    behavior_entry_.resize(static_cast<std::size_t>(n_));
+    msg_entry_.clear();
+    for (ProcessId p = 1; p <= n_; ++p) {
+        if (abs_.decided_final && sys.decision_of(p)) continue;  // absorbed
+        if (sys.steps_of(p) > 0)
+            behavior_entry_[p - 1] =
+                    behavior_entry(behavior_digests[p - 1], sys.behavior_of(p));
+        const auto& buf = sys.buffer(p);
+        const auto& digests = message_digests[p - 1];
+        for (std::size_t i = 0; i < buf.size(); ++i)
+            msg_entry_.push_back(
+                    message_entry(digests[i], buf[i].from, buf[i].payload));
     }
-    invariant(msgs_.size() == live.size(),
+    invariant(msg_entry_.size() == live.size(),
               "RenamedNodeDigests::build: liveness table of another node");
-
-    const std::size_t stride = procs + msgs_.size();
-    table_.resize((group.size() - 1) * stride);
-    for (std::size_t g = 1; g < group.size(); ++g) {
-        const ProcessRenaming& ren = group.renaming(g);
-        Digest128* block = table_.data() + (g - 1) * stride;
-        for (ProcessId p = 1; p <= n; ++p)
-            if (sys.steps_of(p) > 0 &&
-                !(abs.decided_final && sys.decision_of(p)))
-                block[p - 1] = renamed_behavior_hash(sys.behavior_of(p), ren,
-                                                     scratch_.sub);
-        Digest128* msg = block + procs;
-        for (std::size_t i = 0; i < msgs_.size(); ++i)
-            msg[i] = rep_[i] == i
-                             ? renamed_msg_hash(msgs_[i]->from,
-                                                *msgs_[i]->payload, algorithm,
-                                                ren, scratch_)
-                             : msg[rep_[i]];
-    }
 }
 
 Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
                                             Digest128 identity_key) {
-    invariant(sys_ != nullptr && eff.sends != nullptr &&
-                      eff.decision != nullptr && eff.behavior_after != nullptr,
+    invariant(sys_ != nullptr && eff.arriving != nullptr &&
+                      eff.decision != nullptr && eff.behavior_after != nullptr &&
+                      (!abs_.strip_inert || eff.stepper_live != nullptr),
               "RenamedNodeDigests::min_child_key: no node built or incomplete "
               "GhostEffects");
     const System& sys = *sys_;
-    const int n = n_;
-    const std::size_t procs = static_cast<std::size_t>(n);
-    const std::size_t table_msgs = msgs_.size();
     const ProcessId stepper = eff.stepper;
-
-    // One digest slot per run of equal consecutive surviving sends (a
-    // broadcast renames once); send_slot_ maps each send to its slot,
-    // or to kLost when it does not survive.
-    const std::vector<std::pair<ProcessId, SharedPayload>>& sends =
-            *eff.sends;
-    constexpr std::size_t kLost = static_cast<std::size_t>(-1);
-    arriving_.clear();
-    send_slot_.assign(sends.size(), kLost);
-    for (std::size_t s = 0; s < sends.size(); ++s) {
-        if (!eff.send_survives(sends[s].first)) continue;
-        const SharedPayload& payload = sends[s].second;
-        if (arriving_.empty() || !(*arriving_.back() == payload))
-            arriving_.push_back(&payload);
-        send_slot_[s] = arriving_.size() - 1;
-    }
-    arriving_folded_.assign(arriving_.size(), 0);
+    const std::vector<ArrivingSend>& arriving = *eff.arriving;
 
     // What every renamed key folds per process of the child, in
-    // renaming-independent form: header words and live-message list.
-    // Liveness is renaming-invariant, so it is judged here, once.
-    child_.resize(procs);
+    // renaming-independent form: header words, the memo entries of its
+    // live messages and of its behavior.  Liveness is renaming-invariant
+    // and was judged by the identity key; consecutive arrivals of one
+    // payload body (a broadcast) resolve their entry once.
+    child_.resize(static_cast<std::size_t>(n_));
     fold_.clear();
-    for (ProcessId q = 1; q <= n; ++q) {
+    const SharedPayload* resolved = nullptr;
+    std::size_t resolved_entry = 0;
+    for (ProcessId q = 1; q <= n_; ++q) {
         ChildProcess& c = child_[q - 1];
         auto d = sys.decision_of(q);
         if (q == stepper && *eff.decision) d = *eff.decision;
@@ -411,71 +419,56 @@ Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
         c.head[c.head_words++] = d ? 1 : 0;
         if (d) c.head[c.head_words++] = static_cast<std::uint64_t>(*d);
         c.stepped = q == stepper || sys.steps_of(q) > 0;
+        if (q == stepper)
+            c.behavior = behavior_entry(eff.behavior_digest,
+                                        *eff.behavior_after);
+        else if (c.stepped)
+            c.behavior = behavior_entry_[q - 1];
         // The child's buffer of q: the parent's minus the delivered
         // prefix, then q's surviving arrivals in emission order (as
-        // apply_choice appends them), dead messages deleted as judged
-        // by q's behavior in the child.
+        // apply_choice appends them), dead messages deleted.
         const std::size_t begin = live_->begin(q);
         if (q == stepper) {
-            const auto& buf = sys.buffer(q);
-            for (std::size_t i = eff.delivered; i < buf.size(); ++i)
-                if (!dead_message(buf[i].from, *buf[i].payload,
-                                  *eff.behavior_after, abs_))
-                    fold_.push_back(begin + i);
+            const std::size_t size = live_->begin(q + 1) - begin;
+            for (std::size_t i = eff.delivered; i < size; ++i)
+                if (!abs_.strip_inert ||
+                    (*eff.stepper_live)[i - eff.delivered] != 0)
+                    fold_.push_back(msg_entry_[begin + i]);
         } else {
             for (std::size_t i = begin; i < live_->begin(q + 1); ++i)
-                if (live_->live(i)) fold_.push_back(i);
+                if (live_->live(i)) fold_.push_back(msg_entry_[i]);
         }
-        const Behavior& receiver =
-                q == stepper ? *eff.behavior_after : sys.behavior_of(q);
-        for (std::size_t s = 0; s < sends.size(); ++s)
-            if (send_slot_[s] != kLost && sends[s].first == q &&
-                !dead_message(stepper, *sends[s].second, receiver, abs_)) {
-                fold_.push_back(table_msgs + send_slot_[s]);
-                arriving_folded_[send_slot_[s]] = 1;
+        for (const ArrivingSend& a : arriving) {
+            if (a.dest != q || !a.live) continue;
+            if (resolved == nullptr || !a.payload->same_body(*resolved)) {
+                resolved = a.payload;
+                resolved_entry = message_entry(a.hash, stepper, *a.payload);
             }
+            fold_.push_back(resolved_entry);
+        }
         c.fold_end = fold_.size();
         c.head[c.head_words++] = c.fold_end - c.fold_begin;
     }
 
-    arriving_digest_.resize(arriving_.size());
+    // hash_state_renamed's field sequence over the child, once per
+    // element: inverse(g) lists the processes in renamed-position
+    // order, and an entry's digest under g is column[entry].
     const SymmetryGroup& group = *group_;
-    const std::size_t stride = procs + table_msgs;
     Digest128 key = identity_key;
     for (std::size_t g = 1; g < group.size(); ++g) {
-        const ProcessRenaming& ren = group.renaming(g);
-        const ProcessRenaming& inv = group.inverse(g);
-        const Digest128* block = table_.data() + (g - 1) * stride;
-        const Digest128* msg = block + procs;
-        for (std::size_t s = 0; s < arriving_.size(); ++s)
-            if (arriving_folded_[s] != 0)
-                arriving_digest_[s] = renamed_msg_hash(
-                        stepper, **arriving_[s], *algorithm_, ren, scratch_);
-        Digest128 stepper_hash{};
-        if (!child_[stepper - 1].collapsed)
-            stepper_hash = renamed_behavior_hash(*eff.behavior_after, ren,
-                                                 scratch_.sub);
-
-        // hash_state_renamed's field sequence over the child: `inv`
-        // lists the processes in renamed-position order.
+        const Digest128* column = renamed_.data() + (g - 1);
         StateHasher h;
-        for (const ProcessId q : inv) {
+        for (const ProcessId q : group.inverse(g)) {
             const ChildProcess& c = child_[q - 1];
             for (std::size_t w = 0; w < c.head_words; ++w) h.u64(c.head[w]);
-            for (std::size_t k = c.fold_begin; k < c.fold_end; ++k) {
-                const std::size_t i = fold_[k];
-                h.fold(i < table_msgs ? msg[i]
-                                      : arriving_digest_[i - table_msgs]);
-            }
+            for (std::size_t k = c.fold_begin; k < c.fold_end; ++k)
+                h.fold(column[fold_[k]]);
         }
-        for (const ProcessId q : inv) {
+        for (const ProcessId q : group.inverse(g)) {
             const ChildProcess& c = child_[q - 1];
             if (c.collapsed) continue;
             h.u64(c.stepped ? 1 : 0);
-            if (q == stepper)
-                h.fold(stepper_hash);
-            else if (c.stepped)
-                h.fold(block[q - 1]);
+            if (c.stepped) h.fold(column[c.behavior]);
         }
         const Digest128 d = h.digest();
         if (d < key) key = d;

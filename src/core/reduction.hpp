@@ -57,9 +57,8 @@
 // configuration: that is how ExploreMode::kFast runs.
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "core/reduction_options.hpp"
@@ -164,15 +163,16 @@ private:
 // incremental caches (explorer.cpp: per-message digests cached when a
 // message arrives, per-behavior digests when its process steps).  The
 // non-identity elements -- up to 5! = 120 of them for uniform inputs
-// at n = 5 -- read a per-node table (RenamedNodeDigests below): every
-// renamed behavior and message digest a candidate can reuse from its
-// parent is computed once per expanded node, so a candidate pays only
-// for its stepper's renamed behavior, its arriving sends and the folds.
-// Every function folds EXACTLY the field sequence of the explorer's
-// cached child key, so that for the identity renaming the cached and
-// walked digests coincide; the from-scratch renamed walk of a live
-// System (hash_state_renamed) folds the same sequence as the table, and
-// Debug builds check the two against each other on every candidate.
+// at n = 5 -- read a per-worker memo (RenamedNodeDigests below) that
+// holds the |G|-1 renamed digests of every behavior state and message
+// the worker has met in the exploration so far: a local state is
+// renamed once, on its first appearance, and a candidate's keys are
+// folds of memo entries.  Every function folds EXACTLY the field
+// sequence of the explorer's cached child key, so that for the
+// identity renaming the cached and walked digests coincide; the
+// from-scratch renamed walk of a live System (hash_state_renamed)
+// folds the same sequence as the memo, and Debug builds check the two
+// against each other on every candidate.
 
 /// Reusable scratch for renamed hashing: one per worker, reset-free
 /// (every helper overwrites what it uses).  Exists to keep the hot path
@@ -239,7 +239,7 @@ inline bool dead_message(ProcessId from, const Payload& payload,
 /// every other process's entries hold in each candidate child too: the
 /// explorer's child keys read them and judge only the stepper's
 /// remaining buffer and the arriving sends.  RenamedNodeDigests
-/// tabulates the same message sequence and reads the same entries.  One
+/// resolves the same message sequence and reads the same entries.  One
 /// per worker, rebuilt per node, allocation-free once its buffers have
 /// grown.
 class NodeLiveness {
@@ -280,53 +280,89 @@ Digest128 hash_state_renamed(const System& sys, int n,
                              RenameScratch& scratch,
                              const AbsorptionContext& abs);
 
+/// One send of a ghost step (explorer.cpp) that reaches its buffer,
+/// pre-hashed.  Kept in emission order.
+struct ArrivingSend {
+    ProcessId dest = 0;
+    Digest128 hash{};  ///< message_digest(stepper, payload)
+    const SharedPayload* payload = nullptr;  ///< borrowed from the step
+    /// The dead_message verdict of the receiver in the child (true:
+    /// live), as the identity key judged it; always true without
+    /// AbsorptionContext::strip_inert.
+    bool live = true;
+};
+
 /// The effects of one ghost step (explorer.cpp) in the shape renamed
 /// child keying (RenamedNodeDigests::min_child_key) needs: everything
-/// is borrowed from the ghost-stepping caller, nothing is copied.
+/// is borrowed from the ghost-stepping caller, nothing is copied.  The
+/// liveness verdicts are the ones the identity key (explorer.cpp's
+/// hash_child) reached for the same candidate, so no message is judged
+/// twice.
 struct GhostEffects {
     ProcessId stepper = 0;
     std::size_t delivered = 0;  ///< delivered prefix length of stepper's buffer
     bool final_crash = false;
-    const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
-    const std::vector<std::pair<ProcessId, SharedPayload>>* sends = nullptr;
+    /// The surviving sends in emission order, with their verdicts.
+    const std::vector<ArrivingSend>* arriving = nullptr;
+    /// Under AbsorptionContext::strip_inert: entry i is the verdict (1:
+    /// live) on message delivered + i of the stepper's buffer, judged by
+    /// the stepped clone.  Not read otherwise.
+    const std::vector<std::uint8_t>* stepper_live = nullptr;
     const std::optional<Value>* decision = nullptr;  ///< decision of the step
     const Behavior* behavior_after = nullptr;  ///< stepper's stepped clone
-
-    bool send_survives(ProcessId dest) const {
-        return !(final_crash && omit_to != nullptr &&
-                 omit_to->count(dest) != 0);
-    }
+    /// fold_state digest of behavior_after: its memo key.
+    Digest128 behavior_digest{};
 };
 
-/// The renamed half of the explorer's candidate keys for one expanded
-/// node: one per worker, rebuilt per node, allocation-free once its
-/// buffers have grown.
+/// The renamed half of the explorer's candidate keys: one per worker
+/// and exploration, allocation-free once its memo has met the local
+/// states it needs.
 ///
-/// build() tabulates, for every non-identity group element g, the
-/// g-renamed digest of every stepped, non-absorbed process's behavior
-/// and of every message buffered at a non-absorbed process (an absorbed
-/// process -- decided under AbsorptionContext::decided_final -- keys on
-/// its decision alone and gets no entries).  A broadcast sits in up to
-/// n-1 buffers, so a message whose sender and payload EQUAL those of an
-/// earlier entry reuses that entry's digests (compared by value, never
-/// by digest: the table adds no collision assumption).  The entries run
-/// in NodeLiveness order, and each entry's liveness (renaming-invariant)
-/// is read from the node's NodeLiveness.
+/// The memo holds, for every behavior state and every message the
+/// worker has keyed, its digest under each non-identity group element
+/// (|G|-1 digests per entry).  Renaming functions run only on a miss.
 ///
-/// min_child_key() then keys one ghost step's child under every g as a
-/// fold of table entries, plus what the step itself changes: the
-/// stepper's renamed behavior, its arriving sends (consecutive equal
-/// payloads renamed once), and the liveness of the stepper's remaining
-/// buffer and of the arrivals, judged once per candidate.  The folded
-/// byte stream is exactly hash_state_renamed's over the realized child.
+///   * A behavior is looked up by its fold_state digest -- the digest
+///     the identity key already folds for it -- so the memo merges only
+///     behaviors that every identity key already merges.
+///   * A message is looked up by its message_digest and confirmed by
+///     value (sender and payload ==): a digest collision between two
+///     messages costs a second entry, never a wrong key.
+///
+/// build() resolves the node's stepped, non-absorbed behaviors and the
+/// messages buffered at non-absorbed processes (an absorbed process --
+/// decided under AbsorptionContext::decided_final -- keys on its
+/// decision alone and needs no entry) to memo entries, in NodeLiveness
+/// order; each entry's liveness (renaming-invariant) is read from the
+/// node's NodeLiveness.  min_child_key() resolves what one ghost step
+/// changes -- its stepper's behavior and its live arrivals -- and keys
+/// the child under every g as a fold of memo entries.  The folded byte
+/// stream is exactly hash_state_renamed's over the realized child.
+///
+/// A fixed byte budget bounds the memo (kMemoBytes of renamed digests).
+/// It is checked, and the memo cleared, only at the start of build(),
+/// so the entries a node resolved stay valid while its candidates are
+/// keyed; one node's own entries may carry the memo past the budget.
 class RenamedNodeDigests {
 public:
-    /// Tabulates the node `sys` for `group`; `live` must have been
-    /// built on the same node with the same `abs`.  `sys`, `algorithm`,
-    /// `group` and `live` are borrowed until the next build().
-    void build(const System& sys, int n, const Algorithm& algorithm,
-               const SymmetryGroup& group, const NodeLiveness& live,
-               const AbsorptionContext& abs);
+    /// Renamed digests the memo holds before build() clears it.
+    static constexpr std::size_t kMemoBytes = std::size_t{2} << 20;
+
+    /// A memo for one exploration of `n` processes.  `algorithm` and
+    /// `group` are borrowed for its lifetime.
+    RenamedNodeDigests(int n, const Algorithm& algorithm,
+                       const SymmetryGroup& group,
+                       const AbsorptionContext& abs);
+
+    /// Resolves the node `sys`.  `live` must have been built on the same
+    /// node with this memo's AbsorptionContext; `behavior_digests[p-1]`
+    /// is p's fold_state digest (read iff p stepped) and
+    /// `message_digests[p-1][i]` the message_digest of the i-th message
+    /// of p's buffer -- the identity key's own caches.  `sys` and `live`
+    /// are borrowed until the next build().
+    void build(const System& sys, const NodeLiveness& live,
+               const std::vector<Digest128>& behavior_digests,
+               const std::vector<std::vector<Digest128>>& message_digests);
 
     /// Canonical key of the child the ghost step `eff` reaches from the
     /// built node: the minimum of `identity_key` (the caller's cached
@@ -334,11 +370,15 @@ public:
     /// non-identity element.
     Digest128 min_child_key(const GhostEffects& eff, Digest128 identity_key);
 
+    /// Entries the memo holds (behaviors and messages).
+    std::size_t memo_entries() const;
+
 private:
     /// One process of the candidate child, as every renamed key folds
     /// it: its header words (collapsed: 2, decision; else crash flag,
-    /// decided flag, decision if any, live-message count) and the slice
-    /// [fold_begin, fold_end) of fold_ naming its live messages.
+    /// decided flag, decision if any, live-message count), the slice
+    /// [fold_begin, fold_end) of fold_ naming its live messages and, iff
+    /// it stepped and is not collapsed, its behavior's memo entry.
     struct ChildProcess {
         std::uint64_t head[4] = {0, 0, 0, 0};
         std::size_t head_words = 0;
@@ -346,35 +386,48 @@ private:
         std::size_t fold_end = 0;
         bool collapsed = false;
         bool stepped = false;
+        std::size_t behavior = 0;
     };
 
-    const System* sys_ = nullptr;
+    /// A memo entry's value check: the message it was renamed from.
+    struct MessageEntry {
+        ProcessId from = 0;
+        SharedPayload payload;
+        std::size_t entry = 0;
+    };
+
+    std::size_t behavior_entry(Digest128 digest, const Behavior& behavior);
+    std::size_t message_entry(Digest128 digest, ProcessId from,
+                              const SharedPayload& payload);
+    /// Appends an entry; the caller fills its |G|-1 digests.
+    std::size_t add_entry();
+
+    int n_ = 0;
     const Algorithm* algorithm_ = nullptr;
     const SymmetryGroup* group_ = nullptr;
-    /// The node's liveness; p's messages are msgs_[live_->begin(p) ..
-    /// live_->begin(p + 1)).
-    const NodeLiveness* live_ = nullptr;
     AbsorptionContext abs_;
-    int n_ = 0;
+    std::size_t width_ = 0;  ///< |G|-1: digests per memo entry
     RenameScratch scratch_;
 
+    // The memo.  Entry e's digest under element g is
+    // renamed_[e * width_ + g - 1]; an entry is named by its offset
+    // e * width_.
+    std::vector<Digest128> renamed_;
+    std::map<Digest128, std::size_t> behaviors_;
+    std::multimap<Digest128, MessageEntry> messages_;
+
     // Per node.
-    std::vector<const Message*> msgs_;  ///< tabulated messages, by process
-    std::vector<std::size_t> rep_;      ///< earliest equal message
-    /// (|G|-1) blocks of n + msgs_.size() digests, one per non-identity
-    /// element: block g-1 holds g's behavior digests (slot p-1, valid
-    /// iff p stepped and is not absorbed), then its message digests.
-    std::vector<Digest128> table_;
+    const System* sys_ = nullptr;
+    /// The node's liveness; p's messages are msg_entry_[live_->begin(p)
+    /// .. live_->begin(p + 1)).
+    const NodeLiveness* live_ = nullptr;
+    std::vector<std::size_t> behavior_entry_;  ///< slot p-1, iff p stepped
+    std::vector<std::size_t> msg_entry_;       ///< NodeLiveness order
 
     // Per candidate.
     std::vector<ChildProcess> child_;
-    /// Live messages of each child buffer in fold order: i < msgs_.size()
-    /// is table message i; msgs_.size() + s is arriving slot s.
+    /// Memo entries of the child buffers' live messages, in fold order.
     std::vector<std::size_t> fold_;
-    std::vector<std::size_t> send_slot_;    ///< per send of the step
-    std::vector<const SharedPayload*> arriving_;  ///< one per slot
-    std::vector<std::uint8_t> arriving_folded_;
-    std::vector<Digest128> arriving_digest_;  ///< per slot, current g
 };
 
 /// Canonical key of a live System: minimum over the group of the

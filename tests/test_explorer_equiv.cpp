@@ -147,6 +147,65 @@ TEST(ExplorerEquivalence, TrivialViolatesImmediately) {
     EXPECT_TRUE(r.violation_found);
 }
 
+/// Three processes whose steps deliver nothing and still change the
+/// configuration, one way each.  p1 counts its own steps and decides 1
+/// on its third: its behavior digest moves with no send and no
+/// decision.  p2 sends a beacon to itself on every step, in the same
+/// state after its first.  p3 decides 3 on its second step, in the
+/// same state as before it.  Nobody sends to p1 or p3, so neither is
+/// stepped again once it has decided.
+class QuietSteps final : public Behavior {
+  public:
+    explicit QuietSteps(ProcessId id) : id_(id) {}
+    StepOutput on_step(const StepInput&) override {
+        StepOutput out;
+        if (id_ == 1) {
+            if (++steps_ == 3) out.decision = 1;
+        } else if (id_ == 2) {
+            steps_ = 1;
+            out.send(2, make_payload("B"));
+        } else if (steps_ == 0) {
+            steps_ = 1;
+        } else {
+            out.decision = 3;
+        }
+        return out;
+    }
+    std::string state_digest() const override {
+        return "steps " + std::to_string(steps_);
+    }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<QuietSteps>(*this);
+    }
+
+  private:
+    ProcessId id_;
+    int steps_ = 0;
+};
+
+class QuietStepsAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId id, int,
+                                            Value) const override {
+        return std::make_unique<QuietSteps>(id);
+    }
+    std::string name() const override { return "quiet-steps"; }
+};
+
+// The store path counts a step that provably reaches its own node -- no
+// delivery, no send, no decision, not a final crash step, an unchanged
+// behavior digest -- as a dedup hit without keying it.  Each of
+// QuietSteps' processes takes steps that meet all but one of those
+// conditions, so the reference must see exactly the store path's
+// states: p2's beacons reach new buffers, and both decisions (the
+// violation) are reached only through such steps.
+TEST(ExplorerEquivalence, QuietStepsAreNotStutters) {
+    QuietStepsAlgorithm algorithm;
+    const ExploreResult r = expect_all_engines_agree(
+            algorithm, base_config(3, 1, 7), "quiet steps");
+    EXPECT_TRUE(r.violation_found);
+}
+
 // The crash plan of the chaos layer's staggered adversary: a process
 // that crashes mid-run with the sends of its final step omitted to a
 // strict subset of receivers.  The ghost-step key must reproduce the
@@ -418,6 +477,37 @@ TEST(ReducedEquivalence, SymmetricKeyFingerprint) {
         EXPECT_EQ(r.por_skips, 52u) << label;
         EXPECT_EQ(r.filter_definite_new, 366u) << label;
         EXPECT_EQ(r.filter_false_positives, 765u) << label;
+    }
+}
+
+// The renamed-digest memo (core/reduction.hpp, RenamedNodeDigests) has
+// a fixed byte budget, and this run crosses it: at n = 7 with uniform
+// inputs |G| = 5,040, so one memo entry holds 5,039 digests (80,624
+// bytes), and the 32 behavior states and messages met by depth 4 need
+// 2.6 MB.  The worker clears its memo at the start of a node's build()
+// several times.  The keys must not notice: the counts and the 1-bit
+// filter's tier counters are the values of the renaming that kept no
+// memo, at 1 and 4 threads, and the observables match kFast's.  (Debug
+// builds check each of these keys against a 5,040-renaming walk, so
+// the case runs the reduced engine only twice.)
+TEST(ReducedEquivalence, MemoBudgetCrossingKeepsKeys) {
+    auto algorithm = algo::make_flp_kset(7, 1);
+    ExploreConfig cfg = base_config(7, 1, 4);
+    cfg.inputs = uniform_inputs(7, 7);
+    cfg.store.filter_bits_per_key = 1;
+    cfg.mode = ExploreMode::kFast;
+    const ExploreResult fast = explore_schedules(*algorithm, cfg);
+    cfg.mode = ExploreMode::kReduced;
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        const ExploreResult r = explore_schedules(*algorithm, cfg);
+        const std::string label = "threads " + std::to_string(threads);
+        EXPECT_EQ(r.states_explored, 45u) << label;
+        EXPECT_EQ(r.schedules_expanded, 45u) << label;
+        EXPECT_EQ(r.dedup_hits, 165u) << label;
+        EXPECT_EQ(r.filter_definite_new, 25u) << label;
+        EXPECT_EQ(r.filter_false_positives, 20u) << label;
+        expect_observables_equal(fast, r, label + ": fast vs reduced");
     }
 }
 
