@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "check/contract.hpp"
+#include "sim/text_writer.hpp"
 
 namespace ksa::chaos {
 
@@ -22,7 +23,9 @@ FaultInjector::FaultInjector(Scheduler& inner, ChaosProfile profile)
 }
 
 std::string FaultInjector::name() const {
-    return inner_->name() + "+chaos(" + profile_.describe() + ")";
+    std::string label = inner_->name();
+    TextWriter(label) << "+chaos(" << profile_.describe() << ')';
+    return label;
 }
 
 bool FaultInjector::chance(int per_mille) {

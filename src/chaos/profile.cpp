@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "check/contract.hpp"
+#include "sim/text_writer.hpp"
 
 namespace ksa::chaos {
 
@@ -59,17 +60,17 @@ std::string to_string(ChaosProfile::Mode mode) {
 }
 
 std::string ChaosProfile::describe() const {
-    std::ostringstream out;
-    out << "seed=" << seed << ",mode=" << to_string(mode)
-        << ",drop=" << drop_per_mille << ",dup=" << duplicate_per_mille
+    std::string label;
+    TextWriter out(label);
+    out << "seed=" << seed << ",mode=" << to_string(mode) << ",drop=" << drop_per_mille << ",dup=" << duplicate_per_mille
         << ",delay=" << delay_per_mille;
     if (burst_per_mille > 0) out << ",burst=" << burst_per_mille;
     if (crash_per_mille > 0)
-        out << ",crash=" << crash_per_mille << "x" << max_injected_crashes;
+        out << ",crash=" << crash_per_mille << 'x' << max_injected_crashes;
     if (corrupt_per_mille > 0 || equivocate_per_mille > 0)
         out << ",corrupt=" << corrupt_per_mille
             << ",equiv=" << equivocate_per_mille << ",byz=" << max_byzantine;
-    return out.str();
+    return label;
 }
 
 ChaosProfile guarded_profile(std::uint64_t seed) {

@@ -1,9 +1,9 @@
 #include "sim/schedulers.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "check/contract.hpp"
+#include "sim/text_writer.hpp"
 
 namespace ksa {
 namespace {
@@ -49,9 +49,10 @@ std::optional<StepChoice> RoundRobinScheduler::next(const SystemView& view) {
 }
 
 std::string RandomScheduler::name() const {
-    std::ostringstream out;
-    out << "random(seed=" << seed_ << ",max_age=" << max_age_ << ")";
-    return out.str();
+    std::string label;
+    TextWriter(label) << "random(seed=" << seed_ << ",max_age=" << max_age_
+                      << ')';
+    return label;
 }
 
 std::optional<StepChoice> RandomScheduler::next(const SystemView& view) {

@@ -52,6 +52,28 @@ TEST(ChaosProfile, FactoriesValidateAndDescribe) {
     EXPECT_NE(havoc.describe().find("mode=havoc"), std::string::npos);
 }
 
+// Every chaos trial labels its run with these strings (System::execute
+// records scheduler.name()), so KSARUN-1 files and sweep reports carry
+// them byte for byte: the literals pin every branch of describe().
+TEST(ChaosProfile, DescribeLiterals) {
+    EXPECT_EQ(chaos::guarded_profile(7).describe(),
+              "seed=7,mode=guard,drop=60,dup=60,delay=150,burst=15");
+    EXPECT_EQ(chaos::havoc_profile(18446744073709551615ULL).describe(),
+              "seed=18446744073709551615,mode=havoc,drop=250,dup=60,"
+              "delay=100,burst=10");
+    EXPECT_EQ(chaos::byzantine_profile(3, 2).describe(),
+              "seed=3,mode=guard,drop=0,dup=40,delay=120,burst=10,"
+              "corrupt=180,equiv=120,byz=2");
+    EXPECT_EQ(chaos::byzantine_profile(3, 0).describe(),
+              "seed=3,mode=guard,drop=0,dup=40,delay=120,burst=10");
+    chaos::ChaosProfile crash = chaos::guarded_profile(5);
+    crash.crash_per_mille = 25;
+    crash.max_injected_crashes = 2;
+    EXPECT_EQ(crash.describe(),
+              "seed=5,mode=guard,drop=60,dup=60,delay=150,burst=15,"
+              "crash=25x2");
+}
+
 TEST(ChaosProfile, ValidateRejectsBadKnobs) {
     chaos::ChaosProfile p = chaos::guarded_profile(1);
     p.drop_per_mille = -1;
@@ -161,6 +183,21 @@ TEST(FaultInjector, NameEmbedsBaseAndProfile) {
     chaos::FaultInjector injector(base, chaos::guarded_profile(9));
     EXPECT_NE(injector.name().find("round-robin+chaos("), std::string::npos);
     EXPECT_NE(injector.name().find("seed=9"), std::string::npos);
+}
+
+TEST(FaultInjector, NameLiterals) {
+    RandomScheduler random(1234567890123ULL, 5);
+    EXPECT_EQ(random.name(), "random(seed=1234567890123,max_age=5)");
+    chaos::FaultInjector byzantine(random, chaos::byzantine_profile(11, -1));
+    EXPECT_EQ(byzantine.name(),
+              "random(seed=1234567890123,max_age=5)+chaos(seed=11,mode=guard,"
+              "drop=0,dup=40,delay=120,burst=10,corrupt=180,equiv=120,"
+              "byz=-1)");
+    RoundRobinScheduler base;
+    chaos::FaultInjector havoc(base, chaos::havoc_profile(9));
+    EXPECT_EQ(havoc.name(),
+              "round-robin+chaos(seed=9,mode=havoc,drop=250,dup=60,"
+              "delay=100,burst=10)");
 }
 
 // ------------------------------------------------------- havoc detection
