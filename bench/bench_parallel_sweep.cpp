@@ -15,7 +15,11 @@
 // stops paying -- 4-thread sweep speedup < 1.5x, or the flagship
 // explorer slower multi-threaded than single-threaded.  Both ratios
 // come from 1-thread and 4-thread runs taken alternately, best of 3
-// each.  On machines
+// each.  For every one of those runs the gate prints its wall time, the
+// process's CPU time (getrusage: user + system over every thread) and
+// the machine's steal ticks over the run (the "cpu" line of
+// /proc/stat, -1 where it cannot be read), so a failed gate shows
+// whether the N-thread runs got N cores' worth of CPU.  On machines
 // with fewer than 4 hardware threads it exits 77 (ctest SKIP): the
 // scheduler clamps to the hardware there, so "4-thread" scaling is not
 // a measurable quantity.
@@ -23,12 +27,16 @@
 // Usage: bench_parallel_sweep [--out FILE] [--threads N] [--quick]
 //                             [--check]
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <string>
 
 #include "algo/initial_clique.hpp"
 #include "bench_util.hpp"
@@ -59,6 +67,54 @@ ksa::core::ExploreConfig flagship_config() {
     cfg.max_depth = 14;
     cfg.max_states = 400000;
     return cfg;
+}
+
+/// Process CPU time so far, user + system over every thread, in ms.
+double process_cpu_ms() {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) * 1e3 +
+           static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) / 1e3;
+}
+
+/// The machine's steal ticks so far (the eighth field of the "cpu"
+/// line of /proc/stat), or -1 where that line cannot be read.
+long long steal_ticks() {
+    std::ifstream stat("/proc/stat");
+    std::string label;
+    if (!(stat >> label) || label != "cpu") return -1;
+    long long field = 0;
+    for (int i = 0; i < 8; ++i)
+        if (!(stat >> field)) return -1;
+    return field;
+}
+
+/// One timed run of `fn`: wall ms, process CPU ms and steal ticks.
+struct TimedRun {
+    double wall_ms = 0.0;
+    double cpu_ms = 0.0;
+    long long steal = -1;
+};
+
+template <typename Fn>
+TimedRun timed_run(Fn&& fn) {
+    const long long steal_before = steal_ticks();
+    const double cpu_before = process_cpu_ms();
+    TimedRun run;
+    run.wall_ms = ksa::bench::time_call_ms(fn);
+    run.cpu_ms = process_cpu_ms() - cpu_before;
+    const long long steal_after = steal_ticks();
+    if (steal_before >= 0 && steal_after >= 0)
+        run.steal = steal_after - steal_before;
+    return run;
+}
+
+void print_run(const char* what, int threads, int round, const TimedRun& run) {
+    std::cout << "  " << what << " " << threads << "t run " << round + 1
+              << ": wall " << std::fixed << std::setprecision(1) << run.wall_ms
+              << " ms, cpu " << run.cpu_ms << " ms, steal " << run.steal
+              << " ticks\n";
+    std::cout.unsetf(std::ios::fixed);
 }
 
 }  // namespace
@@ -140,13 +196,17 @@ int main(int argc, char** argv) {
     double sweep_seq_ms = 1e300, sweep_par_ms = 1e300;
     for (int r = 0; r < 3; ++r) {
         cfg.threads = 1;
-        sweep_seq_ms = std::min(sweep_seq_ms, ksa::bench::time_call_ms([&] {
-                                    seq = chaos::resilience_sweep(cfg);
-                                }));
+        const TimedRun one =
+                timed_run([&] { seq = chaos::resilience_sweep(cfg); });
         cfg.threads = threads;
-        sweep_par_ms = std::min(sweep_par_ms, ksa::bench::time_call_ms([&] {
-                                    par = chaos::resilience_sweep(cfg);
-                                }));
+        const TimedRun many =
+                timed_run([&] { par = chaos::resilience_sweep(cfg); });
+        sweep_seq_ms = std::min(sweep_seq_ms, one.wall_ms);
+        sweep_par_ms = std::min(sweep_par_ms, many.wall_ms);
+        if (check) {
+            print_run("sweep", 1, r, one);
+            print_run("sweep", threads, r, many);
+        }
     }
 
     const bool sweep_identical = seq.to_json() == par.to_json() &&
@@ -246,16 +306,20 @@ int main(int argc, char** argv) {
         fcfg.mode = core::ExploreMode::kFast;
         core::ExploreResult fast_seq, fast_par;
         double fast_ms = 1e300, fast_mt_ms = 1e300;
+        std::cout << "\n";
         for (int r = 0; r < 3; ++r) {
             fcfg.threads = 1;
-            fast_ms = std::min(fast_ms, ksa::bench::time_call_ms([&] {
-                          fast_seq = core::explore_schedules(*algorithm, fcfg);
-                      }));
+            const TimedRun one = timed_run([&] {
+                fast_seq = core::explore_schedules(*algorithm, fcfg);
+            });
             fcfg.threads = threads;
-            fast_mt_ms = std::min(fast_mt_ms, ksa::bench::time_call_ms([&] {
-                             fast_par = core::explore_schedules(*algorithm,
-                                                                fcfg);
-                         }));
+            const TimedRun many = timed_run([&] {
+                fast_par = core::explore_schedules(*algorithm, fcfg);
+            });
+            fast_ms = std::min(fast_ms, one.wall_ms);
+            fast_mt_ms = std::min(fast_mt_ms, many.wall_ms);
+            print_run("flagship", 1, r, one);
+            print_run("flagship", threads, r, many);
         }
         const bool fast_identical = fast_seq.verdict() == fast_par.verdict();
         all_identical = all_identical && fast_identical;
