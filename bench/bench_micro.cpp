@@ -22,6 +22,7 @@
 #include "chaos/profile.hpp"
 #include "chaos/resilience.hpp"
 #include "core/explorer.hpp"
+#include "core/ghost_step.hpp"
 // The message-digest and canonical-key micro-benchmarks measure the
 // reduction layer's own hot paths, so this is a justified importer of
 // the private header.
@@ -508,6 +509,87 @@ void BM_CanonicalKey(benchmark::State& state) {
 BENCHMARK(BM_CanonicalKey)
     ->ArgsProduct({{3, 4, 5}, {0, 1}})
     ->ArgNames({"n", "warm"});
+
+// The ghost step in isolation (core/ghost_step.hpp): every candidate of
+// one seeded mid-run node of kFast's n = 4 instance (initial clique,
+// distinct inputs), ghost-stepped as the explorer does, with the
+// transition memo on.  warm:0 starts every pass from a fresh
+// GhostStepper, so each candidate misses the memo, is stepped on a
+// behavior clone, digested and recorded (the first time a worker meets
+// a transition); warm:1 reuses one whose memo already holds them (the
+// common case: 96% of fast-n4's candidates at one thread).
+// allocs/candidate of the warm case is counted after a warm-up pass and
+// must be 0.
+void BM_GhostStep(benchmark::State& state) {
+    const bool warm = state.range(0) != 0;
+    const int n = 4;
+    auto algorithm = algo::make_flp_kset(n, 1);
+    System sys(*algorithm, n, distinct_inputs(n), FailurePlan{});
+    sys.set_recording(false);
+    RandomScheduler walk(/*seed=*/11);
+    for (int i = 0; i < 2 * n; ++i) {
+        std::optional<StepChoice> choice = walk.next(sys);
+        if (!choice) break;
+        sys.apply_choice(*choice);
+    }
+    // The node's trail caches: behavior marks (iff stepped) and
+    // buffered-message digests.
+    std::vector<store::BehaviorMark> marks;
+    std::vector<std::vector<Digest128>> message_digests;
+    for (ProcessId p = 1; p <= n; ++p) {
+        store::BehaviorMark m;
+        m.stepped = sys.steps_of(p) > 0;
+        if (m.stepped) m.hash = core::behavior_hash(sys.behavior_of(p));
+        marks.push_back(m);
+        message_digests.emplace_back();
+        for (const Message& msg : sys.buffer(p))
+            message_digests.back().push_back(
+                core::message_digest(msg.from, *msg.payload));
+    }
+    // The explorer's moves: nothing, the oldest message, the whole
+    // buffer, for every process that may step.
+    std::vector<std::pair<ProcessId, std::size_t>> moves;
+    for (ProcessId p = 1; p <= n; ++p) {
+        const std::size_t size = sys.buffer(p).size();
+        if (!sys.can_step(p) || (sys.decision_of(p) && size == 0)) continue;
+        moves.emplace_back(p, 0);
+        if (size >= 1) moves.emplace_back(p, 1);
+        if (size > 1) moves.emplace_back(p, size);
+    }
+
+    std::optional<core::GhostStepper> stepper;
+    core::GhostStep g;
+    auto step_node = [&] {
+        if (!warm || !stepper) stepper.emplace(&core::message_digest, true);
+        for (const auto& [p, delivered] : moves) {
+            stepper->ghost_step(sys, p, delivered, marks[p - 1],
+                                message_digests[p - 1], g);
+            benchmark::DoNotOptimize(g.bhash);
+        }
+    };
+    step_node();  // warm-up: fills the memo and grows every scratch buffer
+
+    std::uint64_t allocs = 0;
+    std::uint64_t stepped = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        const std::uint64_t before = alloc_calls_now();
+        const auto start = std::chrono::steady_clock::now();
+        step_node();
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+        allocs += alloc_calls_now() - before;
+        stepped += moves.size();
+    }
+    const double per = stepped > 0 ? 1.0 / static_cast<double>(stepped) : 0.0;
+    state.counters["candidates"] = static_cast<double>(moves.size());
+    state.counters["memo_transitions"] =
+        static_cast<double>(stepper->memo()->transitions_held());
+    state.counters["ns/candidate"] = ns * per;
+    state.counters["allocs/candidate"] = static_cast<double>(allocs) * per;
+}
+BENCHMARK(BM_GhostStep)->Arg(0)->Arg(1)->ArgName("warm");
 
 // The store path's rematerialization layer in isolation.  A seeded BFS
 // tree of the initial-clique protocol (n = 4, distinct inputs, every

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/ghost_step.hpp"
 #include "core/reduction.hpp"
 #include "exec/parallel_map.hpp"
 #include "exec/task_scheduler.hpp"
@@ -121,18 +122,13 @@ std::string canonical_state_string(const System& sys, int n,
     return key;
 }
 
-/// 128-bit digest of one behavior's local state (Behavior::fold_state
-/// in a fresh hasher).  The store path keys behavior state on these
-/// instead of digest strings; the fold_state contract ("distinguishes
-/// exactly what state_digest distinguishes") makes the partition
-/// identical to the reference mode's, modulo hash collisions.  Buffered
-/// messages are keyed by core/reduction.hpp's message_digest.
-Digest128 behavior_hash(const Behavior& b) {
-    StateHasher h;
-    b.fold_state(h);
-    return h.digest();
-}
-
+/// The store path keys behavior state on behavior_hash()
+/// (core/ghost_step.hpp) instead of digest strings; the fold_state
+/// contract ("distinguishes exactly what state_digest distinguishes")
+/// makes the partition identical to the reference mode's, modulo hash
+/// collisions.  Buffered messages are keyed by core/reduction.hpp's
+/// message_digest.
+///
 /// Per-process behavior-state entry and per-node buffered-message
 /// digest cache of a hashed key: shared with the out-of-core store
 /// (src/store/rematerialize.hpp), whose delta-replay path advances the
@@ -159,63 +155,20 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
 // buffers, p's decision/crash flag/behavior digest updated.  An
 // accepted child is never realized either: it is a 16-byte delta
 // record (src/store/), redone on its worker's live System only when its
-// own expansion comes up.
-
-/// Effects of one ghost step of `stepper` on a behavior clone.
-struct GhostStep {
-    StepOutput out;                 ///< sends + decision of the step
-    bool final_crash = false;       ///< step count hit the crash plan
-    const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
-    std::size_t delivered = 0;      ///< length of the delivered buffer prefix
-    Digest128 bhash{};              ///< behavior_hash() after the step
-    /// The stepped clone: symmetry renamings fold it again
-    /// (fold_state_renamed) and the absorption quotient asks it which
-    /// buffered messages are inert.
-    std::unique_ptr<Behavior> behavior;
-
-    /// True iff the send `(dest)` actually reaches its buffer.
-    bool send_survives(ProcessId dest) const {
-        return !(final_crash && omit_to != nullptr && omit_to->count(dest) != 0);
-    }
-};
-
-/// Runs one ghost step into `g` (per-worker scratch, overwritten).  The
-/// delivery modes of the explorer always deliver a *prefix* of the
-/// buffer (nothing / the oldest message / the whole buffer), so the
-/// delivered set is just a prefix length.  `scratch` is a caller-owned
-/// StepInput reused across candidates to amortize its allocations
-/// (System::deliver_prefix recycles the vector's capacity).
-void ghost_step(const System& sys, ProcessId p, std::size_t delivered,
-                StepInput& scratch, GhostStep& g) {
-    g.delivered = delivered;
-    sys.deliver_prefix(p, delivered, scratch);
-    g.behavior = sys.clone_behavior(p);
-    g.out = g.behavior->on_step(scratch);
-    const int allowed = sys.plan().allowed_steps(p);
-    g.final_crash = allowed >= 0 && sys.steps_of(p) + 1 == allowed;
-    g.omit_to = g.final_crash ? &sys.plan().spec(p).omit_to : nullptr;
-    g.bhash = behavior_hash(*g.behavior);
-}
+// own expansion comes up.  The ghost step itself, and the per-worker
+// memo of local transitions that serves most candidates without
+// stepping, live in core/ghost_step.hpp.
 
 /// Fills `arriving` (core/reduction.hpp) with the ghost step's
 /// surviving sends in emission order, every one live until hash_child
-/// judges it.  Each payload body is digested here, once per candidate
-/// however many destinations share it (a broadcast is one run of sends
-/// of one body); from then on the rematerializer's trail caches the
+/// judges it.  The ghost step digested each payload body (or recalled
+/// its digest); from then on the rematerializer's trail caches the
 /// digest (store/rematerialize.hpp) for every key it participates in.
-void fill_arriving(const GhostStep& g, ProcessId stepper,
-                   std::vector<ArrivingSend>& arriving) {
+void fill_arriving(const GhostStep& g, std::vector<ArrivingSend>& arriving) {
     arriving.clear();
-    const SharedPayload* digested = nullptr;
-    Digest128 hash{};
-    for (const auto& [dest, payload] : g.out.sends) {
-        if (!g.send_survives(dest)) continue;
-        if (digested == nullptr || !payload.same_body(*digested)) {
-            digested = &payload;
-            hash = message_digest(stepper, *payload);
-        }
-        arriving.push_back({dest, hash, &payload});
-    }
+    for (const GhostSend& s : g.sends)
+        if (g.send_survives(s.dest))
+            arriving.push_back({s.dest, s.hash, s.payload});
 }
 
 /// True iff the ghost step `g` reaches its node's own configuration: it
@@ -226,7 +179,7 @@ void fill_arriving(const GhostStep& g, ProcessId stepper,
 /// stepped before).  The child's key is then the node's key, which the
 /// visited store already holds (doc/performance.md §2.2).
 bool stutters(const GhostStep& g, const BehaviorMark& m) {
-    return g.delivered == 0 && g.out.sends.empty() && !g.out.decision &&
+    return g.delivered == 0 && g.sends.empty() && !g.decision &&
            !g.final_crash && m.stepped && g.bhash == m.hash;
 }
 
@@ -253,7 +206,7 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
         auto d = sys.decision_of(q);
-        if (q == stepper && g.out.decision) d = g.out.decision;
+        if (q == stepper && g.decision) d = g.decision;
         if (abs.decided_final && d) {
             h.u64(2);
             h.i64(*d);
@@ -312,7 +265,7 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
     for (ProcessId q = 1; q <= n; ++q) {
         if (abs.decided_final) {
             auto d = sys.decision_of(q);
-            if (q == stepper && g.out.decision) d = g.out.decision;
+            if (q == stepper && g.decision) d = g.decision;
             if (d) continue;  // collapsed with the first loop's marker
         }
         if (q == stepper)
@@ -731,7 +684,7 @@ struct ProcMoves {
 /// owns exactly one: nothing is shared.
 struct ReducedWorker {
     std::unique_ptr<store::Rematerializer> remat;
-    StepInput step;
+    std::optional<GhostStepper> stepper;
     NodeLiveness live;  ///< the node's liveness, absorption or non-trivial G
     /// The renamed-digest memo, non-trivial G only.
     std::optional<RenamedNodeDigests> renamed;
@@ -743,10 +696,13 @@ struct ReducedWorker {
     std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
 };
 
-/// Ghost-steps every move of `pm` into wk.ghosts[0 .. pm.num).
-void ghost_moves(const System& sys, const ProcMoves& pm, ReducedWorker& wk) {
+/// Ghost-steps every move of `pm` from `node` into wk.ghosts[0 .. pm.num).
+void ghost_moves(const store::MaterializedNode& node, const ProcMoves& pm,
+                 ReducedWorker& wk) {
     for (std::size_t m = 0; m < pm.num; ++m)
-        ghost_step(sys, pm.p, pm.prefixes[m], wk.step, wk.ghosts[m]);
+        wk.stepper->ghost_step(*node.sys, pm.p, pm.prefixes[m],
+                               (*node.marks)[pm.p - 1],
+                               (*node.mhash)[pm.p - 1], wk.ghosts[m]);
 }
 
 /// Classify, pick the persistent set, ghost-step and key the surviving
@@ -821,7 +777,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     }
 
     auto child_key = [&](const GhostStep& g, ProcessId p) {
-        fill_arriving(g, p, wk.arriving);
+        fill_arriving(g, wk.arriving);
         Digest128 key = hash_child(sys, cfg.n, p, g, *node.marks,
                                    *node.mhash, wk.arriving, wk.live, abs,
                                    wk.stepper_live, wk.folded);
@@ -832,7 +788,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
             eff.final_crash = g.final_crash;
             eff.arriving = &wk.arriving;
             eff.stepper_live = &wk.stepper_live;
-            eff.decision = &g.out.decision;
+            eff.decision = &g.decision;
             eff.behavior_after = g.behavior.get();
             eff.behavior_digest = g.bhash;
             key = wk.renamed->min_child_key(eff, key);
@@ -892,15 +848,15 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         auto moves_commute = [&](const ProcMoves& pm) {
             for (std::size_t m = 0; m < pm.num; ++m) {
                 const GhostStep& g = wk.ghosts[m];
-                if (g.out.decision && e.decided.count(*g.out.decision) == 0)
+                if (g.decision && e.decided.count(*g.decision) == 0)
                     return false;
                 // A decided destination of a decisions-are-final
                 // algorithm is as good as stopped: the send lands in a
                 // buffer the quotient never reads.
-                for (const auto& [dest, payload] : g.out.sends)
-                    if (g.send_survives(dest) && dest != pm.p &&
-                        sys.can_step(dest) &&
-                        !(abs.decided_final && sys.decision_of(dest)))
+                for (const GhostSend& s : g.sends)
+                    if (g.send_survives(s.dest) && s.dest != pm.p &&
+                        sys.can_step(s.dest) &&
+                        !(abs.decided_final && sys.decision_of(s.dest)))
                         return false;
             }
             return true;
@@ -917,7 +873,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         for (const ProcMoves& pm : wk.moves) {
             if (senders > 1) break;
             if (senders == 1 && sender != pm.p) continue;
-            ghost_moves(sys, pm, wk);
+            ghost_moves(node, pm, wk);
             if (!moves_commute(pm)) continue;
             // Only this process's moves are expanded.
             e.por_skips += total_moves - pm.num;
@@ -929,7 +885,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
 
     e.children.reserve(total_moves);
     for (const ProcMoves& pm : wk.moves) {
-        ghost_moves(sys, pm, wk);
+        ghost_moves(node, pm, wk);
         for (std::size_t m = 0; m < pm.num; ++m)
             emit_child(wk.ghosts[m], pm.p);
     }
@@ -953,6 +909,10 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     red.abs.strip_inert = axes.absorption;
     red.abs.decided_final = axes.absorption && algorithm.decided_is_final();
     red.por = axes.por;
+    // With absorption off and G trivial, child keys read nothing but the
+    // ghost steps' outputs, so the transition memo may serve them
+    // (core/ghost_step.hpp).
+    const bool memoize = !red.abs.strip_inert && red.group.is_trivial();
 
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
     const std::size_t threshold = resolve_threshold(cfg, sched);
@@ -965,6 +925,7 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
         w.remat = std::make_unique<store::Rematerializer>(
                 algorithm, cfg.n, cfg.inputs, cfg.plan, deltas,
                 &message_digest);
+        w.stepper.emplace(&message_digest, memoize);
         if (!red.group.is_trivial())
             w.renamed.emplace(cfg.n, algorithm, red.group, red.abs);
     }

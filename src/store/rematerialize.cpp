@@ -8,9 +8,9 @@ namespace ksa::store {
 namespace {
 
 /// Behavior::fold_state in a fresh hasher -- the behavior-state digest
-/// both engines key on (core/explorer.cpp keeps its own copy for the
-/// root/ghost paths; the two must and do agree, which the equivalence
-/// suite pins down end to end).
+/// both engines key on (core/ghost_step.hpp keeps its own copy for the
+/// ghost path; the two must and do agree, which the equivalence suite
+/// pins down end to end).
 Digest128 behavior_state_hash(const Behavior& b) {
     StateHasher h;
     b.fold_state(h);

@@ -206,6 +206,70 @@ TEST(ExplorerEquivalence, QuietStepsAreNotStutters) {
     EXPECT_TRUE(r.violation_found);
 }
 
+/// Every process decides its own id on its second step, which delivers
+/// nothing.  Its local state leaves the id out: after one step each,
+/// p1 and p2 are in equal states (equal digests), and their next steps
+/// have different outputs.
+class OwnIdOnSecondStep final : public Behavior {
+  public:
+    explicit OwnIdOnSecondStep(ProcessId id) : id_(id) {}
+    StepOutput on_step(const StepInput&) override {
+        StepOutput out;
+        if (++steps_ == 2) out.decision = id_;
+        return out;
+    }
+    std::string state_digest() const override {
+        return "steps " + std::to_string(steps_);
+    }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<OwnIdOnSecondStep>(*this);
+    }
+
+  private:
+    ProcessId id_;
+    int steps_ = 0;
+};
+
+class OwnIdOnSecondStepAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId id, int,
+                                            Value) const override {
+        return std::make_unique<OwnIdOnSecondStep>(id);
+    }
+    std::string name() const override { return "own-id-on-second-step"; }
+};
+
+// The store path's transition memo (core/ghost_step.hpp) names a step
+// by its stepper, local state and delivered messages.  A local state
+// need not render its process's id -- every engine keys it at its
+// process's position -- so the memo must key on the stepper: otherwise
+// p2's second step would recall p1's decision.
+TEST(ExplorerEquivalence, TransitionMemoKeysOnTheProcess) {
+    OwnIdOnSecondStepAlgorithm algorithm;
+    const ExploreResult r = expect_all_engines_agree(
+            algorithm, base_config(3, 1, 7), "own id on second step");
+    EXPECT_TRUE(r.violation_found);
+    EXPECT_TRUE(r.exhaustive);
+}
+
+// perfbench's fast-n4 instance meets about 6,100 distinct transitions,
+// more than a worker's memo holds (TransitionMemo::kMaxSlots), so its
+// workers replace memo entries as they go.  The counts must be the
+// pinned ones at 1 and 4 threads all the same.
+TEST(ExplorerEquivalence, TransitionMemoReplacementKeepsCounts) {
+    auto algorithm = algo::make_flp_kset(4, 1);
+    ExploreConfig cfg = base_config(4, 1, 8);
+    cfg.mode = ExploreMode::kFast;
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        const ExploreResult r = explore_schedules(*algorithm, cfg);
+        const std::string label = "threads " + std::to_string(threads);
+        EXPECT_EQ(r.states_explored, 104321u) << label;
+        EXPECT_EQ(r.schedules_expanded, 104321u) << label;
+        EXPECT_EQ(r.dedup_hits, 327484u) << label;
+    }
+}
+
 // The crash plan of the chaos layer's staggered adversary: a process
 // that crashes mid-run with the sends of its final step omitted to a
 // strict subset of receivers.  The ghost-step key must reproduce the
