@@ -19,10 +19,14 @@
 // process's CPU time (getrusage: user + system over every thread) and
 // the machine's steal ticks over the run (the "cpu" line of
 // /proc/stat, -1 where it cannot be read), so a failed gate shows
-// whether the N-thread runs got N cores' worth of CPU.  On machines
-// with fewer than 4 hardware threads it exits 77 (ctest SKIP): the
-// scheduler clamps to the hardware there, so "4-thread" scaling is not
-// a measurable quantity.
+// whether the N-thread runs got N cores' worth of CPU.  Before timing
+// anything it warms the host up with N-thread sweeps until two
+// consecutive rounds get at least kWarmCores cores' worth of CPU (or
+// kWarmCapMs have passed): after an idle spell a VM can give N workers
+// one core's CPU for seconds, which read as a sweep speedup of about
+// 1x.  On machines with fewer than 4 hardware threads it exits 77
+// (ctest SKIP): the scheduler clamps to the hardware there, so
+// "4-thread" scaling is not a measurable quantity.
 //
 // Usage: bench_parallel_sweep [--out FILE] [--threads N] [--quick]
 //                             [--check]
@@ -55,6 +59,14 @@ constexpr int kSkipExitCode = 77;
 
 /// The scaling gate's thresholds (ISSUE 8 acceptance criteria).
 constexpr double kMinSweepSpeedup = 1.5;
+
+/// The gate's warm-up: rounds of N-thread sweeps, each at least
+/// kWarmRoundMs of wall time, until two consecutive rounds' process CPU
+/// time reaches kWarmCores times their wall time, or until kWarmCapMs
+/// have passed.  Cold, a round's CPU time is about its wall time.
+constexpr double kWarmCores = 2.0;
+constexpr double kWarmRoundMs = 250.0;
+constexpr double kWarmCapMs = 10000.0;
 
 /// The depth-14 flagship exploration config (the bench_model_check
 /// "Thm 8, no crash" case): the largest layered BFS in the tree, so
@@ -187,6 +199,36 @@ int main(int argc, char** argv) {
     cfg.seeds_per_cell = quick ? 6 : 20;
     cfg.base_seed = 1;
     cfg.profile = chaos::guarded_profile(1);
+
+    // The warm-up (gate only): N-thread sweeps until the host gives the
+    // workers their cores.
+    if (check) {
+        cfg.threads = threads;
+        double warm_ms = 0.0;
+        int rounds = 0;
+        int warm_rounds = 0;
+        TimedRun round;
+        while (warm_rounds < 2 && warm_ms < kWarmCapMs) {
+            round = timed_run([&] {
+                const ksa::bench::WallTimer round_timer;
+                do {
+                    chaos::resilience_sweep(cfg);
+                } while (round_timer.elapsed_ms() < kWarmRoundMs);
+            });
+            warm_ms += round.wall_ms;
+            ++rounds;
+            warm_rounds = round.cpu_ms >= kWarmCores * round.wall_ms
+                                  ? warm_rounds + 1
+                                  : 0;
+        }
+        std::cout << "  warm-up: " << rounds << " rounds of " << threads
+                  << "-thread sweeps, " << std::fixed << std::setprecision(1)
+                  << warm_ms << " ms; last round cpu " << round.cpu_ms
+                  << " ms in " << round.wall_ms << " ms of wall"
+                  << (warm_rounds < 2 ? " (cap reached, still cold)" : "")
+                  << "\n";
+        std::cout.unsetf(std::ios::fixed);
+    }
 
     // The 1-thread and N-thread sweeps alternate, best of 3 each: the
     // host's speed drifts over seconds, and a single pair taken across
