@@ -282,32 +282,13 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
 // Each engine owns one work-stealing TaskScheduler for the whole
 // exploration; per-worker scratch is sized to sched.size() and reused
 // across every layer a worker touches.  Layers (blocks, on the store
-// path) below the sequential threshold run inline; dispatched work is
-// chunked with the scheduler's auto grain and rebalanced by stealing.
-// The chosen grain/threshold and the steal count are recorded into the
-// result as observability -- they describe the machine and the timing,
-// not the exploration, so they stay out of every report and
-// equivalence comparison.
-
-std::size_t resolve_threshold(const ExploreConfig& cfg,
-                              const exec::TaskScheduler& sched) {
-    return cfg.min_parallel_frontier != 0
-                   ? cfg.min_parallel_frontier
-                   : exec::TaskScheduler::sequential_threshold(sched.size());
-}
-
-void record_parallel_observability(ExploreResult& result,
-                                   const exec::TaskScheduler& sched,
-                                   std::size_t threshold,
-                                   std::size_t max_dispatched) {
-    result.parallel_threshold = threshold;
-    result.parallel_grain =
-            max_dispatched == 0
-                    ? 0
-                    : exec::TaskScheduler::auto_grain(max_dispatched,
-                                                      sched.size());
-    result.parallel_steals = sched.steal_count();
-}
+// path) below exec::TaskScheduler::sequential_threshold run inline:
+// per-region handoff overhead dwarfs the work on tiny layers.
+// Dispatched work is chunked with the scheduler's auto grain and
+// rebalanced by stealing.  The steal count is recorded into the result
+// as observability -- it describes the machine and the timing, not the
+// exploration, so it stays out of every report and equivalence
+// comparison.
 
 // ---------------------------------------------------------------------
 // Snapshot engine (reference mode).
@@ -424,8 +405,8 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
     std::set<std::string> visited;
 
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
-    const std::size_t threshold = resolve_threshold(cfg, sched);
-    std::size_t max_dispatched = 0;
+    const std::size_t threshold =
+            exec::TaskScheduler::sequential_threshold(sched.size());
 
     std::vector<Node> layer;
     {
@@ -441,13 +422,8 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 
     bool truncated = false;
     while (!layer.empty() && !truncated) {
-        if (cfg.collect_layer_sizes)
-            result.layer_frontier_sizes.push_back(layer.size());
         // Parallel phase: expand every node of the layer independently
         // (inline below the adaptive threshold -- byte-identical).
-        if (sched.size() > 1 && layer.size() >= threshold &&
-            layer.size() > max_dispatched)
-            max_dispatched = layer.size();
         std::vector<Expansion> expansions = exec::parallel_map_grained(
                 sched, layer.size(), /*grain=*/0,
                 [&](std::size_t i, int) { return expand_node(layer[i], cfg); },
@@ -495,7 +471,7 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
         layer = std::move(next);
     }
     result.states_explored = visited.size();
-    record_parallel_observability(result, sched, threshold, max_dispatched);
+    result.parallel_steals = sched.steal_count();
     return result;
 }
 
@@ -915,8 +891,8 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     const bool memoize = !red.abs.strip_inert && red.group.is_trivial();
 
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
-    const std::size_t threshold = resolve_threshold(cfg, sched);
-    std::size_t max_dispatched = 0;
+    const std::size_t threshold =
+            exec::TaskScheduler::sequential_threshold(sched.size());
 
     store::ShardedVisitedStore visited(cfg.store);
     store::DeltaStore deltas(cfg.store);
@@ -955,17 +931,11 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     int depth = 0;
     bool truncated = false;
     while (layer_begin < layer_end && !truncated) {
-        if (cfg.collect_layer_sizes)
-            result.layer_frontier_sizes.push_back(
-                    static_cast<std::size_t>(layer_end - layer_begin));
         for (std::uint64_t block = layer_begin;
              block < layer_end && !truncated; block += block_cap) {
             const std::size_t count = static_cast<std::size_t>(
                     std::min<std::uint64_t>(block_cap, layer_end - block));
             // Phase 1 (parallel): materialize + ghost-expand the block.
-            if (sched.size() > 1 && count >= threshold &&
-                count > max_dispatched)
-                max_dispatched = count;
             std::vector<StoreExpansion> expansions =
                     exec::parallel_map_grained(
                             sched, count, /*grain=*/0,
@@ -1039,7 +1009,7 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     }
 
     result.states_explored = states_accepted;
-    record_parallel_observability(result, sched, threshold, max_dispatched);
+    result.parallel_steals = sched.steal_count();
     const store::VisitedStats vs = visited.stats();
     result.store_shards = vs.shards;
     result.filter_definite_new = vs.filter_negatives;

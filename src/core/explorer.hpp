@@ -115,18 +115,6 @@ struct ExploreConfig {
     /// Which reductions kReduced applies (ignored by every other mode,
     /// kFast included).
     ReductionOptions reduction;
-    /// Record per-layer frontier sizes into ExploreStats
-    /// (observability; off by default to keep results lean).
-    bool collect_layer_sizes = false;
-    /// Frontiers smaller than this are expanded inline on the calling
-    /// thread even when threads > 1: per-region handoff overhead dwarfs
-    /// the work on tiny layers (the sub-millisecond cases in
-    /// BENCH_explorer.json).  0 (the default) derives the threshold
-    /// from the scheduler's grain policy
-    /// (exec::TaskScheduler::sequential_threshold -- fewer than
-    /// kMinGrain items per worker is not worth a dispatch); a nonzero
-    /// value overrides it.  Output stays byte-identical either way.
-    std::size_t min_parallel_frontier = 0;
     /// Sizing of the out-of-core store behind the store path
     /// (kFast/kReduced): visited-set sharding, the probabilistic dedup
     /// tier, the delta-frontier spill budget and the expansion block
@@ -177,16 +165,6 @@ struct ExploreVerdict {
 /// of the verdict.  The store-path engine (kFast/kReduced) fills all of
 /// it; the in-RAM reference leaves the store and spill counters 0.
 struct ExploreStats {
-    /// Frontier size of each BFS layer, filled iff
-    /// ExploreConfig::collect_layer_sizes.
-    std::vector<std::size_t> layer_frontier_sizes;
-    /// The grain chosen for the largest parallel-dispatched layer (0
-    /// when every layer ran inline).  Depends on the effective worker
-    /// count, a machine property.
-    std::size_t parallel_grain = 0;
-    /// The sequential-fallback threshold in effect (resolved from
-    /// ExploreConfig::min_parallel_frontier).
-    std::size_t parallel_threshold = 0;
     /// Successful work steals during this exploration (timing-dependent
     /// by design).
     std::uint64_t parallel_steals = 0;

@@ -2,7 +2,7 @@
 // The execution layer's wall clock.
 //
 // Everything under src/sim and src/chaos is deterministic by decree:
-// ksa_lint's `wall-clock-outside-bench` rule bans std::chrono clocks
+// ksa_analyze's `wall-clock-outside-bench` rule bans std::chrono clocks
 // there, because a time-dependent branch would break byte-identical
 // replay.  Graceful degradation still needs *some* notion of elapsed
 // time -- a resilience-sweep trial on a pathological profile must abort

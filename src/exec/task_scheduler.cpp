@@ -1,7 +1,7 @@
 #include "exec/task_scheduler.hpp"
 
 // src/exec/ is the one layer allowed to use threading primitives; the
-// ksa_lint rule `threading-outside-exec` enforces the boundary.
+// ksa_analyze rule `threading-outside-exec` enforces the boundary.
 #include <atomic>
 #include <condition_variable>
 #include <exception>

@@ -2,7 +2,7 @@
 // Work-stealing task scheduler: the execution core behind every
 // parallel path in the repository (explorer layer-parallel BFS,
 // resilience sweeps, border maps, theorem benches).  src/exec/ is the
-// ONLY place in src/ where threading primitives may appear (ksa_lint
+// ONLY place in src/ where threading primitives may appear (ksa_analyze
 // rule `threading-outside-exec`); everything else goes through
 // parallel_map_grained (parallel_map.hpp).
 //

@@ -3,8 +3,8 @@
 //
 // The Section VI decision rule asks one question of a small heard-from
 // graph: which source component, of those from which a given vertex is
-// reachable, has the smallest member?  scc.hpp and clique.hpp answer it
-// with a Digraph, an induced subgraph, Tarjan's decomposition and a
+// reachable, has the smallest member?  The Digraph path answers it with
+// an induced subgraph, Tarjan's decomposition (scc.hpp) and a
 // reachability search.  Here a vertex set is one 64-bit word, the graph
 // is one in-neighbour word per vertex, and the answer comes from a
 // transitive closure on those words -- no allocation at all, which

@@ -24,14 +24,6 @@ bool skip_directory(const fs::path& dir) {
            (!name.empty() && name[0] == '.');
 }
 
-const RuleInfo& rule_info(const char* name) {
-    for (const RuleInfo& r : all_rules())
-        if (r.name == name) return r;
-    static const RuleInfo kUnknown{"unknown", RuleKind::kWholeProgram,
-                                  Severity::kError, "", "", false};
-    return kUnknown;
-}
-
 /// float-in-digest: files that feed the deterministic digest must not
 /// traffic in floats (see the rule table entry for why).  "Feeds the
 /// digest" = directly includes sim/digest.hpp, or transitively includes
@@ -126,28 +118,25 @@ std::vector<SourceFile> scan_tree(const AnalyzerOptions& options,
     return files;
 }
 
-AnalysisResult analyze_files(const std::vector<SourceFile>& files,
-                             bool legacy_only) {
+AnalysisResult analyze_files(const std::vector<SourceFile>& files) {
     AnalysisResult result;
     result.files_scanned = files.size();
 
     for (const SourceFile& file : files) {
-        std::vector<Finding> f = run_line_rules(file, legacy_only);
+        std::vector<Finding> f = run_line_rules(file);
         result.findings.insert(result.findings.end(),
                                std::make_move_iterator(f.begin()),
                                std::make_move_iterator(f.end()));
     }
 
-    if (!legacy_only) {
-        const IncludeGraph graph = IncludeGraph::build(files);
-        const DeclModel decls = DeclModel::build(files);
-        for (auto&& pass :
-             {check_layering(graph), check_include_cycles(graph),
-              check_float_in_digest(files, graph),
-              run_flow_passes(files, decls)}) {
-            result.findings.insert(result.findings.end(), pass.begin(),
-                                   pass.end());
-        }
+    const IncludeGraph graph = IncludeGraph::build(files);
+    const DeclModel decls = DeclModel::build(files);
+    for (auto&& pass :
+         {check_layering(graph), check_include_cycles(graph),
+          check_float_in_digest(files, graph),
+          run_flow_passes(files, decls)}) {
+        result.findings.insert(result.findings.end(), pass.begin(),
+                               pass.end());
     }
 
     std::sort(result.findings.begin(), result.findings.end(),
@@ -207,7 +196,7 @@ std::string analysis_json(const AnalysisResult& result) {
 AnalysisResult analyze(const AnalyzerOptions& options) {
     std::vector<std::string> errors;
     const std::vector<SourceFile> files = scan_tree(options, errors);
-    AnalysisResult result = analyze_files(files, options.legacy_only);
+    AnalysisResult result = analyze_files(files);
     result.errors = std::move(errors);
 
     if (options.baseline.has_value())

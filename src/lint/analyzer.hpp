@@ -1,6 +1,6 @@
 #pragma once
 // lint::analyze -- the whole-program orchestration behind
-// tools/ksa_analyze (and, in legacy mode, tools/ksa_lint).
+// tools/ksa_analyze.
 //
 // A run scans a file set, executes the line rules (rules.hpp) on every
 // file, builds the include graph once, and executes the whole-program
@@ -15,8 +15,8 @@
 //                   includer that names StateHasher/Digest128/
 //                   fold_state in code).
 //
-// The library does no stream IO (ksa_lint rule stream-io-in-library):
-// results come back as values, the CLIs render them.
+// The library does no stream IO (rule stream-io-in-library): results
+// come back as values, the CLI renders them.
 
 #include <filesystem>
 #include <optional>
@@ -34,9 +34,6 @@ struct AnalyzerOptions {
     /// Root-relative directories (or files) to scan.
     std::vector<std::string> roots = {"src", "tools", "tests", "bench",
                                       "examples"};
-    /// Run only the classic ksa_lint line rules, skip the include-graph
-    /// passes (ksa_lint compatibility mode).
-    bool legacy_only = false;
     /// Baseline for the ratchet; when unset the ratchet is skipped.
     std::optional<std::filesystem::path> baseline;
 };
@@ -74,25 +71,24 @@ std::vector<SourceFile> scan_tree(const AnalyzerOptions& options,
 AnalysisResult analyze(const AnalyzerOptions& options);
 
 /// Analysis over pre-scanned files (tests, scratch copies).
-AnalysisResult analyze_files(const std::vector<SourceFile>& files,
-                             bool legacy_only);
+AnalysisResult analyze_files(const std::vector<SourceFile>& files);
 
 /// Ratchets `result` against the baseline file: loads it, compares,
 /// fills ratcheted/ratchet_regressions/ratchet_stale.  A missing or
 /// unparseable baseline lands in `result.errors` (exit code 2 at the
-/// CLIs) -- bootstrapping is the CLIs' explicit --init-baseline path,
+/// CLI) -- bootstrapping is the CLI's explicit --init-baseline path,
 /// never an implicit empty-baseline fallback.
 void apply_baseline(AnalysisResult& result,
                     const std::filesystem::path& baseline);
 
-/// The findings as the internal JSON model (--format=json at both
-/// CLIs): {version, files_scanned, findings: [{file, line, column,
+/// The findings as the internal JSON model (--format=json at the
+/// CLI): {version, files_scanned, findings: [{file, line, column,
 /// rule, severity, message}], ratcheted, ratchet_regressions,
 /// ratchet_stale, errors}.  Deterministic byte-for-byte for a given
 /// result (json.hpp keeps object keys sorted).
 std::string analysis_json(const AnalysisResult& result);
 
-/// True for the extensions ksa_lint/ksa_analyze scan (.cpp/.hpp/.cc/.h).
+/// True for the extensions ksa_analyze scans (.cpp/.hpp/.cc/.h).
 bool is_source_file(const std::filesystem::path& file);
 
 }  // namespace ksa::lint

@@ -10,14 +10,6 @@ namespace ksa::lint {
 
 namespace {
 
-const RuleInfo& rule_info(const char* name) {
-    for (const RuleInfo& r : all_rules())
-        if (r.name == name) return r;
-    static const RuleInfo kUnknown{"unknown", RuleKind::kWholeProgram,
-                                   Severity::kError, "", "", false};
-    return kUnknown;
-}
-
 /// A piece of a function body on one line: `text` is the code between
 /// the braces (boundary lines are trimmed at the brace columns), and
 /// `offset` is the 0-based column where `text` starts in the full line.

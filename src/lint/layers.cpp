@@ -26,15 +26,6 @@ std::vector<Layer> parse_table() {
     return out;
 }
 
-const RuleInfo& rule_info(const char* name) {
-    for (const RuleInfo& r : all_rules())
-        if (r.name == name) return r;
-    // The rule table is static; reaching this is a programming error.
-    static const RuleInfo kUnknown{"unknown", RuleKind::kWholeProgram,
-                                  Severity::kError, "", "", false};
-    return kUnknown;
-}
-
 bool allows(const Layer& from, const std::string& to_name) {
     return std::find(from.allowed.begin(), from.allowed.end(), to_name) !=
            from.allowed.end();

@@ -1,8 +1,8 @@
 #pragma once
 // lint::lex -- a comment/string/raw-string aware line lexer for the
-// project analyzers (tools/ksa_lint, tools/ksa_analyze).
+// project analyzer (tools/ksa_analyze).
 //
-// The original ksa_lint matched its rule regexes against raw source
+// The first, line-only linter matched its rule regexes against raw source
 // lines, so a pattern could fire inside a string literal or a trailing
 // comment, and a suppression tag inside a /* block comment */ was
 // honored as if it were real.  This lexer classifies every character of

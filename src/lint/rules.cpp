@@ -11,8 +11,7 @@ namespace ksa::lint {
 
 namespace {
 
-/// Path helpers (paths are judged as reported: root-relative under
-/// ksa_analyze, as given on the command line under ksa_lint) ----------
+/// Path helpers (paths are judged as reported: root-relative) ---------
 
 bool path_contains_dir(const fs::path& file, const std::string& dir) {
     for (const fs::path& part : file)
@@ -78,34 +77,28 @@ struct LineRule {
 
 const std::vector<RuleInfo>& rule_table() {
     static const std::vector<RuleInfo> kRules = {
-        // -- the classic ksa_lint set (order preserved: it is the
-        //    --list-rules output order of the original tool).
+        // -- line rules (lexer-blanked code, one line at a time).
         {"unordered-container", RuleKind::kLine, Severity::kError,
          "src/sim, src/core, src/chaos",
          "hash-ordered container in a replay-critical layer; iteration "
          "order is not deterministic across builds -- use std::set/std::map "
-         "or sort before iterating",
-         true},
+         "or sort before iterating"},
         {"raw-random", RuleKind::kLine, Severity::kError, "all sources",
          "unseeded/global randomness; take an explicit seed and use "
-         "std::mt19937_64 so runs stay replayable",
-         true},
+         "std::mt19937_64 so runs stay replayable"},
         {"missing-override", RuleKind::kLine, Severity::kError,
          "everywhere except the interface headers",
          "re-declared engine virtual without `override`/`final`; interface "
-         "drift would silently detach this subclass",
-         true},
+         "drift would silently detach this subclass"},
         {"threading-outside-exec", RuleKind::kLine, Severity::kError,
          "src/ except src/exec",
          "threading primitive outside src/exec/; express parallelism "
          "through exec::parallel_map_grained (doc/performance.md) "
          "or, for genuinely thread-safe bookkeeping, annotate with "
-         "ksa-lint: allow(threading-outside-exec)",
-         true},
+         "ksa-lint: allow(threading-outside-exec)"},
         {"stream-io-in-library", RuleKind::kLine, Severity::kError, "src/",
          "process-global stream IO in library code; return a report/string "
-         "and let examples/ or tools/ render it",
-         true},
+         "and let examples/ or tools/ render it"},
         {"frontier-growth-outside-store", RuleKind::kLine, Severity::kError,
          "src/ except src/store",
          "frontier-typed container (vector/deque of DeltaRecord or "
@@ -114,89 +107,73 @@ const std::vector<RuleInfo>& rule_table() {
          "and spill discipline (doc/performance.md §6) -- route the "
          "records through store::DeltaStore or, for a bounded scratch "
          "buffer, annotate with "
-         "ksa-lint: allow(frontier-growth-outside-store)",
-         true},
-        // -- analyzer additions (ksa_analyze only).
+         "ksa-lint: allow(frontier-growth-outside-store)"},
         {"pointer-keyed-container", RuleKind::kLine, Severity::kError, "src/",
          "map/set keyed on a raw pointer: iteration follows address order, "
          "which ASLR reshuffles on every execution -- key on a stable id "
          "(ProcessId, MessageId, an index) or on the pointee's canonical "
-         "rendering instead",
-         false},
+         "rendering instead"},
         {"wall-clock-outside-bench", RuleKind::kLine, Severity::kError,
          "everywhere except bench/ and src/exec",
          "wall-clock read outside bench//exec: timestamps differ on every "
          "execution, so any value derived from one poisons replays and "
-         "digests -- measure in bench/, count steps in the engine",
-         false},
+         "digests -- measure in bench/, count steps in the engine"},
+        // -- whole-program rules (include graph; analyzer.hpp).
         {"float-in-digest", RuleKind::kWholeProgram, Severity::kError,
          "src/ files that reach sim/digest.hpp",
          "float/double in a file that feeds the state digest: NaN "
          "payloads, signed zeros and x87 excess precision make float bit "
          "patterns environment-dependent, so hashing one breaks "
          "bit-identical replay -- store scaled integers or a rational pair "
-         "instead",
-         false},
+         "instead"},
         {"layering", RuleKind::kWholeProgram, Severity::kError,
          "the whole tree (table: src/lint/layers.def)",
          "include crosses the architecture DAG (src/lint/layers.def): a "
          "lower layer must not reach into a higher one, and private "
-         "layers (core/reduction) admit only their listed importers",
-         false},
+         "layers (core/reduction) admit only their listed importers"},
         {"include-cycle", RuleKind::kWholeProgram, Severity::kError,
          "the whole tree",
          "include cycle: the headers in the cycle have no valid build "
          "order and the layer DAG cannot hold -- break the cycle with a "
-         "forward declaration or by splitting the header",
-         false},
+         "forward declaration or by splitting the header"},
         // -- flow rules (decls.hpp/flow.hpp: function model + dataflow).
         {"parallel-capture-mutation", RuleKind::kWholeProgram,
          Severity::kError, "lambdas passed to parallel entry points",
          "lambda passed to a parallel entry point writes a by-reference "
          "capture that is not an atomic, not under a lock and not a "
          "per-index element slot -- a data race that desynchronizes "
-         "replays; write to out[i] or aggregate after the join",
-         false},
+         "replays; write to out[i] or aggregate after the join"},
         {"nondet-iteration-reaches-output", RuleKind::kWholeProgram,
          Severity::kError, "the whole tree",
          "iteration over an unordered container reaches digest folds / "
          "JSON emission / KSARUN trace writing: hash iteration order is "
          "not deterministic across builds, so the emitted bytes are not "
-         "either -- sort the keys first or use std::map/std::set",
-         false},
+         "either -- sort the keys first or use std::map/std::set"},
         {"lock-discipline", RuleKind::kWholeProgram, Severity::kError,
          "annotated members; src/exec public headers",
          "lock discipline violated: a `ksa: guarded_by(mu)` member is "
          "touched without locking `mu`, or a src/exec entry point "
          "carries no ksa: thread_safe / guarded_by / wait_free "
-         "annotation",
-         false},
+         "annotation"},
         {"blocking-in-task", RuleKind::kWholeProgram, Severity::kError,
          "bodies annotated `ksa: wait_free`",
          "blocking call in a `ksa: wait_free` body: locks, condition "
          "waits, stream IO and allocation-heavy vocabulary stall the "
          "worker and (under the future work-stealing deques) invite "
-         "scheduling-order divergence -- hoist the work out of the task",
-         false},
+         "scheduling-order divergence -- hoist the work out of the task"},
     };
     return kRules;
 }
 
-const RuleInfo* info(const char* name) {
-    for (const RuleInfo& r : rule_table())
-        if (r.name == name) return &r;
-    return nullptr;
-}
-
 const std::vector<LineRule>& line_rules() {
     static const std::vector<LineRule> kLineRules = {
-        {info("unordered-container"),
+        {&rule_info("unordered-container"),
          std::regex(R"(std::unordered_(set|map|multiset|multimap)\b)"),
          &in_deterministic_hot_path},
-        {info("raw-random"),
+        {&rule_info("raw-random"),
          std::regex(R"((\b(s?rand)\s*\()|(std::random_device\b))"),
          [](const fs::path&) { return true; }},
-        {info("missing-override"),
+        {&rule_info("missing-override"),
          // A re-declaration of one of the engine's virtuals that
          // carries neither `override` nor `final` nor a pure-virtual
          // marker in the same statement.  The virtual set is small and
@@ -204,23 +181,23 @@ const std::vector<LineRule>& line_rules() {
          std::regex(
              R"((next\s*\(\s*const\s+SystemView|on_step\s*\(\s*const\s+StepInput|state_digest\s*\(\s*\)\s*const|fold_state\s*\(\s*StateHasher|fold_state_renamed\s*\(\s*StateHasher|make_behavior\s*\(\s*ProcessId|query\s*\(\s*const\s+QueryContext|needs_failure_detector\s*\(\s*\)\s*const|may_send\s*\(\s*\)\s*const|message_inert\s*\(\s*ProcessId|rename_payload_ids\s*\(\s*Payload|decided_is_final\s*\(\s*\)\s*const))"),
          [](const fs::path& f) { return !is_interface_header(f); }},
-        {info("threading-outside-exec"),
+        {&rule_info("threading-outside-exec"),
          // Thread/lock/atomic vocabulary outside the exec layer.  The
          // match is on the primitives, not on <thread>-style includes.
          std::regex(
              R"(std::(jthread|thread\b|mutex|shared_mutex|timed_mutex|recursive_mutex|condition_variable|atomic|async\s*\(|future<|promise<|lock_guard|unique_lock|scoped_lock|shared_lock|barrier<|latch\b|counting_semaphore|binary_semaphore|call_once|once_flag|this_thread))"),
          &in_library_code_outside_exec},
-        {info("stream-io-in-library"),
+        {&rule_info("stream-io-in-library"),
          std::regex(R"((std::cout\b|std::cerr\b|\bprintf\s*\())"),
          &in_library_code},
-        {info("frontier-growth-outside-store"),
+        {&rule_info("frontier-growth-outside-store"),
          // A vector/deque whose ELEMENT type is a frontier node type.
          // Passing records by value or holding one (`DeltaRecord rec`)
          // is fine; amassing them is the store's job.
          std::regex(
              R"(std::(vector|deque)\s*<\s*(ksa::)?(store::)?(DeltaRecord|FrontierNode|FastNode)\b)"),
          &in_library_code_outside_store},
-        {info("pointer-keyed-container"),
+        {&rule_info("pointer-keyed-container"),
          // First template argument of a map/set family instance is a
          // pointer type: `std::map<Foo*`, `std::set<const Bar *`, ...
          // (a pointer MAPPED VALUE is fine -- iteration still follows
@@ -228,7 +205,7 @@ const std::vector<LineRule>& line_rules() {
          std::regex(
              R"(std::(unordered_)?(map|set|multimap|multiset)\s*<\s*(const\s+)?[A-Za-z_][A-Za-z0-9_:]*(\s+const)?\s*\*)"),
          &in_library_code},
-        {info("wall-clock-outside-bench"),
+        {&rule_info("wall-clock-outside-bench"),
          std::regex(
              R"(std::chrono::(system_clock|steady_clock|high_resolution_clock)\b)"),
          &outside_bench_and_exec},
@@ -236,7 +213,7 @@ const std::vector<LineRule>& line_rules() {
     return kLineRules;
 }
 
-/// missing-override helpers (ported from the original ksa_lint) ------
+/// missing-override helpers -------------------------------------------
 
 bool line_declares_virtual(const std::string& code) {
     return code.find("virtual ") != std::string::npos;
@@ -284,6 +261,14 @@ std::string to_string(Severity s) {
 
 const std::vector<RuleInfo>& all_rules() { return rule_table(); }
 
+const RuleInfo& rule_info(const std::string& name) {
+    for (const RuleInfo& r : rule_table())
+        if (r.name == name) return r;
+    static const RuleInfo kUnknown{"unknown", RuleKind::kWholeProgram,
+                                   Severity::kError, "", ""};
+    return kUnknown;
+}
+
 std::string rules_json() {
     json::Array arr;
     for (const RuleInfo& r : rule_table()) {
@@ -294,7 +279,6 @@ std::string rules_json() {
         o.emplace("severity", to_string(r.severity));
         o.emplace("scope", r.scope);
         o.emplace("summary", r.message);
-        o.emplace("legacy", r.legacy);
         arr.emplace_back(std::move(o));
     }
     return json::serialize(json::Value(std::move(arr)));
@@ -308,16 +292,13 @@ bool rule_applies(const std::string& rule, const std::string& path) {
     return true;  // layering / include-cycle judge edges, not files
 }
 
-std::vector<Finding> run_line_rules(const SourceFile& file,
-                                    bool legacy_only) {
+std::vector<Finding> run_line_rules(const SourceFile& file) {
     std::vector<Finding> findings;
     const fs::path path(file.path());
     // Resolve applicability once per file, not once per line.
     std::vector<const LineRule*> active;
-    for (const LineRule& rule : line_rules()) {
-        if (legacy_only && !rule.info->legacy) continue;
+    for (const LineRule& rule : line_rules())
         if (rule.applies(path)) active.push_back(&rule);
-    }
     if (active.empty()) return findings;
 
     for (std::size_t i = 1; i <= file.line_count(); ++i) {

@@ -1,7 +1,6 @@
 #pragma once
-// lint rule framework: the table of model-conformance rules shared by
-// tools/ksa_lint (the classic line-local scanner) and tools/ksa_analyze
-// (the whole-program analyzer).
+// lint rule framework: the table of model-conformance rules that
+// tools/ksa_analyze (the whole-program analyzer) runs.
 //
 // Two kinds of rule live here:
 //
@@ -48,23 +47,23 @@ struct RuleInfo {
     std::string scope;
     /// The message attached to findings (also the table rationale).
     std::string message;
-    /// Part of the classic ksa_lint rule set (pre-analyzer).  ksa_lint
-    /// runs exactly these; ksa_analyze runs everything.
-    bool legacy = false;
 };
 
-/// The full rule table, in stable order: the six classic ksa_lint rules
-/// first, then the analyzer's additions.
+/// The full rule table, in stable order: the line rules first, then
+/// the whole-program rules.
 const std::vector<RuleInfo>& all_rules();
 
+/// The table entry named `name`.  Callers name rules of the static
+/// table; an unknown name yields a placeholder entry named "unknown".
+const RuleInfo& rule_info(const std::string& name);
+
 /// Machine-readable rule table (--list-rules --json): a JSON array of
-/// {name, kind, severity, scope, summary, legacy}.
+/// {name, kind, severity, scope, summary}.
 std::string rules_json();
 
 /// Runs every LINE rule applicable to `file` and returns the
-/// unsuppressed findings in line order.  `legacy_only` restricts to the
-/// classic ksa_lint set (behavior-identical to the original tool).
-std::vector<Finding> run_line_rules(const SourceFile& file, bool legacy_only);
+/// unsuppressed findings in line order.
+std::vector<Finding> run_line_rules(const SourceFile& file);
 
 /// Whether `rule` applies to `path` at all (exposed for tests).
 bool rule_applies(const std::string& rule, const std::string& path);

@@ -137,8 +137,8 @@ void SourceFile::index(const std::string& text) {
                 if (terminates_statement(lexed_.lines[j].code)) break;
             }
         } else {
-            // Trailing tag: this line and the next (the original
-            // ksa_lint contract).
+            // Trailing tag: this line and the next (the first
+            // linter's contract).
             if (line_no < n) covered.push_back(line_no + 1);
         }
         for (const std::string& rule : rules)

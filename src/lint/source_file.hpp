@@ -1,11 +1,11 @@
 #pragma once
-// lint::SourceFile -- the per-file model shared by ksa_lint and
-// ksa_analyze: lexed lines (lexer.hpp), extracted #include directives,
+// lint::SourceFile -- the per-file model behind ksa_analyze: lexed
+// lines (lexer.hpp), extracted #include directives,
 // and the suppression map parsed from `// ksa-lint: allow(rule, ...)`
 // tags.
 //
-// Suppression semantics (the fixed version of the original ksa_lint
-// behavior; regression-tested in tests/test_lint.cpp):
+// Suppression semantics (the fixed version of the first, line-only
+// linter's behavior; regression-tested in tests/test_lint.cpp):
 //
 //   * one tag may name SEVERAL rules: `allow(rule-a, rule-b)`;
 //   * a tag trailing a code line suppresses that line and the next;
@@ -37,7 +37,7 @@ class SourceFile {
 public:
     /// Reads `disk_path`, lexes it, extracts includes + suppressions.
     /// `report_path` is the path findings and layering rules see
-    /// (root-relative for ksa_analyze, as-given for ksa_lint).
+    /// (root-relative to the scan root).
     /// Throws std::runtime_error when the file cannot be read.
     static SourceFile load(const std::filesystem::path& disk_path,
                            std::string report_path);

@@ -13,7 +13,7 @@
 //   * deterministic across processes, builds and platforms -- std::hash
 //     is implementation-defined and may be seeded per process, which
 //     would make "which states fall inside max_states" unreproducible
-//     (the ksa_lint raw-randomness/determinism rules exist for exactly
+//     (the ksa_analyze raw-randomness/determinism rules exist for exactly
 //     this class of bug).  Byte order included: bytes() assembles its
 //     words little-endian, so u64(v) equals bytes() of v's
 //     little-endian bytes on every host;

@@ -1,11 +1,10 @@
 #pragma once
-// Graphviz export: space-time diagrams of runs and heard-from graphs.
+// Graphviz export: space-time diagrams of runs.
 //
 // `run_to_dot` renders a recorded run as the classic space-time diagram
 // (one horizontal lane per process, one node per step, message arrows
 // between steps, decision/crash annotations) -- the picture one draws by
-// hand when walking through a partitioning argument.  The companion
-// graph/dot.hpp renders heard-from graphs.
+// hand when walking through a partitioning argument.
 //
 //   dot -Tsvg run.dot -o run.svg
 

@@ -1,5 +1,6 @@
 #include "sim/serialize.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <utility>
 
@@ -40,6 +41,49 @@ std::string decode(const std::string& s) {
     return out;
 }
 
+/// The fields of one record line, read left to right.  Every read is
+/// checked: the first missing or unparsable field throws UsageError
+/// naming the record, so a count read from the file never drives a loop
+/// over a failed stream, and nothing is sized from a count.
+class Fields {
+public:
+    explicit Fields(const std::string& line) : in_(line) { in_ >> kind_; }
+
+    const std::string& kind() const { return kind_; }
+
+    template <typename T>
+    T next() {
+        T v{};
+        if (!(in_ >> v)) fail();
+        return v;
+    }
+
+    /// A count, then that many values, read one at a time.
+    template <typename T>
+    std::vector<T> counted() {
+        std::vector<T> out;
+        for (auto left = next<std::size_t>(); left > 0; --left)
+            out.push_back(next<T>());
+        return out;
+    }
+
+    /// True when nothing but whitespace is left on the line.
+    bool at_end() { return (in_ >> std::ws).eof(); }
+
+    /// Rejects anything left on the line after its last field.
+    void finish() {
+        if (!at_end()) fail();
+    }
+
+    [[noreturn]] void fail() const {
+        throw UsageError("read_run: malformed '" + kind_ + "' line");
+    }
+
+private:
+    std::istringstream in_;
+    std::string kind_;
+};
+
 void write_sample(std::ostream& out, const FdSample& s) {
     out << ' ' << s.quorum.size();
     for (ProcessId q : s.quorum) out << ' ' << q;
@@ -47,15 +91,10 @@ void write_sample(std::ostream& out, const FdSample& s) {
     for (ProcessId l : s.leaders) out << ' ' << l;
 }
 
-FdSample read_sample(std::istringstream& in) {
+FdSample read_sample(Fields& in) {
     FdSample s;
-    std::size_t nq = 0, nl = 0;
-    in >> nq;
-    s.quorum.resize(nq);
-    for (auto& q : s.quorum) in >> q;
-    in >> nl;
-    s.leaders.resize(nl);
-    for (auto& l : s.leaders) in >> l;
+    s.quorum = in.counted<ProcessId>();
+    s.leaders = in.counted<ProcessId>();
     return s;
 }
 
@@ -72,24 +111,17 @@ void write_message(std::ostream& out, char kind, const Message& m) {
     out << '\n';
 }
 
-Message read_message(std::istringstream& in) {
+Message read_message(Fields& in) {
     Message m;
     Payload payload;
-    std::string tag;
-    std::size_t ni = 0, nl = 0;
-    in >> m.id >> m.from >> m.to >> m.sent_at >> tag >> ni;
-    payload.tag = decode(tag);
-    payload.ints.resize(ni);
-    for (auto& v : payload.ints) in >> v;
-    in >> nl;
-    payload.lists.resize(nl);
-    for (auto& list : payload.lists) {
-        std::size_t len = 0;
-        in >> len;
-        list.resize(len);
-        for (auto& v : list) in >> v;
-    }
-    if (!in) throw UsageError("read_run: malformed message line");
+    m.id = in.next<MessageId>();
+    m.from = in.next<ProcessId>();
+    m.to = in.next<ProcessId>();
+    m.sent_at = in.next<Time>();
+    payload.tag = decode(in.next<std::string>());
+    payload.ints = in.counted<int>();
+    for (auto lists = in.next<std::size_t>(); lists > 0; --lists)
+        payload.lists.push_back(in.counted<int>());
     m.payload = std::move(payload);
     return m;
 }
@@ -117,35 +149,27 @@ void write_fault(std::ostream& out, const FaultAction& a) {
     out << '\n';
 }
 
-FaultAction read_fault(std::istringstream& in) {
+FaultAction read_fault(Fields& in) {
     FaultAction a;
-    std::string sub;
-    in >> sub;
+    const std::string sub = in.next<std::string>();
     if (sub == "d") {
         a.kind = FaultAction::Kind::kDropMessage;
-        in >> a.message;
+        a.message = in.next<MessageId>();
     } else if (sub == "u") {
         a.kind = FaultAction::Kind::kDuplicateMessage;
-        in >> a.message;
+        a.message = in.next<MessageId>();
     } else if (sub == "c") {
         a.kind = FaultAction::Kind::kCrashProcess;
-        std::size_t omits = 0;
-        in >> a.process >> omits;
-        for (std::size_t i = 0; i < omits; ++i) {
-            ProcessId q = 0;
-            in >> q;
-            a.omit_to.insert(q);
-        }
-    } else if (sub == "m") {
-        a.kind = FaultAction::Kind::kCorruptMessage;
-        in >> a.message >> a.corrupt_seed;
-    } else if (sub == "e") {
-        a.kind = FaultAction::Kind::kEquivocate;
-        in >> a.message >> a.corrupt_seed;
+        a.process = in.next<ProcessId>();
+        for (ProcessId q : in.counted<ProcessId>()) a.omit_to.insert(q);
+    } else if (sub == "m" || sub == "e") {
+        a.kind = sub == "m" ? FaultAction::Kind::kCorruptMessage
+                            : FaultAction::Kind::kEquivocate;
+        a.message = in.next<MessageId>();
+        a.corrupt_seed = in.next<std::uint64_t>();
     } else {
         throw UsageError("read_run: unknown fault subkind '" + sub + "'");
     }
-    if (!in) throw UsageError("read_run: malformed fault line");
     return a;
 }
 
@@ -216,70 +240,67 @@ Run read_run(std::istream& in) {
     bool done = false;
     while (!done && std::getline(in, line)) {
         if (line.empty()) continue;
-        std::istringstream ls(line);
-        std::string kind;
-        ls >> kind;
+        Fields f(line);
+        const std::string& kind = f.kind();
         if (kind == "end") {
             done = true;
         } else if (kind == "n") {
-            ls >> run.n;
+            run.n = f.next<int>();
         } else if (kind == "algo") {
-            std::string enc;
-            ls >> enc;
-            run.algorithm = decode(enc);
+            run.algorithm = decode(f.next<std::string>());
         } else if (kind == "sched") {
-            std::string enc;
-            ls >> enc;
-            run.scheduler = decode(enc);
+            run.scheduler = decode(f.next<std::string>());
         } else if (kind == "stop") {
-            int v = 0;
-            ls >> v;
+            const int v = f.next<int>();
+            if (v < static_cast<int>(StopReason::kQuiescent) ||
+                v > static_cast<int>(StopReason::kStepLimit))
+                throw UsageError("read_run: unknown stop reason " +
+                                 std::to_string(v));
             run.stop = static_cast<StopReason>(v);
         } else if (kind == "inputs") {
-            Value v;
-            while (ls >> v) run.inputs.push_back(v);
+            while (!f.at_end()) run.inputs.push_back(f.next<Value>());
         } else if (kind == "crash") {
-            ProcessId p = 0;
+            const ProcessId p = f.next<ProcessId>();
             CrashSpec spec;
-            std::size_t omits = 0;
-            ls >> p >> spec.after_own_steps >> omits;
-            for (std::size_t i = 0; i < omits; ++i) {
-                ProcessId q = 0;
-                ls >> q;
-                spec.omit_to.insert(q);
-            }
+            spec.after_own_steps = f.next<int>();
+            for (ProcessId q : f.counted<ProcessId>()) spec.omit_to.insert(q);
             run.plan.set_crash(p, spec);
         } else if (kind == "byz") {
-            ProcessId p = 0;
-            int corruptions = 0, equivocations = 0;
-            ls >> p >> corruptions >> equivocations;
+            const ProcessId p = f.next<ProcessId>();
+            const int corruptions = f.next<int>();
+            const int equivocations = f.next<int>();
             run.plan.note_byzantine(p, corruptions, equivocations);
         } else if (kind == "fdev") {
             FdEvent e;
-            ls >> e.time >> e.process;
-            e.sample = read_sample(ls);
+            e.time = f.next<Time>();
+            e.process = f.next<ProcessId>();
+            e.sample = read_sample(f);
             run.fd_history.push_back(std::move(e));
         } else if (kind == "step") {
             StepRecord s;
-            std::string dec;
-            int final_step = 0, has_fd = 0;
-            ls >> s.time >> s.process >> dec >> final_step >> has_fd;
-            if (dec != "-") s.decision = std::stoi(dec);
-            s.final_crash_step = final_step != 0;
-            if (has_fd != 0) s.fd = read_sample(ls);
-            std::string digest;
-            ls >> digest;
-            s.digest_after = decode(digest);
+            s.time = f.next<Time>();
+            s.process = f.next<ProcessId>();
+            const std::string dec = f.next<std::string>();
+            if (dec != "-") {
+                Value v = 0;
+                const char* end = dec.data() + dec.size();
+                const auto [ptr, ec] = std::from_chars(dec.data(), end, v);
+                if (ec != std::errc() || ptr != end) f.fail();
+                s.decision = v;
+            }
+            s.final_crash_step = f.next<int>() != 0;
+            if (f.next<int>() != 0) s.fd = read_sample(f);
+            s.digest_after = decode(f.next<std::string>());
             run.steps.push_back(std::move(s));
         } else if (kind == "fault") {
             if (run.steps.empty())
                 throw UsageError("read_run: fault line before any step");
-            run.steps.back().faults.push_back(read_fault(ls));
+            run.steps.back().faults.push_back(read_fault(f));
         } else if (kind == "d" || kind == "s" || kind == "o" || kind == "x" ||
                    kind == "i" || kind == "t" || kind == "f") {
             if (run.steps.empty())
                 throw UsageError("read_run: message line before any step");
-            Message m = read_message(ls);
+            Message m = read_message(f);
             if (kind == "d")
                 run.steps.back().delivered.push_back(std::move(m));
             else if (kind == "s")
@@ -297,6 +318,7 @@ Run read_run(std::istream& in) {
         } else {
             throw UsageError("read_run: unknown record '" + kind + "'");
         }
+        f.finish();
     }
     if (!done) throw UsageError("read_run: missing end record");
     return run;

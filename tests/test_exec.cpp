@@ -128,8 +128,8 @@ TEST(TaskScheduler, GrainHeuristics) {
     EXPECT_EQ(TaskScheduler::auto_grain(3200, 4), 100u);
     EXPECT_EQ(TaskScheduler::auto_grain(std::size_t{1} << 24, 1),
               TaskScheduler::kMaxGrain);
-    // The auto threshold at 4 workers matches the old hardcoded
-    // min_parallel_frontier = 16 (explorer.hpp).
+    // kMinGrain items per worker: at 4 workers the explorer expands
+    // layers of fewer than 16 nodes inline.
     EXPECT_EQ(TaskScheduler::sequential_threshold(4), 16u);
     EXPECT_EQ(TaskScheduler::sequential_threshold(0),
               TaskScheduler::kMinGrain);

@@ -42,9 +42,8 @@ SourceFile make(const std::string& path, const std::string& text) {
 }
 
 std::vector<Finding> lines_of(const std::string& path,
-                              const std::string& text,
-                              bool legacy_only = false) {
-    return run_line_rules(make(path, text), legacy_only);
+                              const std::string& text) {
+    return run_line_rules(make(path, text));
 }
 
 AnalysisResult analyze_fixture(const std::string& name) {
@@ -116,7 +115,7 @@ TEST(Lexer, ContainsTokenMatchesWholeIdentifiersOnly) {
 
 // ---------------------------------------------------------------------
 // Suppressions (the fixed semantics; each case regresses a bug in the
-// original ksa_lint).
+// first, line-only linter).
 
 TEST(Suppression, OneTagMayNameSeveralRules) {
     const SourceFile f = make(
@@ -126,7 +125,7 @@ TEST(Suppression, OneTagMayNameSeveralRules) {
     EXPECT_TRUE(f.suppressed(2, "unordered-container"));
     EXPECT_TRUE(f.suppressed(2, "raw-random"));
     EXPECT_FALSE(f.suppressed(2, "stream-io-in-library"));
-    EXPECT_TRUE(run_line_rules(f, false).empty());
+    EXPECT_TRUE(run_line_rules(f).empty());
 }
 
 TEST(Suppression, StandaloneCommentCoversWholeWrappedStatement) {
@@ -140,7 +139,7 @@ TEST(Suppression, StandaloneCommentCoversWholeWrappedStatement) {
         "                      std::less<>> lookup =\n"
         "    make_lookup(std::unordered_map<int, int>{});\n");
     EXPECT_TRUE(f.suppressed(5, "unordered-container"));
-    EXPECT_TRUE(run_line_rules(f, false).empty());
+    EXPECT_TRUE(run_line_rules(f).empty());
 }
 
 TEST(Suppression, TagInsideBlockCommentIsInert) {
@@ -149,7 +148,7 @@ TEST(Suppression, TagInsideBlockCommentIsInert) {
         "/* ksa-lint: allow(unordered-container) */\n"
         "std::unordered_map<int, int> m;\n");
     EXPECT_FALSE(f.suppressed(2, "unordered-container"));
-    const std::vector<Finding> findings = run_line_rules(f, false);
+    const std::vector<Finding> findings = run_line_rules(f);
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, "unordered-container");
     EXPECT_EQ(findings[0].line, 2u);
@@ -161,7 +160,7 @@ TEST(Suppression, TagInsideStringLiteralIsInert) {
         "const char* doc = \"ksa-lint: allow(unordered-container)\";\n"
         "std::unordered_map<int, int> m;\n");
     EXPECT_FALSE(f.suppressed(2, "unordered-container"));
-    EXPECT_EQ(run_line_rules(f, false).size(), 1u);
+    EXPECT_EQ(run_line_rules(f).size(), 1u);
 }
 
 TEST(Suppression, TrailingTagCoversLineAndNext) {
@@ -205,10 +204,6 @@ TEST(LineRules, PointerKeyedContainer) {
     EXPECT_EQ(f[0].rule, "pointer-keyed-container");
     EXPECT_EQ(f[0].line, 1u);
     EXPECT_EQ(f[1].line, 3u);
-    // Analyzer-only: the legacy set must not grow.
-    EXPECT_TRUE(lines_of("src/core/a.hpp", "std::map<Proc*, int> bad;\n",
-                         /*legacy_only=*/true)
-                    .empty());
 }
 
 TEST(LineRules, FrontierGrowthScopedToStore) {
@@ -225,9 +220,6 @@ TEST(LineRules, FrontierGrowthScopedToStore) {
     EXPECT_EQ(f[1].line, 2u);
     // The store layer itself owns the frontier containers.
     EXPECT_TRUE(lines_of("src/store/delta_store.cpp", code).empty());
-    // Classic-set rule: plain ksa_lint enforces it too.
-    EXPECT_EQ(lines_of("src/core/a.cpp", code, /*legacy_only=*/true).size(),
-              2u);
     // The sanctioned bounded-scratch annotation suppresses it.
     EXPECT_TRUE(lines_of("src/core/a.cpp",
                          "// ksa-lint: allow(frontier-growth-outside-store)\n"
@@ -871,16 +863,8 @@ TEST(Rules, JsonListingMatchesTable) {
     ASSERT_TRUE(parsed->is_array());
     const json::Array& arr = parsed->as_array();
     ASSERT_EQ(arr.size(), all_rules().size());
-    std::size_t legacy = 0;
-    for (std::size_t i = 0; i < arr.size(); ++i) {
+    for (std::size_t i = 0; i < arr.size(); ++i)
         EXPECT_EQ(arr[i].find("name")->as_string(), all_rules()[i].name);
-        if (arr[i].find("legacy")->as_bool()) ++legacy;
-    }
-    // The ported original set (6 rules) plus frontier-growth-outside-
-    // store, added alongside the out-of-core store so plain ksa_lint
-    // polices frontier containers too, minus interning-outside-
-    // reduction, retired with the tag interner it confined.
-    EXPECT_EQ(legacy, 6u) << "the classic ksa_lint set grew or shrank";
 }
 
 TEST(Rules, DocTableMatchesRuleTable) {

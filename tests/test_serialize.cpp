@@ -72,6 +72,25 @@ TEST(Serialize, RejectsGarbage) {
     EXPECT_THROW(run_from_string("not a run"), UsageError);
     EXPECT_THROW(run_from_string("KSARUN 1\nn 2\n"), UsageError);  // no end
     EXPECT_THROW(run_from_string("KSARUN 1\nwat 1\nend\n"), UsageError);
+    // Malformed records fail at their first bad field: no count drives a
+    // loop over a failed stream or sizes a container.
+    for (const char* record : {
+             "crash 1 1 18446744073709551615",  // omit count, no values
+             "step 1 1 x 0 0 -",                // non-integer decision
+             "step 1",                          // truncated
+             "fdev 1 1 5",                      // FD-sample count, no values
+             "stop 7",                          // no such stop reason
+             "n 2 3",                           // trailing field
+         }) {
+        EXPECT_THROW(run_from_string(std::string("KSARUN 1\n") + record +
+                                     "\nend\n"),
+                     UsageError)
+                << record;
+    }
+    // A message line whose int count is 2^40.
+    EXPECT_THROW(run_from_string("KSARUN 1\nstep 1 1 - 0 0 %00\n"
+                                 "d 1 2 1 0 VAL 1099511627776 5\nend\n"),
+                 UsageError);
 }
 
 TEST(Serialize, ScheduleReplayReproducesRunExactly) {

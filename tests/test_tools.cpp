@@ -1,19 +1,16 @@
-// Tests for the tooling layer: DOT export, certification reports and
-// valence classification.
+// Tests for the tooling layer: run DOT export, certification reports
+// and the explorer's violation dichotomy under one-crash plans.
 
 #include <gtest/gtest.h>
 
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
 #include "algo/quorum_leader_kset.hpp"
+#include "core/explorer.hpp"
 #include "core/report.hpp"
 #include "core/theorem10.hpp"
 #include "core/theorem2.hpp"
 #include "core/theorem8.hpp"
-#include "core/valence.hpp"
-#include "graph/dot.hpp"
-#include "graph/generators.hpp"
-#include "graph/scc.hpp"
 #include "sim/dot_export.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
@@ -55,15 +52,6 @@ TEST(DotExport, OptionsAreRespected) {
     EXPECT_NE(run_to_dot(run, digesty).find("FL(p1"), std::string::npos);
 }
 
-TEST(DotExport, DigraphWithHighlight) {
-    graph::Digraph g = graph::random_min_indegree(6, 2, 3);
-    auto sources = graph::source_components(g);
-    ASSERT_FALSE(sources.empty());
-    std::string dot = graph::digraph_to_dot(g, sources.front());
-    EXPECT_NE(dot.find("digraph g"), std::string::npos);
-    EXPECT_NE(dot.find("gold"), std::string::npos);
-}
-
 // ------------------------------------------------------------------ reports
 
 TEST(Reports, Theorem2ReportIsComplete) {
@@ -94,45 +82,22 @@ TEST(Reports, Theorem10ReportMentionsLemma9) {
     EXPECT_EQ(report.find("INVALID"), std::string::npos);
 }
 
-// ------------------------------------------------------------------ valence
+// ------------------------------------------------- one-crash dichotomy
 
-TEST(Valence, TrivialAlgorithmIsAlwaysUnivalentPerProcess) {
-    algo::TrivialWaitFree algorithm;
-    core::ValenceResult v = core::classify_valence(
-        algorithm, 2, {0, 1}, core::one_crash_plans(2), 6);
-    // Both 0 and 1 get decided (by their owners) -- but as a *set
-    // agreement* outcome, not consensus; valence over decisions is {0,1}.
-    EXPECT_TRUE(v.exhaustive);
-    EXPECT_EQ(v.reachable, (std::set<Value>{0, 1}));
-}
-
-TEST(Valence, MixedInputsAreBivalentForBothCandidates) {
-    // FLP Lemma 2, executable: mixed binary inputs are bivalent (the
-    // adversary's crash choice steers the decision) -- for the flawed
-    // flooding candidate AND for the correct initial-crash protocol.
-    algo::FloodingKSet flooding(2);  // n=3, f=1
-    core::BivalenceSweep fl = core::binary_input_sweep(
-        flooding, 3, core::one_crash_plans(3), 10);
-    EXPECT_TRUE(fl.exhaustive) << fl.summary();
-    EXPECT_GT(fl.bivalent, 0) << fl.summary();
-    // All-equal inputs are univalent by validity.
-    EXPECT_FALSE(fl.rows.front().second.bivalent());  // (0,0,0)
-    EXPECT_FALSE(fl.rows.back().second.bivalent());   // (1,1,1)
-
-    auto flp = algo::make_flp_kset(3, 1);
-    core::BivalenceSweep ok = core::binary_input_sweep(
-        *flp, 3, core::one_crash_plans(3), 12);
-    EXPECT_GT(ok.bivalent, 0) << ok.summary();
-}
-
-TEST(Valence, TheDichotomyIsViolationsNotBivalence) {
+TEST(CrashPlanExploration, TheDichotomyIsViolationsNotBivalence) {
     // What separates the correct protocol from the flawed candidate is
     // not bivalence but reachable violations: per plan, every quiescent
     // outcome of the FLP protocol is internally consistent, while
     // flooding reaches outcomes with two decided values in one run.
+    // The plans: crash-free, then each process initially dead.
+    std::vector<FailurePlan> plans(1);
+    for (ProcessId p = 1; p <= 3; ++p) {
+        plans.emplace_back();
+        plans.back().set_initially_dead(p);
+    }
     auto flp = algo::make_flp_kset(3, 1);
     algo::FloodingKSet flooding(2);
-    for (const FailurePlan& plan : core::one_crash_plans(3)) {
+    for (const FailurePlan& plan : plans) {
         core::ExploreConfig cfg;
         cfg.n = 3;
         cfg.inputs = {0, 1, 1};
@@ -150,13 +115,6 @@ TEST(Valence, TheDichotomyIsViolationsNotBivalence) {
     cfg.max_depth = 12;
     core::ExploreResult bad = core::explore_schedules(flooding, cfg);
     EXPECT_TRUE(bad.violation_found) << bad.summary();
-}
-
-TEST(Valence, PlanFamilyGenerator) {
-    auto plans = core::one_crash_plans(4);
-    EXPECT_EQ(plans.size(), 5u);
-    EXPECT_EQ(plans[0].num_faulty(), 0);
-    EXPECT_TRUE(plans[3].is_initially_dead(3));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ksa_analyze -- the whole-program architecture & determinism analyzer.
 //
-// Built on the same src/lint/ library as ksa_lint, plus the passes that
-// need cross-file facts:
+// Built on the src/lint/ library: the line rules of src/lint/rules.cpp,
+// plus the passes that need cross-file facts:
 //
 //   layering          every quoted include is checked against the
 //                     architecture DAG in src/lint/layers.def; private
@@ -13,8 +13,6 @@
 //   float-in-digest   float/double in any file that feeds the state
 //                     digest (direct includer of sim/digest.hpp, or a
 //                     transitive includer naming the hasher vocabulary).
-//   pointer-keyed-container / wall-clock-outside-bench
-//                     line rules that exist only in the analyzer set.
 //
 // Reporting:
 //   --sarif <file>      SARIF 2.1.0 for CI code-scanning upload;

@@ -37,6 +37,7 @@
 // replay/shrink reconstruct the algorithm from the run's recorded label
 // (currently the initial-clique family, `initial-clique(L=...)`).
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -44,6 +45,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/initial_clique.hpp"
@@ -108,7 +110,12 @@ std::unique_ptr<Algorithm> algorithm_of(const Run& run) {
     const std::string& label = run.algorithm;
     const std::string prefix = "initial-clique(L=";
     if (label.rfind(prefix, 0) == 0) {
-        const int l = std::stoi(label.substr(prefix.size()));
+        const char* last = label.data() + label.size();
+        int l = 0;
+        const auto [end, ec] =
+                std::from_chars(label.data() + prefix.size(), last, l);
+        if (ec != std::errc() || std::string_view(end, last) != ")")
+            throw UsageError("L is not an integer in '" + label + "'");
         return std::make_unique<algo::InitialCliqueKSet>(l);
     }
     throw UsageError("ksa_chaos: cannot reconstruct algorithm '" + label +
