@@ -376,8 +376,8 @@ BENCHMARK(BM_ExplorerAllocsPerState)
 // symmetric-n5 exploration renames 62 local states for 2,545
 // candidates).
 // The node comes from a seeded random schedule; the candidates are the
-// explorer's (process, delivery-prefix) moves, ghost-stepped up front,
-// with the liveness verdicts their identity keys would reach.
+// explorer's (process, prefix_menu) moves, stepped up front and laid
+// out by hand as the explorer's lay_out_child lays them out.
 // allocs/candidate of the warm case is counted after a warm-up pass and
 // must be 0.
 void BM_CanonicalKey(benchmark::State& state) {
@@ -404,75 +404,81 @@ void BM_CanonicalKey(benchmark::State& state) {
     std::vector<Digest128> behavior_digests;
     std::vector<std::vector<Digest128>> message_digests;
     for (ProcessId p = 1; p <= n; ++p) {
-        StateHasher h;
-        sys.behavior_of(p).fold_state(h);
-        behavior_digests.push_back(h.digest());
+        behavior_digests.push_back(behavior_hash(sys.behavior_of(p)));
         message_digests.emplace_back();
         for (const Message& m : sys.buffer(p))
             message_digests.back().push_back(
                 core::message_digest(m.from, *m.payload));
     }
 
+    // A layout borrows its candidate's clone, payloads and arrival
+    // digests, whose addresses survive the candidate's moves.
     struct Candidate {
-        ProcessId p = 0;
-        std::size_t delivered = 0;
         std::unique_ptr<Behavior> behavior;
-        Digest128 behavior_digest{};
         StepOutput out;
-        std::vector<core::ArrivingSend> arriving;
-        std::vector<std::uint8_t> stepper_live;
+        std::vector<Digest128> arrivals;
+        core::ChildLayout child;
     };
     std::vector<Candidate> candidates;
     StepInput input;
     for (ProcessId p = 1; p <= n; ++p) {
-        if (!sys.can_step(p) || (abs.decided_final && sys.decision_of(p)))
-            continue;
-        const std::size_t size = sys.buffer(p).size();
-        std::vector<std::size_t> prefixes = {0};
-        if (size >= 1) prefixes.push_back(1);
-        if (size > 1) prefixes.push_back(size);
-        for (std::size_t delivered : prefixes) {
+        if (abs.decided_final && sys.decision_of(p)) continue;  // absorbed
+        for (const std::size_t delivered : core::prefix_menu(sys, p)) {
             Candidate c;
-            c.p = p;
-            c.delivered = delivered;
             sys.deliver_prefix(p, delivered, input);
             c.behavior = sys.clone_behavior(p);
             c.out = c.behavior->on_step(input);
-            StateHasher h;
-            c.behavior->fold_state(h);
-            c.behavior_digest = h.digest();
+            c.arrivals.reserve(c.out.sends.size());
+            core::ChildLayout& child = c.child;
+            child.stepper = p;
+            child.stepped = c.behavior.get();
+            for (ProcessId q = 1; q <= n; ++q) {
+                const bool stepping = q == p;
+                std::optional<Value> d = sys.decision_of(q);
+                if (stepping && c.out.decision) d = c.out.decision;
+                auto& proc = child.processes.emplace_back();
+                proc.begin = proc.end =
+                    static_cast<std::uint32_t>(child.runs.size());
+                proc.collapsed = abs.decided_final && d.has_value();
+                if (proc.collapsed) {
+                    proc.head[0] = 2;
+                    proc.head[1] = static_cast<std::uint64_t>(*d);
+                    proc.head_words = 2;
+                    continue;
+                }
+                proc.head[proc.head_words++] = sys.crashed(q) ? 1 : 0;
+                proc.head[proc.head_words++] = d ? 1 : 0;
+                if (d)
+                    proc.head[proc.head_words++] =
+                        static_cast<std::uint64_t>(*d);
+                proc.stepped = stepping || sys.steps_of(q) > 0;
+                proc.behavior = stepping ? behavior_hash(*c.behavior)
+                                         : behavior_digests[q - 1];
+                const Behavior& receiver =
+                    stepping ? *c.behavior : sys.behavior_of(q);
+                // One run per live message.
+                const auto& buf = sys.buffer(q);
+                for (std::size_t i = stepping ? delivered : 0; i < buf.size();
+                     ++i)
+                    if (!core::dead_message(buf[i].from, *buf[i].payload,
+                                            receiver, abs))
+                        child.runs.push_back({&message_digests[q - 1][i], 1,
+                                              static_cast<std::uint32_t>(i),
+                                              nullptr});
+                for (const auto& [dest, payload] : c.out.sends) {
+                    if (dest != q ||
+                        core::dead_message(p, *payload, receiver, abs))
+                        continue;
+                    c.arrivals.push_back(core::message_digest(p, *payload));
+                    child.runs.push_back({&c.arrivals.back(), 1,
+                                          core::ChildLayout::kArriving,
+                                          &payload});
+                }
+                proc.end = static_cast<std::uint32_t>(child.runs.size());
+                proc.head[proc.head_words++] = proc.end - proc.begin;
+            }
             candidates.push_back(std::move(c));
         }
-    }
-    // Arrivals borrow the candidates' payloads and GhostEffects borrow
-    // the candidates, so both are made once the vector has stopped
-    // growing.
-    std::vector<core::GhostEffects> effects;
-    for (Candidate& c : candidates) {
-        const auto& buf = sys.buffer(c.p);
-        for (std::size_t i = c.delivered; i < buf.size(); ++i)
-            c.stepper_live.push_back(
-                core::dead_message(buf[i].from, *buf[i].payload,
-                                   *c.behavior, abs) ? 0 : 1);
-        for (const auto& [dest, payload] : c.out.sends) {
-            const Behavior& receiver =
-                dest == c.p ? *c.behavior : sys.behavior_of(dest);
-            core::ArrivingSend a;
-            a.dest = dest;
-            a.hash = core::message_digest(c.p, *payload);
-            a.payload = &payload;
-            a.live = !core::dead_message(c.p, *payload, receiver, abs);
-            c.arriving.push_back(a);
-        }
-        core::GhostEffects eff;
-        eff.stepper = c.p;
-        eff.delivered = c.delivered;
-        eff.arriving = &c.arriving;
-        eff.stepper_live = &c.stepper_live;
-        eff.decision = &c.out.decision;
-        eff.behavior_after = c.behavior.get();
-        eff.behavior_digest = c.behavior_digest;
-        effects.push_back(eff);
     }
 
     // Every renamed key competes: the identity key is the maximum.
@@ -483,8 +489,8 @@ void BM_CanonicalKey(benchmark::State& state) {
         if (!warm || !memo) memo.emplace(n, *algorithm, group, abs);
         live.build(sys, n, abs);
         memo->build(sys, live, behavior_digests, message_digests);
-        for (const core::GhostEffects& eff : effects)
-            benchmark::DoNotOptimize(memo->min_child_key(eff, identity));
+        for (const Candidate& c : candidates)
+            benchmark::DoNotOptimize(memo->min_child_key(c.child, identity));
     };
     key_node();  // warm-up: grows every scratch buffer once
 
@@ -499,11 +505,11 @@ void BM_CanonicalKey(benchmark::State& state) {
                   std::chrono::steady_clock::now() - start)
                   .count();
         allocs += alloc_calls_now() - before;
-        keyed += effects.size();
+        keyed += candidates.size();
     }
     const double per = keyed > 0 ? 1.0 / static_cast<double>(keyed) : 0.0;
     state.counters["group"] = static_cast<double>(group.size());
-    state.counters["candidates"] = static_cast<double>(effects.size());
+    state.counters["candidates"] = static_cast<double>(candidates.size());
     state.counters["memo_entries"] = static_cast<double>(memo->memo_entries());
     state.counters["ns/candidate"] = ns * per;
     state.counters["allocs/candidate"] = static_cast<double>(allocs) * per;
@@ -541,23 +547,18 @@ void BM_GhostStep(benchmark::State& state) {
     for (ProcessId p = 1; p <= n; ++p) {
         store::BehaviorMark m;
         m.stepped = sys.steps_of(p) > 0;
-        if (m.stepped) m.hash = core::behavior_hash(sys.behavior_of(p));
+        if (m.stepped) m.hash = behavior_hash(sys.behavior_of(p));
         marks.push_back(m);
         message_digests.emplace_back();
         for (const Message& msg : sys.buffer(p))
             message_digests.back().push_back(
                 core::message_digest(msg.from, *msg.payload));
     }
-    // The explorer's moves: nothing, the oldest message, the whole
-    // buffer, for every process that may step.
+    // The explorer's moves: every process's prefix_menu.
     std::vector<std::pair<ProcessId, std::size_t>> moves;
-    for (ProcessId p = 1; p <= n; ++p) {
-        const std::size_t size = sys.buffer(p).size();
-        if (!sys.can_step(p) || (sys.decision_of(p) && size == 0)) continue;
-        moves.emplace_back(p, 0);
-        if (size >= 1) moves.emplace_back(p, 1);
-        if (size > 1) moves.emplace_back(p, size);
-    }
+    for (ProcessId p = 1; p <= n; ++p)
+        for (const std::size_t delivered : core::prefix_menu(sys, p))
+            moves.emplace_back(p, delivered);
 
     std::optional<core::GhostStepper> stepper;
     core::GhostStep g;
@@ -627,16 +628,10 @@ void BM_Rematerialize(benchmark::State& state) {
         for (std::uint64_t id = layer_begin; id < layer_end; ++id) {
             const System& sys = *remat.materialize(id).sys;
             std::vector<store::DeltaRecord> moves;
-            for (ProcessId p = 1; p <= kN; ++p) {
-                if (!sys.can_step(p)) continue;
-                const std::size_t size = sys.buffer(p).size();
-                const auto stepper = static_cast<std::uint32_t>(p);
-                moves.push_back({id, stepper, 0});
-                if (size >= 1) moves.push_back({id, stepper, 1});
-                if (size > 1)
-                    moves.push_back(
-                        {id, stepper, static_cast<std::uint32_t>(size)});
-            }
+            for (ProcessId p = 1; p <= kN; ++p)
+                for (const std::size_t delivered : core::prefix_menu(sys, p))
+                    moves.push_back({id, static_cast<std::uint32_t>(p),
+                                     static_cast<std::uint32_t>(delivered)});
             for (std::size_t c = 0; c < kFanout && !moves.empty(); ++c) {
                 const std::size_t pick = rng() % moves.size();
                 records.push_back(moves[pick]);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -19,6 +20,20 @@
 #include "store/visited_store.hpp"
 
 namespace ksa::core {
+
+PrefixMenu prefix_menu(const System& sys, ProcessId p) {
+    PrefixMenu menu;
+    if (!sys.can_step(p)) return menu;
+    const std::size_t buffered = sys.buffer(p).size();
+    // Skip steps that provably change nothing: a decided correct
+    // process with an empty buffer.
+    if (buffered == 0 && sys.decision_of(p) && !sys.plan().is_faulty(p))
+        return menu;
+    menu.prefix[menu.size++] = 0;
+    if (buffered >= 1) menu.prefix[menu.size++] = 1;
+    if (buffered > 1) menu.prefix[menu.size++] = buffered;
+    return menu;
+}
 
 namespace {
 
@@ -43,35 +58,6 @@ std::set<Value> decision_set(const System& sys, int n) {
         if (d) out.insert(*d);
     }
     return out;
-}
-
-/// The three delivery modes for process p, in canonical order: deliver
-/// nothing, deliver the oldest buffered message, deliver the whole
-/// buffer (only when it differs from "oldest").  Every engine enumerates
-/// children in exactly this order so that BFS insertion order -- and
-/// therefore witness selection and max_states truncation -- is engine-
-/// independent.
-std::vector<StepChoice> delivery_modes(const System& sys, ProcessId p) {
-    std::vector<StepChoice> modes;
-    {
-        StepChoice none;
-        none.process = p;
-        modes.push_back(none);
-    }
-    const auto& buf = sys.buffer(p);
-    if (!buf.empty()) {
-        StepChoice oldest;
-        oldest.process = p;
-        oldest.deliver.push_back(buf.front().id);
-        modes.push_back(oldest);
-        if (buf.size() > 1) {
-            StepChoice all;
-            all.process = p;
-            for (const Message& m : buf) all.deliver.push_back(m.id);
-            modes.push_back(all);
-        }
-    }
-    return modes;
 }
 
 // ---------------------------------------------------------------------
@@ -123,7 +109,7 @@ std::string canonical_state_string(const System& sys, int n,
 }
 
 /// The store path keys behavior state on behavior_hash()
-/// (core/ghost_step.hpp) instead of digest strings; the fold_state
+/// (sim/behavior.hpp) instead of digest strings; the fold_state
 /// contract ("distinguishes exactly what state_digest distinguishes")
 /// makes the partition identical to the reference mode's, modulo hash
 /// collisions.  Buffered messages are keyed by core/reduction.hpp's
@@ -135,11 +121,6 @@ std::string canonical_state_string(const System& sys, int n,
 /// same caches the in-RAM frontier used to carry per node.
 using store::BehaviorMark;
 using store::MessageHashes;
-
-void fold_mark(StateHasher& h, const BehaviorMark& m) {
-    h.u64(m.stepped ? 1 : 0);
-    if (m.stepped) h.fold(m.hash);
-}
 
 // ---------------------------------------------------------------------
 // Ghost stepping (store path).
@@ -159,18 +140,6 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
 // memo of local transitions that serves most candidates without
 // stepping, live in core/ghost_step.hpp.
 
-/// Fills `arriving` (core/reduction.hpp) with the ghost step's
-/// surviving sends in emission order, every one live until hash_child
-/// judges it.  The ghost step digested each payload body (or recalled
-/// its digest); from then on the rematerializer's trail caches the
-/// digest (store/rematerialize.hpp) for every key it participates in.
-void fill_arriving(const GhostStep& g, std::vector<ArrivingSend>& arriving) {
-    arriving.clear();
-    for (const GhostSend& s : g.sends)
-        if (g.send_survives(s.dest))
-            arriving.push_back({s.dest, s.hash, s.payload});
-}
-
 /// True iff the ghost step `g` reaches its node's own configuration: it
 /// delivers nothing, sends nothing and decides nothing, it is not its
 /// process's final crash step, and it leaves the process's behavior
@@ -183,96 +152,109 @@ bool stutters(const GhostStep& g, const BehaviorMark& m) {
            !g.final_crash && m.stepped && g.bhash == m.hash;
 }
 
-/// Key of the child configuration reached from `sys` by the ghost step,
-/// under the identity renaming: field-for-field reduced_hash_state() of
-/// the realized child.  The absorption quotient applies as configured
-/// -- decided processes fold to their decision alone and dead messages
-/// (judged by the receiver's CHILD-state behavior) leave buffer keys;
-/// with `abs` all off this is the plain configuration key.  `arriving`
-/// must hold the surviving sends in emission order (fill_arriving);
-/// `live` is the node's liveness, read only under abs.strip_inert.
-/// Under abs.strip_inert the verdicts reached here are left for the
-/// renamed keys (GhostEffects): each arrival's in its `live` flag, the
-/// stepper's remaining buffer's in `stepper_live`.  `folded` is
-/// per-worker scratch.
-Digest128 hash_child(const System& sys, int n, ProcessId stepper,
-                     const GhostStep& g,
-                     const std::vector<BehaviorMark>& parent_marks,
-                     const MessageHashes& parent_mhash,
-                     std::vector<ArrivingSend>& arriving,
-                     const NodeLiveness& live, const AbsorptionContext& abs,
-                     std::vector<std::uint8_t>& stepper_live,
-                     std::vector<Digest128>& folded) {
+/// Lays out the child configuration the ghost step `g` of `stepper`
+/// reaches from the node `sys` (ChildLayout, core/reduction.hpp): the
+/// one place where a move meets the key.  `marks` and `mhash` are the
+/// node's trail caches.  The stepper's delivered prefix leaves its
+/// buffer, the step's surviving sends join their receivers' buffers
+/// behind the survivors in emission order (as apply_choice appends
+/// them), and the stepper's decision, crash flag and behavior digest
+/// are the step's.  The absorption quotient applies as configured:
+/// under abs.decided_final a decided process collapses to its decision,
+/// and under abs.strip_inert dead messages leave every buffer.  Only
+/// the stepper's behavior changed, so another process's buffered
+/// messages keep the node's liveness `live` (read only under
+/// strip_inert); the stepper's remaining buffer is judged by its
+/// stepped clone, and each arriving send once, by its receiver in the
+/// child.  With `abs` all off this is the plain configuration.
+///
+/// Returns the child's identity key.  Each process is folded into it as
+/// soon as it is laid out, so that the hash's multiply chain can
+/// overlap the loads of the next process: profiled at n = 4, a second
+/// pass over the finished layout took about as long per candidate as
+/// the whole child key had before there was a layout.
+Digest128 lay_out_child(const System& sys, int n, ProcessId stepper,
+                        const GhostStep& g,
+                        const std::vector<BehaviorMark>& marks,
+                        const MessageHashes& mhash, const NodeLiveness& live,
+                        const AbsorptionContext& abs, ChildLayout& child) {
+    child.stepper = stepper;
+    child.stepped = g.behavior.get();
+    child.processes.resize(static_cast<std::size_t>(n));
+    child.runs.clear();
     StateHasher h;
+    auto fold = [&](const ChildLayout::Process& c) {
+        fold_child_process(h, c, [&](StateHasher& f) {
+            for (std::size_t r = c.begin; r < c.end; ++r)
+                for (std::uint32_t k = 0; k < child.runs[r].size; ++k)
+                    f.fold(child.runs[r].digests[k]);
+        });
+    };
     for (ProcessId q = 1; q <= n; ++q) {
+        ChildLayout::Process& c = child.processes[q - 1];
+        const bool stepping = q == stepper;
         auto d = sys.decision_of(q);
-        if (q == stepper && g.decision) d = g.decision;
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
+        if (stepping && g.decision) d = g.decision;
+        c.begin = c.end = static_cast<std::uint32_t>(child.runs.size());
+        c.collapsed = abs.decided_final && d.has_value();
+        if (c.collapsed) {
+            c.head[0] = 2;
+            c.head[1] = static_cast<std::uint64_t>(*d);
+            c.head_words = 2;
+            fold(c);
             continue;
         }
-        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        // The child's buffer of q: its parent buffer minus the delivered
-        // prefix, then q's arriving sends (apply_choice appends them in
-        // emission order, behind the survivors).
-        const auto& mh = parent_mhash[q - 1];
-        const std::size_t skip = q == stepper ? g.delivered : 0;
-        if (!abs.strip_inert) {
-            // No message can be dead: fold the cached digests straight.
-            std::size_t arriving_q = 0;
-            for (const ArrivingSend& a : arriving)
-                if (a.dest == q) ++arriving_q;
-            h.u64(mh.size() - skip + arriving_q);
-            for (std::size_t i = skip; i < mh.size(); ++i) h.fold(mh[i]);
-            for (const ArrivingSend& a : arriving)
-                if (a.dest == q) h.fold(a.hash);
-            continue;
-        }
-        // Delete dead messages anywhere in that buffer.  Only the
-        // stepper's behavior changed, so another process's buffered
-        // messages keep the node's liveness; the stepper's remaining
-        // buffer is judged by its stepped clone, and each arriving send
-        // once, by its receiver in the child.
-        const Behavior& receiver =
-                q == stepper ? *g.behavior : sys.behavior_of(q);
-        folded.clear();
-        if (q == stepper) {
-            const auto& buf = sys.buffer(q);
-            stepper_live.clear();
-            for (std::size_t i = skip; i < mh.size(); ++i) {
-                const bool alive = !dead_message(buf[i].from, *buf[i].payload,
-                                                 receiver, abs);
-                stepper_live.push_back(alive ? 1 : 0);
-                if (alive) folded.push_back(mh[i]);
+        const bool crashed = stepping ? g.final_crash : sys.crashed(q);
+        c.head_words = 0;
+        c.head[c.head_words++] = crashed ? 1 : 0;
+        c.head[c.head_words++] = d ? 1 : 0;
+        if (d) c.head[c.head_words++] = static_cast<std::uint64_t>(*d);
+        c.stepped = stepping || marks[q - 1].stepped;
+        c.behavior = stepping ? g.bhash : marks[q - 1].hash;
+        // The child's buffer of q: the live runs of its buffer at the
+        // node past the delivered prefix, then q's surviving arrivals.
+        const auto& mh = mhash[q - 1];
+        const std::deque<Message>* rejudged =
+                abs.strip_inert && stepping ? &sys.buffer(q) : nullptr;
+        auto dead = [&](std::size_t i) {
+            if (rejudged != nullptr)
+                return dead_message((*rejudged)[i].from,
+                                    *(*rejudged)[i].payload, *g.behavior, abs);
+            return abs.strip_inert && !live.live(live.begin(q) + i);
+        };
+        std::uint64_t count = 0;
+        for (std::size_t i = stepping ? g.delivered : 0; i < mh.size();) {
+            if (dead(i)) {
+                ++i;
+                continue;
             }
-        } else {
-            const std::size_t first = live.begin(q);
-            for (std::size_t i = 0; i < mh.size(); ++i)
-                if (live.live(first + i)) folded.push_back(mh[i]);
+            std::size_t end = i + 1;
+            while (end < mh.size() && !dead(end)) ++end;
+            child.runs.push_back({mh.data() + i,
+                                  static_cast<std::uint32_t>(end - i),
+                                  static_cast<std::uint32_t>(i), nullptr});
+            count += end - i;
+            i = end;
         }
-        for (ArrivingSend& a : arriving) {
-            if (a.dest != q) continue;
-            a.live = !dead_message(stepper, **a.payload, receiver, abs);
-            if (a.live) folded.push_back(a.hash);
+        if (g.send_survives(q)) {
+            for (const GhostSend& s : g.sends) {
+                if (s.dest != q) continue;
+                if (abs.strip_inert &&
+                    dead_message(stepper, **s.payload,
+                                 stepping ? *g.behavior : sys.behavior_of(q),
+                                 abs))
+                    continue;
+                child.runs.push_back(
+                        {&s.hash, 1, ChildLayout::kArriving, s.payload});
+                ++count;
+            }
         }
-        h.u64(folded.size());
-        for (const Digest128& d : folded) h.fold(d);
+        c.end = static_cast<std::uint32_t>(child.runs.size());
+        c.head[c.head_words++] = count;
+        fold(c);
     }
-    for (ProcessId q = 1; q <= n; ++q) {
-        if (abs.decided_final) {
-            auto d = sys.decision_of(q);
-            if (q == stepper && g.decision) d = g.decision;
-            if (d) continue;  // collapsed with the first loop's marker
-        }
-        if (q == stepper)
-            fold_mark(h, BehaviorMark{true, g.bhash});
-        else
-            fold_mark(h, parent_marks[q - 1]);
-    }
+    for (const ChildLayout::Process& c : child.processes)
+        fold_child_behavior(h, c, [&] { return c.behavior; });
     return h.digest();
 }
 
@@ -297,7 +279,9 @@ Digest128 hash_child(const System& sys, int n, ProcessId stepper,
 // plus one apply_choice.  Recording is off: the schedule script kept
 // alongside each node is the record.  Deliberately simple and entirely
 // in-RAM: this is the collision-free cross-check the hashed store-path
-// engine is validated against, so it shares none of its machinery.
+// engine is validated against, so it shares none of its machinery but
+// the move menu (prefix_menu), which by design is the one both engines
+// enumerate.
 //
 // The BFS is layered so that layers can be expanded in parallel:
 // expansion (pure, per-node) happens through parallel_map_grained, and
@@ -351,8 +335,8 @@ struct Node {
 };
 
 /// Expands one frontier node: classifies it and, unless it is quiescent
-/// or at the depth bound, forks one child per (live process, delivery
-/// mode).  Touches only the node and freshly forked copies -- safe to
+/// or at the depth bound, forks one child per (process, prefix_menu
+/// move).  Touches only the node and freshly forked copies -- safe to
 /// run concurrently on distinct nodes.
 Expansion expand_node(const Node& node, const ExploreConfig& cfg) {
     Expansion e;
@@ -372,23 +356,17 @@ Expansion expand_node(const Node& node, const ExploreConfig& cfg) {
         return e;
     }
     for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        // Skip steps that provably change nothing: a decided correct
-        // process with an empty buffer.
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        for (StepChoice& mode : delivery_modes(sys, p)) {
+        for (const std::size_t count : prefix_menu(sys, p)) {
             Child child;
+            child.choice = sys.prefix_choice(p, count);
             child.sys = sys.fork();
-            child.sys->apply_choice(mode);
+            child.sys->apply_choice(child.choice);
             // Only process p stepped: every other behavior digest is
             // unchanged from the parent.
             child.digests = node.digests;
             child.digests[p - 1] = child.sys->last_digest(p);
             child.key = canonical_state_string(*child.sys, cfg.n,
                                                child.digests);
-            child.choice = std::move(mode);
             e.children.push_back(std::move(child));
         }
     }
@@ -493,7 +471,7 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //      delta records through a per-worker store::Rematerializer --
 //      which moves the worker's one live System along an undo trail of
 //      the root path, so the common case undoes one step and redoes
-//      one -- and ghost-steps every (live process, delivery mode)
+//      one -- and ghost-steps every (process, prefix_menu move)
 //      candidate into a dedup key, except stutter moves (stutters()),
 //      which reach the node's own key and are counted as dedup hits
 //      unkeyed.  Pure reads of the shared stores.
@@ -525,14 +503,14 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //   * SYMMETRY -- dedup keys are canonicalized to the minimum digest
 //     over the symmetry group G (permutations fixing inputs + plan that
 //     the algorithm declares equivariance under): one representative
-//     per G-orbit is explored.  The identity element reuses the
-//     incremental caches (hash_child); the non-identity elements fold
+//     per G-orbit is explored.  Every key of a candidate is a fold of
+//     its one layout (lay_out_child): the identity element folds the
+//     incremental caches the layout copied, the non-identity elements
 //     renamed behavior and message digests from a per-worker memo
 //     (RenamedNodeDigests), which renames each local state once per
 //     exploration, on its first appearance.  Decision-value sets are
-//     G-invariant; per-process
-//     quiescent outcome vectors are orbit-expanded over G before the
-//     result is returned.
+//     G-invariant; per-process quiescent outcome vectors are
+//     orbit-expanded over G before the result is returned.
 //
 //   * ABSORPTION -- the observational quotient of core/reduction.hpp:
 //     when the algorithm declares decisions final, a decided process
@@ -645,14 +623,9 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
     return true;
 }
 
-/// The enumerable moves of one process: the delivered-prefix lengths of
-/// delivery_modes() -- nothing, the oldest message, the whole buffer
-/// (iff it differs from "oldest") -- without materializing StepChoices.
-struct ProcMoves {
-    ProcessId p = 0;
-    std::size_t prefixes[3] = {0, 0, 0};
-    std::size_t num = 0;
-};
+/// Runs a worker's child layout holds before it first grows: more than
+/// any child of the benchmarked instances needs.
+constexpr std::size_t kLayoutRuns = 64;
 
 /// Per-worker state of the store path: the delta rematerializer plus
 /// all expansion scratch, reused across every node a worker expands so
@@ -665,20 +638,21 @@ struct ReducedWorker {
     /// The renamed-digest memo, non-trivial G only.
     std::optional<RenamedNodeDigests> renamed;
     std::vector<Digest128> behavior_digests;  ///< the node's marks' digests
-    std::vector<ArrivingSend> arriving;
-    std::vector<std::uint8_t> stepper_live;  ///< hash_child's verdicts
-    std::vector<Digest128> folded;  ///< one child buffer's live digests
-    std::vector<ProcMoves> moves;       ///< the node's enumerable moves
-    std::array<GhostStep, 3> ghosts;    ///< one process's ghost-stepped moves
+    ChildLayout child;  ///< the candidate being keyed
+    /// The node's enumerable processes and their menus.
+    std::vector<std::pair<ProcessId, PrefixMenu>> moves;
+    /// One process's ghost-stepped moves, in menu order.
+    std::array<GhostStep, PrefixMenu::kMaxMoves> ghosts;
 };
 
-/// Ghost-steps every move of `pm` from `node` into wk.ghosts[0 .. pm.num).
-void ghost_moves(const store::MaterializedNode& node, const ProcMoves& pm,
-                 ReducedWorker& wk) {
-    for (std::size_t m = 0; m < pm.num; ++m)
-        wk.stepper->ghost_step(*node.sys, pm.p, pm.prefixes[m],
-                               (*node.marks)[pm.p - 1],
-                               (*node.mhash)[pm.p - 1], wk.ghosts[m]);
+/// Ghost-steps every move of p's `menu` from `node` into
+/// wk.ghosts[0 .. menu.size).
+void ghost_moves(const store::MaterializedNode& node, ProcessId p,
+                 const PrefixMenu& menu, ReducedWorker& wk) {
+    for (std::size_t m = 0; m < menu.size; ++m)
+        wk.stepper->ghost_step(*node.sys, p, menu.prefix[m],
+                               (*node.marks)[p - 1], (*node.mhash)[p - 1],
+                               wk.ghosts[m]);
 }
 
 /// Classify, pick the persistent set, ghost-step and key the surviving
@@ -708,35 +682,24 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         return e;
     }
 
-    // The enumerable moves, in the canonical (process, delivery-mode)
-    // order every engine uses.
+    // The enumerable moves, in the canonical (process, menu) order
+    // every engine uses.
     wk.moves.clear();
     std::size_t total_moves = 0;
     for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        // Skip steps that provably change nothing: a decided correct
-        // process with an empty buffer.
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        const std::size_t buf_size = sys.buffer(p).size();
+        const PrefixMenu menu = prefix_menu(sys, p);
+        if (menu.size == 0) continue;
         if (abs.decided_final && sys.decision_of(p)) {
             // Absorbed: a decided process of a decisions-are-final
             // algorithm never sends or decides again, so every one of
             // its moves reaches a state whose quotient key equals the
             // parent's.  Skip them outright (counted with the POR
             // skips) instead of generating self-deduplicating children.
-            e.por_skips += 1 + (buf_size >= 1 ? 1 : 0) +
-                           (buf_size > 1 ? 1 : 0);
+            e.por_skips += menu.size;
             continue;
         }
-        ProcMoves pm;
-        pm.p = p;
-        pm.prefixes[pm.num++] = 0;
-        if (buf_size >= 1) pm.prefixes[pm.num++] = 1;
-        if (buf_size > 1) pm.prefixes[pm.num++] = buf_size;
-        total_moves += pm.num;
-        wk.moves.push_back(pm);
+        total_moves += menu.size;
+        wk.moves.emplace_back(p, menu);
     }
 
     // The liveness every candidate of this node reuses, judged once, and
@@ -753,21 +716,10 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     }
 
     auto child_key = [&](const GhostStep& g, ProcessId p) {
-        fill_arriving(g, wk.arriving);
-        Digest128 key = hash_child(sys, cfg.n, p, g, *node.marks,
-                                   *node.mhash, wk.arriving, wk.live, abs,
-                                   wk.stepper_live, wk.folded);
+        Digest128 key = lay_out_child(sys, cfg.n, p, g, *node.marks,
+                                      *node.mhash, wk.live, abs, wk.child);
         if (symmetric) {
-            GhostEffects eff;
-            eff.stepper = p;
-            eff.delivered = g.delivered;
-            eff.final_crash = g.final_crash;
-            eff.arriving = &wk.arriving;
-            eff.stepper_live = &wk.stepper_live;
-            eff.decision = &g.decision;
-            eff.behavior_after = g.behavior.get();
-            eff.behavior_digest = g.bhash;
-            key = wk.renamed->min_child_key(eff, key);
+            key = wk.renamed->min_child_key(wk.child, key);
 #ifndef NDEBUG
             // The renamed counterpart of check_node_caches: the ghost
             // key folded from the memo equals a from-scratch canonical
@@ -820,9 +772,9 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     // alone loses no decision set, no quiescent outcome and no
     // violation (doc/performance.md gives the full argument).
     if (red.por) {
-        // Condition (b) for the process whose moves wk.ghosts holds.
-        auto moves_commute = [&](const ProcMoves& pm) {
-            for (std::size_t m = 0; m < pm.num; ++m) {
+        // Condition (b) for the process p whose moves wk.ghosts holds.
+        auto moves_commute = [&](ProcessId p, const PrefixMenu& menu) {
+            for (std::size_t m = 0; m < menu.size; ++m) {
                 const GhostStep& g = wk.ghosts[m];
                 if (g.decision && e.decided.count(*g.decision) == 0)
                     return false;
@@ -830,7 +782,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                 // algorithm is as good as stopped: the send lands in a
                 // buffer the quotient never reads.
                 for (const GhostSend& s : g.sends)
-                    if (g.send_survives(s.dest) && s.dest != pm.p &&
+                    if (g.send_survives(s.dest) && s.dest != p &&
                         sys.can_step(s.dest) &&
                         !(abs.decided_final && sys.decision_of(s.dest)))
                         return false;
@@ -846,24 +798,24 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         for (ProcessId q = 1; q <= cfg.n && senders < 2; ++q)
             if (sys.can_step(q) && sys.behavior_of(q).may_send())
                 if (senders++ == 0) sender = q;
-        for (const ProcMoves& pm : wk.moves) {
+        for (const auto& [p, menu] : wk.moves) {
             if (senders > 1) break;
-            if (senders == 1 && sender != pm.p) continue;
-            ghost_moves(node, pm, wk);
-            if (!moves_commute(pm)) continue;
+            if (senders == 1 && sender != p) continue;
+            ghost_moves(node, p, menu, wk);
+            if (!moves_commute(p, menu)) continue;
             // Only this process's moves are expanded.
-            e.por_skips += total_moves - pm.num;
-            for (std::size_t m = 0; m < pm.num; ++m)
-                emit_child(wk.ghosts[m], pm.p);
+            e.por_skips += total_moves - menu.size;
+            for (std::size_t m = 0; m < menu.size; ++m)
+                emit_child(wk.ghosts[m], p);
             return e;
         }
     }
 
     e.children.reserve(total_moves);
-    for (const ProcMoves& pm : wk.moves) {
-        ghost_moves(node, pm, wk);
-        for (std::size_t m = 0; m < pm.num; ++m)
-            emit_child(wk.ghosts[m], pm.p);
+    for (const auto& [p, menu] : wk.moves) {
+        ghost_moves(node, p, menu, wk);
+        for (std::size_t m = 0; m < menu.size; ++m)
+            emit_child(wk.ghosts[m], p);
     }
     return e;
 }
@@ -902,6 +854,10 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
                 algorithm, cfg.n, cfg.inputs, cfg.plan, deltas,
                 &message_digest);
         w.stepper.emplace(&message_digest, memoize);
+        // Every candidate is laid out in this storage: sized once here
+        // rather than grown in steps by the first candidates.
+        w.child.processes.resize(static_cast<std::size_t>(cfg.n));
+        w.child.runs.reserve(kLayoutRuns);
         if (!red.group.is_trivial())
             w.renamed.emplace(cfg.n, algorithm, red.group, red.abs);
     }

@@ -54,6 +54,8 @@
 //     the max_states truncation cuts the same frontier regardless of
 //     mode or thread count.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -66,7 +68,32 @@
 #include "sim/scheduler.hpp"
 #include "store/store_options.hpp"
 
+namespace ksa {
+class System;
+}  // namespace ksa
+
 namespace ksa::core {
+
+/// One process's delivery menu (see the file comment): the lengths of
+/// the buffer prefixes its moves deliver -- nothing, the oldest
+/// message, and the whole buffer when it holds more than one message --
+/// in the canonical order every engine enumerates children in, so that
+/// BFS insertion order, and with it witness selection and max_states
+/// truncation, is engine-independent.  Iterable; never allocates.
+struct PrefixMenu {
+    static constexpr std::size_t kMaxMoves = 3;
+
+    std::array<std::size_t, kMaxMoves> prefix{};
+    std::size_t size = 0;
+
+    const std::size_t* begin() const { return prefix.data(); }
+    const std::size_t* end() const { return prefix.data() + size; }
+};
+
+/// The menu of process p in `sys`.  Empty when p cannot step, and when
+/// p is a correct process that has decided and buffers nothing: such a
+/// step provably changes nothing.
+PrefixMenu prefix_menu(const System& sys, ProcessId p);
 
 /// Which engine the exploration uses.  kFast and kReference produce
 /// identical ExploreVerdicts on the same config (the golden equivalence

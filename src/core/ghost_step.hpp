@@ -63,14 +63,6 @@
 
 namespace ksa::core {
 
-/// 128-bit digest of one behavior's local state (Behavior::fold_state
-/// in a fresh hasher): the behavior digest every store-path key folds.
-inline Digest128 behavior_hash(const Behavior& b) {
-    StateHasher h;
-    b.fold_state(h);
-    return h.digest();
-}
-
 /// One send of a ghost step.
 struct GhostSend {
     ProcessId dest = 0;

@@ -201,65 +201,32 @@ Digest128 renamed_behavior_hash(const Behavior& behavior,
     return sub.digest();
 }
 
-Digest128 reduced_hash_state(const System& sys, int n,
-                             const AbsorptionContext& abs) {
+namespace {
+
+/// The digest of `sys` renamed by element g of `group`, recomputed by
+/// one walk of the live System: the field sequence of ChildLayout's
+/// comment, with the absorption quotient applied (decided processes
+/// fold to their decision, dead messages are deleted).  Position r of
+/// the renamed configuration holds what process inverse(g)[r-1] holds
+/// in `sys`, with every id mapped through renaming(g); the identity
+/// (g = 0) calls no renaming function.  Message arrival order is
+/// renaming-invariant (the renamed schedule delivers the renamed
+/// messages in the same order), so buffers are walked front to back
+/// unchanged.  The absorption quotient is renaming-invariant too
+/// (message_inert and decidedness commute with renaming), so it is
+/// applied before renaming.
+Digest128 walk_state(const System& sys, const Algorithm& algorithm,
+                     const SymmetryGroup& group, std::size_t g,
+                     RenameScratch& scratch, const AbsorptionContext& abs) {
+    const ProcessRenaming& ren = group.renaming(g);
     StateHasher h;
-    for (ProcessId p = 1; p <= n; ++p) {
-        auto d = sys.decision_of(p);
+    for (const ProcessId q : group.inverse(g)) {
+        auto d = sys.decision_of(q);
         if (abs.decided_final && d) {
             // Decided processes of a decisions-are-final algorithm fold
             // to their decision alone: buffer, crash flag and internal
             // bookkeeping are observationally dead.  The marker 2 is
             // disjoint from the 0/1 the crashed flag feeds below.
-            h.u64(2);
-            h.i64(*d);
-            continue;
-        }
-        h.u64(sys.crashed(p) ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(p);
-        const Behavior& recv = sys.behavior_of(p);
-        std::size_t live = 0;
-        for (const Message& m : buf)
-            if (!dead_message(m.from, *m.payload, recv, abs)) ++live;
-        h.u64(live);
-        for (const Message& m : buf)
-            if (!dead_message(m.from, *m.payload, recv, abs))
-                h.fold(message_digest(m.from, *m.payload));
-    }
-    for (ProcessId p = 1; p <= n; ++p) {
-        if (abs.decided_final && sys.decision_of(p)) continue;  // collapsed
-        const bool stepped = sys.steps_of(p) > 0;
-        h.u64(stepped ? 1 : 0);
-        if (stepped) {
-            StateHasher sub;
-            sys.behavior_of(p).fold_state(sub);
-            h.fold(sub.digest());
-        }
-    }
-    return h.digest();
-}
-
-Digest128 hash_state_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs) {
-    StateHasher h;
-    // Walk the renamed configuration position by position: position r
-    // holds what process inv[r-1] holds in `sys`, with every id mapped
-    // through `ren`.  Message arrival order is renaming-invariant (the
-    // renamed schedule delivers the renamed messages in the same
-    // order), so buffers are walked front to back unchanged.  The
-    // absorption quotient is renaming-invariant too (message_inert and
-    // decidedness commute with renaming), so applying it before the
-    // renamed walk folds the same fields reduced_hash_state folds.
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        auto d = sys.decision_of(q);
-        if (abs.decided_final && d) {
             h.u64(2);
             h.i64(*d);
             continue;
@@ -273,22 +240,26 @@ Digest128 hash_state_renamed(const System& sys, int n,
         for (const Message& m : buf)
             if (!dead_message(m.from, *m.payload, recv, abs)) ++live;
         h.u64(live);
-        for (const Message& m : buf)
-            if (!dead_message(m.from, *m.payload, recv, abs))
-                h.fold(renamed_msg_hash(m.from, *m.payload, algorithm, ren,
-                                        scratch));
+        for (const Message& m : buf) {
+            if (dead_message(m.from, *m.payload, recv, abs)) continue;
+            h.fold(g == 0 ? message_digest(m.from, *m.payload)
+                          : renamed_msg_hash(m.from, *m.payload, algorithm,
+                                             ren, scratch));
+        }
     }
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
+    for (const ProcessId q : group.inverse(g)) {
         if (abs.decided_final && sys.decision_of(q)) continue;  // collapsed
         const bool stepped = sys.steps_of(q) > 0;
         h.u64(stepped ? 1 : 0);
-        if (stepped)
-            h.fold(renamed_behavior_hash(sys.behavior_of(q), ren,
-                                         scratch.sub));
+        if (!stepped) continue;
+        const Behavior& b = sys.behavior_of(q);
+        h.fold(g == 0 ? behavior_hash(b)
+                      : renamed_behavior_hash(b, ren, scratch.sub));
     }
     return h.digest();
 }
+
+}  // namespace
 
 void NodeLiveness::build(const System& sys, int n,
                          const AbsorptionContext& abs) {
@@ -381,95 +352,65 @@ void RenamedNodeDigests::build(
               "RenamedNodeDigests::build: liveness table of another node");
 }
 
-Digest128 RenamedNodeDigests::min_child_key(const GhostEffects& eff,
+Digest128 RenamedNodeDigests::min_child_key(const ChildLayout& child,
                                             Digest128 identity_key) {
-    invariant(sys_ != nullptr && eff.arriving != nullptr &&
-                      eff.decision != nullptr && eff.behavior_after != nullptr &&
-                      (!abs_.strip_inert || eff.stepper_live != nullptr),
-              "RenamedNodeDigests::min_child_key: no node built or incomplete "
-              "GhostEffects");
-    const System& sys = *sys_;
-    const ProcessId stepper = eff.stepper;
-    const std::vector<ArrivingSend>& arriving = *eff.arriving;
-
-    // What every renamed key folds per process of the child, in
-    // renaming-independent form: header words, the memo entries of its
-    // live messages and of its behavior.  Liveness is renaming-invariant
-    // and was judged by the identity key; consecutive arrivals of one
-    // payload body (a broadcast) resolve their entry once.
-    child_.resize(static_cast<std::size_t>(n_));
-    fold_.clear();
+    invariant(sys_ != nullptr && child.stepped != nullptr &&
+                      child.processes.size() == static_cast<std::size_t>(n_),
+              "RenamedNodeDigests::min_child_key: no node built, or a "
+              "layout without its step's clone or of another system");
+    // Resolve what the layout holds to memo entries: a buffered message
+    // through the node's own entries, an arrival through the memo (the
+    // consecutive copies of a broadcast once), the stepper's behavior
+    // through its stepped clone and everyone else's through the node.
+    child_msg_entry_.clear();
+    child_msg_begin_.resize(static_cast<std::size_t>(n_) + 1);
+    child_behavior_entry_.resize(static_cast<std::size_t>(n_));
     const SharedPayload* resolved = nullptr;
     std::size_t resolved_entry = 0;
     for (ProcessId q = 1; q <= n_; ++q) {
-        ChildProcess& c = child_[q - 1];
-        auto d = sys.decision_of(q);
-        if (q == stepper && *eff.decision) d = *eff.decision;
-        c.collapsed = abs_.decided_final && d.has_value();
-        c.fold_begin = c.fold_end = fold_.size();
-        if (c.collapsed) {
-            c.head[0] = 2;
-            c.head[1] = static_cast<std::uint64_t>(*d);
-            c.head_words = 2;
-            continue;
-        }
-        const bool crashed = q == stepper ? eff.final_crash : sys.crashed(q);
-        c.head_words = 0;
-        c.head[c.head_words++] = crashed ? 1 : 0;
-        c.head[c.head_words++] = d ? 1 : 0;
-        if (d) c.head[c.head_words++] = static_cast<std::uint64_t>(*d);
-        c.stepped = q == stepper || sys.steps_of(q) > 0;
-        if (q == stepper)
-            c.behavior = behavior_entry(eff.behavior_digest,
-                                        *eff.behavior_after);
-        else if (c.stepped)
-            c.behavior = behavior_entry_[q - 1];
-        // The child's buffer of q: the parent's minus the delivered
-        // prefix, then q's surviving arrivals in emission order (as
-        // apply_choice appends them), dead messages deleted.
-        const std::size_t begin = live_->begin(q);
-        if (q == stepper) {
-            const std::size_t size = live_->begin(q + 1) - begin;
-            for (std::size_t i = eff.delivered; i < size; ++i)
-                if (!abs_.strip_inert ||
-                    (*eff.stepper_live)[i - eff.delivered] != 0)
-                    fold_.push_back(msg_entry_[begin + i]);
-        } else {
-            for (std::size_t i = begin; i < live_->begin(q + 1); ++i)
-                if (live_->live(i)) fold_.push_back(msg_entry_[i]);
-        }
-        for (const ArrivingSend& a : arriving) {
-            if (a.dest != q || !a.live) continue;
-            if (resolved == nullptr || !a.payload->same_body(*resolved)) {
-                resolved = a.payload;
-                resolved_entry = message_entry(a.hash, stepper, *a.payload);
+        const ChildLayout::Process& c = child.processes[q - 1];
+        child_msg_begin_[q - 1] = child_msg_entry_.size();
+        for (std::size_t r = c.begin; r < c.end; ++r) {
+            const ChildLayout::Run& run = child.runs[r];
+            if (run.position != ChildLayout::kArriving) {
+                const std::size_t first = live_->begin(q) + run.position;
+                for (std::size_t k = 0; k < run.size; ++k)
+                    child_msg_entry_.push_back(msg_entry_[first + k]);
+                continue;
             }
-            fold_.push_back(resolved_entry);
+            if (resolved == nullptr || !run.payload->same_body(*resolved)) {
+                resolved = run.payload;
+                resolved_entry = message_entry(*run.digests, child.stepper,
+                                               *run.payload);
+            }
+            child_msg_entry_.push_back(resolved_entry);
         }
-        c.fold_end = fold_.size();
-        c.head[c.head_words++] = c.fold_end - c.fold_begin;
+        if (c.collapsed || !c.stepped) continue;
+        child_behavior_entry_[q - 1] =
+                q == child.stepper
+                        ? behavior_entry(c.behavior, *child.stepped)
+                        : behavior_entry_[q - 1];
     }
+    child_msg_begin_[static_cast<std::size_t>(n_)] = child_msg_entry_.size();
 
-    // hash_state_renamed's field sequence over the child, once per
-    // element: inverse(g) lists the processes in renamed-position
-    // order, and an entry's digest under g is column[entry].
+    // The layout's fold once per element: inverse(g) lists the
+    // processes in renamed-position order, and an entry's digest under
+    // g is column[entry].
     const SymmetryGroup& group = *group_;
     Digest128 key = identity_key;
     for (std::size_t g = 1; g < group.size(); ++g) {
         const Digest128* column = renamed_.data() + (g - 1);
         StateHasher h;
-        for (const ProcessId q : group.inverse(g)) {
-            const ChildProcess& c = child_[q - 1];
-            for (std::size_t w = 0; w < c.head_words; ++w) h.u64(c.head[w]);
-            for (std::size_t k = c.fold_begin; k < c.fold_end; ++k)
-                h.fold(column[fold_[k]]);
-        }
-        for (const ProcessId q : group.inverse(g)) {
-            const ChildProcess& c = child_[q - 1];
-            if (c.collapsed) continue;
-            h.u64(c.stepped ? 1 : 0);
-            if (c.stepped) h.fold(column[c.behavior]);
-        }
+        for (const ProcessId q : group.inverse(g))
+            fold_child_process(h, child.processes[q - 1], [&](StateHasher& f) {
+                for (std::size_t m = child_msg_begin_[q - 1];
+                     m < child_msg_begin_[q]; ++m)
+                    f.fold(column[child_msg_entry_[m]]);
+            });
+        for (const ProcessId q : group.inverse(g))
+            fold_child_behavior(h, child.processes[q - 1], [&] {
+                return column[child_behavior_entry_[q - 1]];
+            });
         const Digest128 d = h.digest();
         if (d < key) key = d;
     }
@@ -481,11 +422,11 @@ Digest128 canonical_state_key(const System& sys, int n,
                               const SymmetryGroup& group,
                               RenameScratch& scratch,
                               const AbsorptionContext& abs) {
-    Digest128 key = reduced_hash_state(sys, n, abs);
+    invariant(group.renaming(0).size() == static_cast<std::size_t>(n),
+              "canonical_state_key: group of another system size");
+    Digest128 key = walk_state(sys, algorithm, group, 0, scratch, abs);
     for (std::size_t g = 1; g < group.size(); ++g) {
-        const Digest128 d = hash_state_renamed(sys, n, algorithm,
-                                               group.renaming(g),
-                                               group.inverse(g), scratch, abs);
+        const Digest128 d = walk_state(sys, algorithm, group, g, scratch, abs);
         if (d < key) key = d;
     }
     return key;

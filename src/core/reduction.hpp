@@ -159,20 +159,21 @@ private:
 // State hashing.
 //
 // The store-path explorer keys states on min over G of the renamed
-// state's digest.  The identity element reuses the explorer's
-// incremental caches (explorer.cpp: per-message digests cached when a
-// message arrives, per-behavior digests when its process steps).  The
-// non-identity elements -- up to 5! = 120 of them for uniform inputs
-// at n = 5 -- read a per-worker memo (RenamedNodeDigests below) that
-// holds the |G|-1 renamed digests of every behavior state and message
-// the worker has met in the exploration so far: a local state is
-// renamed once, on its first appearance, and a candidate's keys are
-// folds of memo entries.  Every function folds EXACTLY the field
-// sequence of the explorer's cached child key, so that for the
-// identity renaming the cached and walked digests coincide; the
-// from-scratch renamed walk of a live System (hash_state_renamed)
-// folds the same sequence as the memo, and Debug builds check the two
-// against each other on every candidate.
+// state's digest, and decides which fields a candidate child's key
+// folds in one place: it lays the child out once (ChildLayout, filled
+// by explorer.cpp's lay_out_child from the node's incremental caches:
+// per-message digests cached when a message arrives, per-behavior
+// digests when its process steps) and folds every key from that
+// layout.  The identity element folds the layout's own digests.  The
+// non-identity elements -- up to 5! = 120 of them for uniform inputs at
+// n = 5 -- read a per-worker memo (RenamedNodeDigests below) that holds
+// the |G|-1 renamed digests of every behavior state and message the
+// worker has met in the exploration so far: a local state is renamed
+// once, on its first appearance, and a candidate's renamed keys are
+// folds of memo entries.  canonical_state_key recomputes the same
+// field sequence from a live System in one walk with an optional
+// renaming; it keys the root, and Debug builds check every renamed
+// candidate key against it on the realized child.
 
 /// Reusable scratch for renamed hashing: one per worker, reset-free
 /// (every helper overwrites what it uses).  Exists to keep the hot path
@@ -237,10 +238,10 @@ inline bool dead_message(ProcessId from, const Payload& payload,
 /// AbsorptionContext::decided_final) keys on its decision alone and
 /// gets none.  A ghost step changes only its stepper's behavior, so
 /// every other process's entries hold in each candidate child too: the
-/// explorer's child keys read them and judge only the stepper's
+/// explorer's child layouts read them and judge only the stepper's
 /// remaining buffer and the arriving sends.  RenamedNodeDigests
-/// resolves the same message sequence and reads the same entries.  One
-/// per worker, rebuilt per node, allocation-free once its buffers have
+/// resolves the same message sequence, indexed by begin().  One per
+/// worker, rebuilt per node, allocation-free once its buffers have
 /// grown.
 class NodeLiveness {
 public:
@@ -261,58 +262,84 @@ private:
     std::vector<std::uint8_t> live_;
 };
 
-/// Full-state digest under the identity renaming, recomputed from the
-/// live System: field-for-field the explorer's cached child key, with
-/// the absorption quotient applied (decided processes fold to their
-/// decision, dead messages are deleted).  The identity element of
-/// canonical_state_key.
-Digest128 reduced_hash_state(const System& sys, int n,
-                             const AbsorptionContext& abs);
+/// One candidate child configuration, laid out the way every hashed key
+/// of it folds it: explorer.cpp's lay_out_child fills it once per
+/// candidate, and both the identity key (which lay_out_child folds as
+/// it writes the layout) and the renamed keys
+/// (RenamedNodeDigests::min_child_key) are folds of it alone.
+///
+/// A key folds, for each process in (renamed) position order, its
+/// header words and then the digests of its live messages
+/// (fold_child_process); then, again in position order, each process
+/// that is not collapsed adds its stepped flag and, iff it stepped, its
+/// behavior digest (fold_child_behavior).  A collapsed process --
+/// decided under AbsorptionContext::decided_final -- has no messages
+/// and no behavior.
+struct ChildLayout {
+    /// Run::position of a send that arrives with the step.
+    static constexpr std::uint32_t kArriving = ~std::uint32_t{0};
 
-/// Full-state digest of the configuration as renamed by `ren`
-/// (inverse `inv` precomputed by SymmetryGroup): position r of the
-/// renamed configuration is position inv[r-1] of `sys`.  Applies the
-/// same absorption quotient as reduced_hash_state.
-Digest128 hash_state_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs);
+    /// One process of the child.
+    struct Process {
+        /// Collapsed: 2 (disjoint from the 0/1 crash flag), decision.
+        /// Otherwise: crash flag, decided flag, the decision if any, the
+        /// live-message count.
+        std::uint64_t head[4] = {0, 0, 0, 0};
+        std::uint32_t head_words = 0;
+        /// Its live messages are those of runs[begin, end), in buffer
+        /// order.
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+        bool collapsed = false;
+        bool stepped = false;
+        Digest128 behavior{};  ///< fold_state digest, iff stepped
+    };
 
-/// One send of a ghost step (explorer.cpp) that reaches its buffer,
-/// pre-hashed.  Kept in emission order.
-struct ArrivingSend {
-    ProcessId dest = 0;
-    Digest128 hash{};  ///< message_digest(stepper, payload)
-    const SharedPayload* payload = nullptr;  ///< borrowed from the step
-    /// The dead_message verdict of the receiver in the child (true:
-    /// live), as the identity key judged it; always true without
-    /// AbsorptionContext::strip_inert.
-    bool live = true;
-};
+    /// Consecutive live messages of one child buffer: a stretch of the
+    /// messages its receiver buffers at the node, or one send arriving
+    /// with the step.  A run borrows its digests, so a child's layout
+    /// copies no message digest.
+    struct Run {
+        /// The message_digest of each message of the run: the node's
+        /// cache from `position` on, or the arriving send's digest.
+        const Digest128* digests = nullptr;
+        std::uint32_t size = 0;
+        /// Index of the run's first message in its receiver's buffer at
+        /// the node, or kArriving.
+        std::uint32_t position = kArriving;
+        /// An arriving send's payload, borrowed from the ghost step
+        /// (nullptr on a transition-memo hit, which only explorations
+        /// without renamed keys take).
+        const SharedPayload* payload = nullptr;
+    };
 
-/// The effects of one ghost step (explorer.cpp) in the shape renamed
-/// child keying (RenamedNodeDigests::min_child_key) needs: everything
-/// is borrowed from the ghost-stepping caller, nothing is copied.  The
-/// liveness verdicts are the ones the identity key (explorer.cpp's
-/// hash_child) reached for the same candidate, so no message is judged
-/// twice.
-struct GhostEffects {
     ProcessId stepper = 0;
-    std::size_t delivered = 0;  ///< delivered prefix length of stepper's buffer
-    bool final_crash = false;
-    /// The surviving sends in emission order, with their verdicts.
-    const std::vector<ArrivingSend>* arriving = nullptr;
-    /// Under AbsorptionContext::strip_inert: entry i is the verdict (1:
-    /// live) on message delivered + i of the stepper's buffer, judged by
-    /// the stepped clone.  Not read otherwise.
-    const std::vector<std::uint8_t>* stepper_live = nullptr;
-    const std::optional<Value>* decision = nullptr;  ///< decision of the step
-    const Behavior* behavior_after = nullptr;  ///< stepper's stepped clone
-    /// fold_state digest of behavior_after: its memo key.
-    Digest128 behavior_digest{};
+    /// The stepper's stepped clone, borrowed like the payloads.
+    const Behavior* stepped = nullptr;
+    std::vector<Process> processes;  ///< slot q-1 is process q
+    std::vector<Run> runs;
 };
+
+/// Folds process `c` into the first pass of a child's key: its header
+/// words, then fold_messages(h), which folds its live messages'
+/// digests.
+template <class FoldMessages>
+void fold_child_process(StateHasher& h, const ChildLayout::Process& c,
+                        FoldMessages fold_messages) {
+    for (std::size_t w = 0; w < c.head_words; ++w) h.u64(c.head[w]);
+    fold_messages(h);
+}
+
+/// Folds process `c` into the second pass of a child's key: nothing if
+/// it is collapsed, else its stepped flag and, iff it stepped,
+/// behavior() -- its behavior digest.
+template <class BehaviorDigest>
+void fold_child_behavior(StateHasher& h, const ChildLayout::Process& c,
+                         BehaviorDigest behavior) {
+    if (c.collapsed) return;
+    h.u64(c.stepped ? 1 : 0);
+    if (c.stepped) h.fold(behavior());
+}
 
 /// The renamed half of the explorer's candidate keys: one per worker
 /// and exploration, allocation-free once its memo has met the local
@@ -333,11 +360,11 @@ struct GhostEffects {
 /// messages buffered at non-absorbed processes (an absorbed process --
 /// decided under AbsorptionContext::decided_final -- keys on its
 /// decision alone and needs no entry) to memo entries, in NodeLiveness
-/// order; each entry's liveness (renaming-invariant) is read from the
-/// node's NodeLiveness.  min_child_key() resolves what one ghost step
-/// changes -- its stepper's behavior and its live arrivals -- and keys
-/// the child under every g as a fold of memo entries.  The folded byte
-/// stream is exactly hash_state_renamed's over the realized child.
+/// order.  min_child_key() resolves what one candidate's layout holds
+/// beyond the node -- its stepper's behavior and its arrivals -- and
+/// folds the layout under every g with memo entries in place of
+/// digests.  The folded byte stream is exactly canonical_state_key's
+/// walk of the realized child under g.
 ///
 /// A fixed byte budget bounds the memo (kMemoBytes of renamed digests).
 /// It is checked, and the memo cleared, only at the start of build(),
@@ -364,31 +391,15 @@ public:
                const std::vector<Digest128>& behavior_digests,
                const std::vector<std::vector<Digest128>>& message_digests);
 
-    /// Canonical key of the child the ghost step `eff` reaches from the
-    /// built node: the minimum of `identity_key` (the caller's cached
-    /// identity-renaming key of that child) and its digests under every
-    /// non-identity element.
-    Digest128 min_child_key(const GhostEffects& eff, Digest128 identity_key);
+    /// Canonical key of the child `child` lays out, reached by one step
+    /// from the built node: the minimum of `identity_key` (the child's
+    /// identity key) and its digests under every non-identity element.
+    Digest128 min_child_key(const ChildLayout& child, Digest128 identity_key);
 
     /// Entries the memo holds (behaviors and messages).
     std::size_t memo_entries() const;
 
 private:
-    /// One process of the candidate child, as every renamed key folds
-    /// it: its header words (collapsed: 2, decision; else crash flag,
-    /// decided flag, decision if any, live-message count), the slice
-    /// [fold_begin, fold_end) of fold_ naming its live messages and, iff
-    /// it stepped and is not collapsed, its behavior's memo entry.
-    struct ChildProcess {
-        std::uint64_t head[4] = {0, 0, 0, 0};
-        std::size_t head_words = 0;
-        std::size_t fold_begin = 0;
-        std::size_t fold_end = 0;
-        bool collapsed = false;
-        bool stepped = false;
-        std::size_t behavior = 0;
-    };
-
     /// A memo entry's value check: the message it was renamed from.
     struct MessageEntry {
         ProcessId from = 0;
@@ -424,17 +435,20 @@ private:
     std::vector<std::size_t> behavior_entry_;  ///< slot p-1, iff p stepped
     std::vector<std::size_t> msg_entry_;       ///< NodeLiveness order
 
-    // Per candidate.
-    std::vector<ChildProcess> child_;
-    /// Memo entries of the child buffers' live messages, in fold order.
-    std::vector<std::size_t> fold_;
+    // Per candidate: the memo entries of the layout's messages, process
+    // q's at [child_msg_begin_[q-1], child_msg_begin_[q]), and of its
+    // processes' behaviors (slot q-1, iff stepped and not collapsed).
+    std::vector<std::size_t> child_msg_entry_;
+    std::vector<std::size_t> child_msg_begin_;
+    std::vector<std::size_t> child_behavior_entry_;
 };
 
 /// Canonical key of a live System: minimum over the group of the
-/// renamed full-state digests (identity via reduced_hash_state), with
-/// the absorption quotient applied on every path.  The store-path
-/// explorer's root key, and in Debug builds the from-scratch oracle
-/// every candidate's RenamedNodeDigests key is checked against.
+/// renamed full-state digests, each recomputed by one walk of `sys`
+/// (the identity element's renames nothing), with the absorption
+/// quotient applied on every path.  The store-path explorer's root key,
+/// and in Debug builds the from-scratch oracle every candidate's
+/// RenamedNodeDigests key is checked against.
 Digest128 canonical_state_key(const System& sys, int n,
                               const Algorithm& algorithm,
                               const SymmetryGroup& group,

@@ -189,6 +189,16 @@ public:
     virtual std::unique_ptr<Behavior> clone() const = 0;
 };
 
+/// 128-bit digest of one behavior's local state: fold_state in a fresh
+/// hasher.  The behavior digest every hashed state key folds (the
+/// store-path explorer's keys, its trail caches and its transition
+/// memo).
+inline Digest128 behavior_hash(const Behavior& b) {
+    StateHasher h;
+    b.fold_state(h);
+    return h.digest();
+}
+
 /// A distributed algorithm: a recipe producing the initial Behavior of
 /// each process.  `n` is the size the algorithm *believes* the system has
 /// -- under restriction A|D (Definition 1) the real process set can be

@@ -5,20 +5,6 @@
 
 namespace ksa::store {
 
-namespace {
-
-/// Behavior::fold_state in a fresh hasher -- the behavior-state digest
-/// both engines key on (core/ghost_step.hpp keeps its own copy for the
-/// ghost path; the two must and do agree, which the equivalence suite
-/// pins down end to end).
-Digest128 behavior_state_hash(const Behavior& b) {
-    StateHasher h;
-    b.fold_state(h);
-    return h.digest();
-}
-
-}  // namespace
-
 Rematerializer::Rematerializer(const Algorithm& algorithm, int n,
                                std::vector<Value> inputs, FailurePlan plan,
                                const DeltaStore& deltas,
@@ -70,7 +56,7 @@ void Rematerializer::redo(std::uint64_t child_id, const DeltaRecord& rec) {
     // body, which is digested once.
     level.marks = below.marks;
     level.marks[stepper - 1] = BehaviorMark{
-            true, behavior_state_hash(live_->behavior_of(stepper))};
+            true, behavior_hash(live_->behavior_of(stepper))};
     level.mhash = below.mhash;
     auto& sm = level.mhash[stepper - 1];
     sm.erase(sm.begin(),

@@ -576,10 +576,10 @@ TEST(ReducedEquivalence, MemoBudgetCrossingKeepsKeys) {
 }
 
 // The same pin for the path that absorption alone shapes: distinct
-// inputs make the group trivial, so every key is an identity key from
-// hash_child, whose dead-message deletion reads the node's liveness
-// table for the non-stepping processes and judges the stepper's
-// remaining buffer and the arriving sends per candidate.  Depth 7 is
+// inputs make the group trivial, so every key is an identity key folded
+// from lay_out_child's layout, whose dead-message deletion reads the
+// node's liveness table for the non-stepping processes and judges the
+// stepper's remaining buffer and the arriving sends per candidate.  Depth 7 is
 // deep enough for decided (absorbed) processes and persistent-set
 // skips; the 1-bit filter makes the tier counters sensitive to every
 // key, as in SymmetricKeyFingerprint.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <ostream>
 
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
@@ -203,6 +204,13 @@ struct StageParam {
     int dead;
     std::uint64_t seed;
 };
+
+// Names each instance by its fields, so the test names do not depend on
+// the struct's padding bytes (gtest's default prints the raw object).
+void PrintTo(const StageParam& p, std::ostream* os) {
+    *os << "n" << p.n << "_lminus1_" << p.l_minus_1 << "_dead" << p.dead
+        << "_seed" << p.seed;
+}
 
 class StageGraphProperty : public ::testing::TestWithParam<StageParam> {};
 

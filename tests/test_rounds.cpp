@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "algo/floodmin.hpp"
 #include "core/ho_argument.hpp"
 #include "sim/rounds.hpp"
@@ -83,6 +85,12 @@ struct CrashSweep {
     int n, f, k;
     std::uint64_t seed;
 };
+
+// Names each instance by its fields, so the test names do not depend on
+// the struct's padding bytes (gtest's default prints the raw object).
+void PrintTo(const CrashSweep& c, std::ostream* os) {
+    *os << "n" << c.n << "_f" << c.f << "_k" << c.k << "_seed" << c.seed;
+}
 
 class FloodMinCrashProperty : public ::testing::TestWithParam<CrashSweep> {};
 

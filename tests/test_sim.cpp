@@ -16,6 +16,7 @@
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
 #include "check/contract.hpp"
+#include "core/explorer.hpp"
 #include "sim/admissibility.hpp"
 #include "sim/digest.hpp"
 #include "sim/model.hpp"
@@ -462,16 +463,6 @@ void continue_both(System& a, System& b, const std::string& label) {
     expect_same_state(a, b, label + " + continuation");
 }
 
-/// The delivery prefixes the explorer enumerates: nothing, the oldest
-/// message, the whole buffer.
-std::vector<std::size_t> delivery_prefixes(const System& sys, ProcessId p) {
-    const std::size_t size = sys.buffer(p).size();
-    std::vector<std::size_t> prefixes = {0};
-    if (size >= 1) prefixes.push_back(1);
-    if (size > 1) prefixes.push_back(size);
-    return prefixes;
-}
-
 /// The undoable-step configurations: the initial-clique protocol with
 /// and without a crash whose final step omits sends, and flooding with
 /// a crash in its second step.
@@ -499,10 +490,12 @@ std::vector<UndoConfig> undo_configs() {
 // apply_choice(prefix_choice(...)) does, and its undo restores every
 // buffer, behavior, flag and counter, so that a System carried up and
 // down a trail of undone steps stays bit-identical to one that only
-// ever stepped forward.  Each walk step also checks the fork contract
-// kReference rests on, against a System that never forks: fork(false)
-// plus the walk's apply_choice lands on the same state as `shadow`,
-// which only ever stepped forward from the root along the walk.
+// ever stepped forward.  The steps tried at each walk state are the
+// explorer's (core::prefix_menu).  Each walk step also checks the fork
+// contract kReference rests on, against a System that never forks:
+// fork(false) plus the walk's apply_choice lands on the same state as
+// `shadow`, which only ever stepped forward from the root along the
+// walk.
 TEST(System, UndoStepRestoresTheExactState) {
     int undone_decisions = 0;
     int undone_crashes = 0;
@@ -519,8 +512,7 @@ TEST(System, UndoStepRestoresTheExactState) {
             StepUndo undo;  // one capture, reused by every step
             for (int t = 0; t < 40; ++t) {
                 for (ProcessId p = 1; p <= c.n; ++p) {
-                    if (!sys.can_step(p)) continue;
-                    for (const std::size_t count : delivery_prefixes(sys, p)) {
+                    for (const std::size_t count : core::prefix_menu(sys, p)) {
                         const std::string label =
                                 run + " t" + std::to_string(t) + " p" +
                                 std::to_string(p) + " deliver " +
@@ -584,10 +576,10 @@ TEST(System, UndoStepsUnwindInLifoOrder) {
                 const std::optional<StepChoice> choice = walk.next(sys);
                 if (!choice) break;
                 const ProcessId p = choice->process;
-                const std::vector<std::size_t> prefixes =
-                        delivery_prefixes(sys, p);
+                const core::PrefixMenu menu = core::prefix_menu(sys, p);
+                ASSERT_GT(menu.size, 0u) << run;
                 before.push_back(sys.fork(false));
-                sys.step_undoable(p, prefixes[i % prefixes.size()], undos[i]);
+                sys.step_undoable(p, menu.prefix[i % menu.size], undos[i]);
             }
             const std::size_t k = before.size();
             ASSERT_GT(k, 1u) << run;

@@ -87,9 +87,19 @@ struct Args {
         return args;
     }
 
+    /// The integer value of --key, or `fallback` when the flag is absent.
+    /// Anything but a whole int in range is a UsageError naming both.
     int geti(const std::string& key, int fallback) const {
         auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stoi(it->second);
+        if (it == flags.end()) return fallback;
+        const std::string& text = it->second;
+        const char* last = text.data() + text.size();
+        int value = 0;
+        const auto [end, ec] = std::from_chars(text.data(), last, value);
+        if (ec != std::errc() || end != last)
+            throw UsageError("--" + key + " needs an integer in int range, "
+                             "got '" + text + "'");
+        return value;
     }
     std::string get(const std::string& key, std::string fallback) const {
         auto it = flags.find(key);
