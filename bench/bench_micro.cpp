@@ -328,6 +328,9 @@ BENCHMARK_CAPTURE(BM_StateHasher, payload, HasherFeed::kPayload);
 // engine must not regress them even though every candidate key
 // additionally runs the absorption quotient (and, for symmetric
 // instances, the renamed keys).  Depths keep each case under about 1 s.
+// replays/state counts the delta-chain steps rematerialization redid
+// (ExploreStats::replay_steps) per explored state: deterministic at 1
+// thread, where one rematerializer materializes every node in id order.
 void BM_ExplorerAllocsPerState(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     const bool reduced = state.range(1) != 0;
@@ -344,21 +347,24 @@ void BM_ExplorerAllocsPerState(benchmark::State& state) {
     std::uint64_t allocs = 0;
     std::uint64_t states = 0;
     std::uint64_t candidates = 0;
+    std::uint64_t replays = 0;
     for (auto _ : state) {
         const std::uint64_t before = alloc_calls_now();
         core::ExploreResult r = core::explore_schedules(*algorithm, cfg);
         allocs += alloc_calls_now() - before;
         states += r.states_explored;
         candidates += r.states_explored - 1 + r.dedup_hits;  // root excluded
+        replays += r.replay_steps;
         benchmark::DoNotOptimize(r);
     }
-    auto per = [allocs](std::uint64_t units) {
-        return units > 0 ? static_cast<double>(allocs) /
+    auto per = [](std::uint64_t count, std::uint64_t units) {
+        return units > 0 ? static_cast<double>(count) /
                                    static_cast<double>(units)
                          : 0.0;
     };
-    state.counters["allocs/state"] = per(states);
-    state.counters["allocs/candidate"] = per(candidates);
+    state.counters["allocs/state"] = per(allocs, states);
+    state.counters["allocs/candidate"] = per(allocs, candidates);
+    state.counters["replays/state"] = per(replays, states);
 }
 BENCHMARK(BM_ExplorerAllocsPerState)
     ->ArgsProduct({{3, 4, 5}, {0, 1}, {0, 1}})

@@ -60,6 +60,15 @@ std::set<Value> decision_set(const System& sys, int n) {
     return out;
 }
 
+/// The outcome vector a quiescent configuration records: each process's
+/// decision, kNoValue where it has none.
+std::vector<Value> outcome_of(const System& sys, int n) {
+    std::vector<Value> out(static_cast<std::size_t>(n), kNoValue);
+    for (ProcessId p = 1; p <= n; ++p)
+        if (auto d = sys.decision_of(p)) out[p - 1] = *d;
+    return out;
+}
+
 // ---------------------------------------------------------------------
 // State keys.
 //
@@ -152,18 +161,45 @@ bool stutters(const GhostStep& g, const BehaviorMark& m) {
            !g.final_crash && m.stepped && g.bhash == m.hash;
 }
 
+/// One process of the node being expanded, read from its System once
+/// per node.  The child layouts, the persistent-set test and the leaf
+/// classifier read these for every candidate instead of asking the
+/// System, whose accessors check the process id out of line (and
+/// `crashed` looks the plan up in a std::map) on every call.
+struct NodeProcess {
+    std::optional<Value> decision;
+    const Behavior* behavior = nullptr;
+    bool crashed = false;
+    bool can_step = false;
+    bool faulty = false;  ///< in the crash plan
+};
+
+/// Fills `procs` with the processes of the node `sys`.
+void read_processes(const System& sys, int n,
+                    std::vector<NodeProcess>& procs) {
+    procs.resize(static_cast<std::size_t>(n));
+    for (ProcessId q = 1; q <= n; ++q) {
+        NodeProcess& f = procs[q - 1];
+        f.decision = sys.decision_of(q);
+        f.behavior = &sys.behavior_of(q);
+        f.crashed = sys.crashed(q);
+        f.can_step = sys.can_step(q);
+        f.faulty = sys.plan().is_faulty(q);
+    }
+}
+
 /// Lays out the child configuration the ghost step `g` of `stepper`
-/// reaches from the node `sys` (ChildLayout, core/reduction.hpp): the
-/// one place where a move meets the key.  `marks` and `mhash` are the
-/// node's trail caches.  The stepper's delivered prefix leaves its
-/// buffer, the step's surviving sends join their receivers' buffers
-/// behind the survivors in emission order (as apply_choice appends
-/// them), and the stepper's decision, crash flag and behavior digest
-/// are the step's.  The absorption quotient applies as configured:
-/// under abs.decided_final a decided process collapses to its decision,
-/// and under abs.strip_inert dead messages leave every buffer.  Only
-/// the stepper's behavior changed, so another process's buffered
-/// messages keep the node's liveness `live` (read only under
+/// reaches from `node` (ChildLayout, core/reduction.hpp): the one place
+/// where a move meets the key.  `procs` are the node's processes
+/// (read_processes) and `node` carries its trail caches.  The stepper's
+/// delivered prefix leaves its buffer, the step's surviving sends join
+/// their receivers' buffers behind the survivors in emission order (as
+/// apply_choice appends them), and the stepper's decision, crash flag
+/// and behavior digest are the step's.  The absorption quotient applies
+/// as configured: under abs.decided_final a decided process collapses
+/// to its decision, and under abs.strip_inert dead messages leave every
+/// buffer.  Only the stepper's behavior changed, so another process's
+/// buffered messages keep the node's liveness `live` (read only under
 /// strip_inert); the stepper's remaining buffer is judged by its
 /// stepped clone, and each arriving send once, by its receiver in the
 /// child.  With `abs` all off this is the plain configuration.
@@ -173,14 +209,15 @@ bool stutters(const GhostStep& g, const BehaviorMark& m) {
 /// overlap the loads of the next process: profiled at n = 4, a second
 /// pass over the finished layout took about as long per candidate as
 /// the whole child key had before there was a layout.
-Digest128 lay_out_child(const System& sys, int n, ProcessId stepper,
-                        const GhostStep& g,
-                        const std::vector<BehaviorMark>& marks,
-                        const MessageHashes& mhash, const NodeLiveness& live,
-                        const AbsorptionContext& abs, ChildLayout& child) {
+Digest128 lay_out_child(const store::MaterializedNode& node,
+                        const std::vector<NodeProcess>& procs,
+                        ProcessId stepper, const GhostStep& g,
+                        const NodeLiveness& live, const AbsorptionContext& abs,
+                        ChildLayout& child) {
+    const auto n = static_cast<ProcessId>(procs.size());
     child.stepper = stepper;
     child.stepped = g.behavior.get();
-    child.processes.resize(static_cast<std::size_t>(n));
+    child.processes.resize(procs.size());
     child.runs.clear();
     StateHasher h;
     auto fold = [&](const ChildLayout::Process& c) {
@@ -192,9 +229,10 @@ Digest128 lay_out_child(const System& sys, int n, ProcessId stepper,
     };
     for (ProcessId q = 1; q <= n; ++q) {
         ChildLayout::Process& c = child.processes[q - 1];
+        const NodeProcess& f = procs[q - 1];
         const bool stepping = q == stepper;
-        auto d = sys.decision_of(q);
-        if (stepping && g.decision) d = g.decision;
+        const std::optional<Value>& d =
+                stepping && g.decision ? g.decision : f.decision;
         c.begin = c.end = static_cast<std::uint32_t>(child.runs.size());
         c.collapsed = abs.decided_final && d.has_value();
         if (c.collapsed) {
@@ -204,18 +242,18 @@ Digest128 lay_out_child(const System& sys, int n, ProcessId stepper,
             fold(c);
             continue;
         }
-        const bool crashed = stepping ? g.final_crash : sys.crashed(q);
+        const bool crashed = stepping ? g.final_crash : f.crashed;
         c.head_words = 0;
         c.head[c.head_words++] = crashed ? 1 : 0;
         c.head[c.head_words++] = d ? 1 : 0;
         if (d) c.head[c.head_words++] = static_cast<std::uint64_t>(*d);
-        c.stepped = stepping || marks[q - 1].stepped;
-        c.behavior = stepping ? g.bhash : marks[q - 1].hash;
+        c.stepped = stepping || (*node.marks)[q - 1].stepped;
+        c.behavior = stepping ? g.bhash : (*node.marks)[q - 1].hash;
         // The child's buffer of q: the live runs of its buffer at the
         // node past the delivered prefix, then q's surviving arrivals.
-        const auto& mh = mhash[q - 1];
+        const auto& mh = (*node.mhash)[q - 1];
         const std::deque<Message>* rejudged =
-                abs.strip_inert && stepping ? &sys.buffer(q) : nullptr;
+                abs.strip_inert && stepping ? &node.sys->buffer(q) : nullptr;
         auto dead = [&](std::size_t i) {
             if (rejudged != nullptr)
                 return dead_message((*rejudged)[i].from,
@@ -241,8 +279,7 @@ Digest128 lay_out_child(const System& sys, int n, ProcessId stepper,
                 if (s.dest != q) continue;
                 if (abs.strip_inert &&
                     dead_message(stepper, **s.payload,
-                                 stepping ? *g.behavior : sys.behavior_of(q),
-                                 abs))
+                                 stepping ? *g.behavior : *f.behavior, abs))
                     continue;
                 child.runs.push_back(
                         {&s.hash, 1, ChildLayout::kArriving, s.payload});
@@ -344,11 +381,7 @@ Expansion expand_node(const Node& node, const ExploreConfig& cfg) {
     e.decided = decision_set(sys, cfg.n);
     if (quiescent(sys, cfg)) {
         e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
+        e.outcome = outcome_of(sys, cfg.n);
         return e;
     }
     if (node.depth >= cfg.max_depth) {
@@ -474,7 +507,9 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //      one -- and ghost-steps every (process, prefix_menu move)
 //      candidate into a dedup key, except stutter moves (stutters()),
 //      which reach the node's own key and are counted as dedup hits
-//      unkeyed.  Pure reads of the shared stores.
+//      unkeyed.  At max_depth - 1 it also classifies each candidate as
+//      the leaf it would be (classify_leaf).  Pure reads of the shared
+//      stores.
 //
 //   2. DEDUP (parallel): the block's candidate keys, flattened in
 //      BFS candidate order, go through ShardedVisitedStore::
@@ -489,7 +524,10 @@ ExploreResult explore_snapshot(const Algorithm& algorithm,
 //      first-in-BFS-order witness (materialized on demand by delta
 //      replay), child append order.  Appends to the DeltaStore happen
 //      only here, which is the entire concurrency protocol: expansion
-//      phases read, the merge phase writes, nothing overlaps.
+//      phases read, the merge phase writes, nothing overlaps.  The
+//      merge of the layer at max_depth - 1 also folds each accepted
+//      leaf's pop (LeafLayer) and commits them after its last block:
+//      the leaf layer itself never runs these phases.
 //
 // Block boundaries affect CPU and resident memory only, never results:
 // the candidate stream seen by the visited store and the record stream
@@ -546,17 +584,116 @@ struct StoreChild {
     ProcessId stepper = 0;
     std::uint32_t delivered = 0;  ///< length of the delivered buffer prefix
 };
+// A layer's candidates are held in these until its merge: no leaf
+// classification rides in them (LeafEffect).
+static_assert(sizeof(StoreChild) == 24, "StoreChild grew");
+
+/// What popping a leaf -- a child at max_depth, never expanded -- adds
+/// to the result beyond its parent's pop, for the leaves that add
+/// anything but their count and "not quiescent": those whose step
+/// decides a value outside the parent's decision set, making a set no
+/// pop has recorded yet, and the quiescent ones.  A leaf without one is
+/// not quiescent, and its decision set was recorded: by its parent's
+/// pop, or by an earlier pop whose set, if it exceeded k, was a
+/// violation already.
+struct LeafEffect {
+    std::uint32_t child = 0;    ///< index into StoreExpansion::children
+    std::uint32_t outcome = 0;  ///< LeafArena::outcomes offset, if quiescent
+    Value decision = kNoValue;  ///< the step's decision, if any
+    bool fresh = false;         ///< `decision` is not in the parent's set
+    bool quiescent = false;
+};
+
+/// The leaf effects of the nodes one worker expands in one block, in
+/// expansion order: a node's are a contiguous range of `effects`.  One
+/// per worker, cleared per block, so a leaf-parent node allocates
+/// nothing of its own.
+struct LeafArena {
+    std::vector<LeafEffect> effects;
+    /// A quiescent leaf's outcome: n values from LeafEffect::outcome.
+    std::vector<Value> outcomes;
+};
 
 struct StoreExpansion {
     std::set<Value> decided;
-    bool is_quiescent = false;
     std::vector<Value> outcome;  ///< filled iff is_quiescent
-    bool at_depth = false;
+    std::vector<StoreChild> children;
     std::size_t por_skips = 0;
     /// Stutter moves (stutters()): dedup hits of the node itself, never
     /// keyed or probed.
     std::size_t stutters = 0;
-    std::vector<StoreChild> children;
+    bool is_quiescent = false;
+    bool at_depth = false;
+    /// At max_depth - 1 only: the effects of its children that have one,
+    /// in child order, are [leaves_begin, leaves_end) of the LeafArena of
+    /// the worker that expanded it.
+    std::uint32_t worker = 0;
+    std::uint32_t leaves_begin = 0;
+    std::uint32_t leaves_end = 0;
+};
+
+/// The pops of the leaf layer, folded leaf by leaf in id order while the
+/// layer above it merges.  explore_reduced commits them once that merge
+/// is over, if the pop-order max_states cut lets every leaf pop.
+struct LeafLayer {
+    LeafLayer(int n, int k) : n(n), k(k) {}
+
+    int n = 0;
+    int k = 0;
+    std::size_t leaves = 0;
+    bool open = false;  ///< some leaf is not quiescent
+    std::set<std::set<Value>> decision_sets;
+    std::set<std::vector<Value>> quiescent_outcomes;
+    std::optional<std::uint64_t> violator;  ///< the first violating leaf
+
+    /// Folds the pop of leaf `id`, a child of a node whose decision set
+    /// is `decided`, whose effect is `effect` (nullptr: it has none) in
+    /// `arena`.
+    void pop(std::uint64_t id, const std::set<Value>& decided,
+             const LeafEffect* effect, const LeafArena& arena) {
+        ++leaves;
+        const bool fresh = effect != nullptr && effect->fresh;
+        const bool quiescent = effect != nullptr && effect->quiescent;
+        const Value* outcome =
+                quiescent ? arena.outcomes.data() + effect->outcome : nullptr;
+        if (!quiescent) open = true;
+        if (fresh) {
+            std::set<Value> set = decided;
+            set.insert(effect->decision);
+            if (static_cast<int>(set.size()) > k && !violator) violator = id;
+            decision_sets.insert(std::move(set));
+        }
+        if (quiescent) quiescent_outcomes.emplace(outcome, outcome + n);
+#ifndef NDEBUG
+        Pop& p = pops.emplace_back();
+        p.decided = decided;
+        if (fresh) p.decided.insert(effect->decision);
+        p.quiescent = quiescent;
+        if (quiescent) p.outcome.assign(outcome, outcome + n);
+#endif
+    }
+
+    /// Adds the folded pops to `result`.  `remat` scripts the witness.
+    void commit(ExploreResult& result, store::Rematerializer& remat) {
+        result.schedules_expanded += leaves;
+        result.reachable_decision_sets.merge(decision_sets);
+        result.quiescent_outcomes.merge(quiescent_outcomes);
+        if (open) result.exhaustive = false;
+        if (violator && !result.violation_found) {
+            result.violation_found = true;
+            result.witness = remat.script_of(*violator);
+        }
+    }
+
+#ifndef NDEBUG
+    /// Each leaf's pop as folded, in id order: check_leaf_pops's oracle.
+    struct Pop {
+        std::set<Value> decided;
+        bool quiescent = false;
+        std::vector<Value> outcome;
+    };
+    std::vector<Pop> pops;
+#endif
 };
 
 /// The reductions one exploration applies, resolved once from the mode,
@@ -623,6 +760,104 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
     return true;
 }
 
+/// True iff `sets` holds `decided` plus `v`, a value outside it.
+bool holds_extension(const std::set<std::set<Value>>& sets,
+                     const std::set<Value>& decided, Value v) {
+    for (const std::set<Value>& s : sets)
+        if (s.size() == decided.size() + 1 && s.count(v) != 0 &&
+            std::includes(s.begin(), s.end(), decided.begin(), decided.end()))
+            return true;
+    return false;
+}
+
+/// Classifies the leaf `child` lays out, reached from a node with
+/// processes `procs` and decision set `decided` by the ghost step `g`:
+/// its pop reads only its decision set and quiescent_reduced's verdict,
+/// and both follow from the layout and the step (doc/performance.md
+/// §2.4).  `recorded` are the decision sets popped so far.  If the leaf
+/// has an effect (LeafEffect), appends it to `arena` with `index`, its
+/// index among the node's children.
+///
+/// quiescent_reduced, process by process: an absorbed process is
+/// exactly a collapsed one; a faulty process is quiescent iff it cannot
+/// step in the child, where only the stepper's step count moved; a
+/// correct one iff it has decided and its layout holds no live message,
+/// the layout having judged every message as quiescent_reduced judges
+/// it, by its receiver in the child.
+void classify_leaf(const std::vector<NodeProcess>& procs,
+                   const std::set<Value>& decided,
+                   const std::set<std::set<Value>>& recorded,
+                   const GhostStep& g, const ChildLayout& child,
+                   std::size_t index, LeafArena& arena) {
+    const ProcessId stepper = child.stepper;
+    // System::transition's write-once check: no System ever redoes a
+    // leaf's step.
+    require(!(g.decision && procs[stepper - 1].decision),
+            "protocol bug: process decided twice (output is write-once)");
+    const bool fresh = g.decision && decided.count(*g.decision) == 0 &&
+                       !holds_extension(recorded, decided, *g.decision);
+    bool quiescent = true;
+    for (std::size_t i = 0; i < procs.size() && quiescent; ++i) {
+        const ChildLayout::Process& c = child.processes[i];
+        if (c.collapsed) continue;  // absorbed
+        const bool stepping = static_cast<ProcessId>(i + 1) == stepper;
+        if (procs[i].faulty)
+            quiescent = stepping ? g.final_crash : !procs[i].can_step;
+        else
+            quiescent = (procs[i].decision || (stepping && g.decision)) &&
+                        c.live_messages() == 0;
+    }
+    if (!fresh && !quiescent) return;
+    LeafEffect& effect = arena.effects.emplace_back();
+    effect.child = static_cast<std::uint32_t>(index);
+    effect.decision = g.decision ? *g.decision : kNoValue;
+    effect.fresh = fresh;
+    effect.quiescent = quiescent;
+    if (quiescent) {
+        effect.outcome = static_cast<std::uint32_t>(arena.outcomes.size());
+        for (const NodeProcess& f : procs)
+            arena.outcomes.push_back(f.decision ? *f.decision : kNoValue);
+        if (g.decision)
+            arena.outcomes[effect.outcome + stepper - 1] = *g.decision;
+    }
+}
+
+#ifndef NDEBUG
+/// The oracle of leaf classification: materializes each leaf of the
+/// layer whose first id is `first` and requires the pop it was folded
+/// with -- decision set, quiescent verdict and outcome -- to be the pop
+/// of the realized leaf.  A leaf whose fresh decision set an earlier
+/// pop had recorded was folded without it (LeafEffect): its set must be
+/// in `recorded`, the sets popped above the leaf layer, and must not
+/// exceed k unless `violation` was found there.
+void check_leaf_pops(store::Rematerializer& remat, std::uint64_t first,
+                     const std::vector<LeafLayer::Pop>& pops,
+                     const std::set<std::set<Value>>& recorded,
+                     bool violation, const ExploreConfig& cfg,
+                     const AbsorptionContext& abs) {
+    for (std::size_t i = 0; i < pops.size(); ++i) {
+        const store::MaterializedNode node = remat.materialize(first + i);
+        check_node_caches(node, cfg.n);
+        const System& sys = *node.sys;
+        const std::set<Value> decided = decision_set(sys, cfg.n);
+        const bool over_k = static_cast<int>(decided.size()) > cfg.k;
+        const bool folded_out =
+                recorded.count(decided) != 0 && (violation || !over_k);
+        require(decided == pops[i].decided || folded_out,
+                "store path: a leaf's decision set differs from its "
+                "classification");
+        const bool quiescent = quiescent_reduced(sys, cfg, abs);
+        require(quiescent == pops[i].quiescent,
+                "store path: a leaf's quiescence differs from its "
+                "classification");
+        if (quiescent)
+            require(outcome_of(sys, cfg.n) == pops[i].outcome,
+                    "store path: a leaf's outcome differs from its "
+                    "classification");
+    }
+}
+#endif
+
 /// Runs a worker's child layout holds before it first grows: more than
 /// any child of the benchmarked instances needs.
 constexpr std::size_t kLayoutRuns = 64;
@@ -638,7 +873,9 @@ struct ReducedWorker {
     /// The renamed-digest memo, non-trivial G only.
     std::optional<RenamedNodeDigests> renamed;
     std::vector<Digest128> behavior_digests;  ///< the node's marks' digests
+    std::vector<NodeProcess> procs;  ///< the node's processes
     ChildLayout child;  ///< the candidate being keyed
+    LeafArena leaves;   ///< the block's leaf effects, at max_depth - 1
     /// The node's enumerable processes and their menus.
     std::vector<std::pair<ProcessId, PrefixMenu>> moves;
     /// One process's ghost-stepped moves, in menu order.
@@ -656,31 +893,32 @@ void ghost_moves(const store::MaterializedNode& node, ProcessId p,
 }
 
 /// Classify, pick the persistent set, ghost-step and key the surviving
-/// candidates of one materialized node.  Reads the node, the calling
-/// worker's scratch and clones single behaviors only -- safe to run
-/// concurrently on distinct nodes.  `algorithm` is read by the Debug
-/// key checks only.
+/// candidates of one materialized node, and at max_depth - 1 classify
+/// them as leaves too (classify_leaf, which reads `recorded`, the
+/// decision sets popped so far).  Reads the node, the calling worker's
+/// scratch and clones single behaviors only -- safe to run concurrently
+/// on distinct nodes.  `algorithm` is read by the Debug key checks only.
 StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                               const ExploreConfig& cfg,
                               [[maybe_unused]] const Algorithm& algorithm,
-                              const Reductions& red, ReducedWorker& wk) {
+                              const Reductions& red,
+                              const std::set<std::set<Value>>& recorded,
+                              ReducedWorker& wk) {
     StoreExpansion e;
     const System& sys = *node.sys;
     const AbsorptionContext& abs = red.abs;
     e.decided = decision_set(sys, cfg.n);
     if (quiescent_reduced(sys, cfg, abs)) {
         e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
+        e.outcome = outcome_of(sys, cfg.n);
         return e;
     }
     if (depth >= cfg.max_depth) {
         e.at_depth = true;
         return e;
     }
+    const bool leaves = depth + 1 == cfg.max_depth;
+    read_processes(sys, cfg.n, wk.procs);
 
     // The enumerable moves, in the canonical (process, menu) order
     // every engine uses.
@@ -716,8 +954,8 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     }
 
     auto child_key = [&](const GhostStep& g, ProcessId p) {
-        Digest128 key = lay_out_child(sys, cfg.n, p, g, *node.marks,
-                                      *node.mhash, wk.live, abs, wk.child);
+        Digest128 key =
+                lay_out_child(node, wk.procs, p, g, wk.live, abs, wk.child);
         if (symmetric) {
             key = wk.renamed->min_child_key(wk.child, key);
 #ifndef NDEBUG
@@ -758,6 +996,9 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         child.stepper = p;
         child.delivered = static_cast<std::uint32_t>(g.delivered);
         e.children.push_back(child);
+        if (leaves)
+            classify_leaf(wk.procs, e.decided, recorded, g, wk.child,
+                          e.children.size() - 1, wk.leaves);
     };
 
     // Partial-order reduction: find the smallest-id safe process.  A
@@ -781,11 +1022,13 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                 // A decided destination of a decisions-are-final
                 // algorithm is as good as stopped: the send lands in a
                 // buffer the quotient never reads.
-                for (const GhostSend& s : g.sends)
+                for (const GhostSend& s : g.sends) {
+                    const NodeProcess& dest = wk.procs[s.dest - 1];
                     if (g.send_survives(s.dest) && s.dest != p &&
-                        sys.can_step(s.dest) &&
-                        !(abs.decided_final && sys.decision_of(s.dest)))
+                        dest.can_step &&
+                        !(abs.decided_final && dest.decision))
                         return false;
+                }
             }
             return true;
         };
@@ -796,7 +1039,8 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         ProcessId sender = 0;
         int senders = 0;
         for (ProcessId q = 1; q <= cfg.n && senders < 2; ++q)
-            if (sys.can_step(q) && sys.behavior_of(q).may_send())
+            if (wk.procs[q - 1].can_step &&
+                wk.procs[q - 1].behavior->may_send())
                 if (senders++ == 0) sender = q;
         for (const auto& [p, menu] : wk.moves) {
             if (senders > 1) break;
@@ -887,10 +1131,17 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
     int depth = 0;
     bool truncated = false;
     while (layer_begin < layer_end && !truncated) {
+        // The layer above the leaves pops them as it accepts them.
+        const bool leaf_parents = depth + 1 == cfg.max_depth;
+        LeafLayer leaves(cfg.n, cfg.k);
         for (std::uint64_t block = layer_begin;
              block < layer_end && !truncated; block += block_cap) {
             const std::size_t count = static_cast<std::size_t>(
                     std::min<std::uint64_t>(block_cap, layer_end - block));
+            for (ReducedWorker& w : workers) {
+                w.leaves.effects.clear();
+                w.leaves.outcomes.clear();
+            }
             // Phase 1 (parallel): materialize + ghost-expand the block.
             std::vector<StoreExpansion> expansions =
                     exec::parallel_map_grained(
@@ -903,8 +1154,16 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
 #ifndef NDEBUG
                                 check_node_caches(node, cfg.n);
 #endif
-                                return expand_reduced(node, depth, cfg,
-                                                      algorithm, red, wk);
+                                const auto begin = static_cast<std::uint32_t>(
+                                        wk.leaves.effects.size());
+                                StoreExpansion e = expand_reduced(
+                                        node, depth, cfg, algorithm, red,
+                                        result.reachable_decision_sets, wk);
+                                e.worker = static_cast<std::uint32_t>(w);
+                                e.leaves_begin = begin;
+                                e.leaves_end = static_cast<std::uint32_t>(
+                                        wk.leaves.effects.size());
+                                return e;
                             },
                             threshold);
 
@@ -942,22 +1201,51 @@ ExploreResult explore_reduced(const Algorithm& algorithm,
                     continue;
                 }
                 result.dedup_hits += e.stutters;
-                for (const StoreChild& c : e.children) {
-                    if (verdict[vi++] != 0) {
-                        ++states_accepted;
-                        deltas.append(store::DeltaRecord{
-                                block + i,
-                                static_cast<std::uint32_t>(c.stepper),
-                                c.delivered});
-                    } else {
+                const LeafArena& arena = workers[e.worker].leaves;
+                std::uint32_t effect = e.leaves_begin;
+                for (std::size_t j = 0; j < e.children.size(); ++j) {
+                    const StoreChild& c = e.children[j];
+                    if (verdict[vi++] == 0) {
                         ++result.dedup_hits;
+                        continue;
                     }
+                    ++states_accepted;
+                    const std::uint64_t id = deltas.append(store::DeltaRecord{
+                            block + i, static_cast<std::uint32_t>(c.stepper),
+                            c.delivered});
+                    if (!leaf_parents) continue;
+                    while (effect < e.leaves_end &&
+                           arena.effects[effect].child < j)
+                        ++effect;
+                    const bool has_effect = effect < e.leaves_end &&
+                                            arena.effects[effect].child == j;
+                    leaves.pop(id, e.decided,
+                               has_effect ? &arena.effects[effect] : nullptr,
+                               arena);
                 }
             }
             const std::size_t resident =
                     visited.stats().resident_bytes + deltas.resident_bytes();
             if (resident > result.peak_resident_bytes)
                 result.peak_resident_bytes = resident;
+        }
+        if (leaf_parents) {
+            // Pop the leaf layer: every leaf was classified when its
+            // parent expanded it, so none is materialized or expanded.
+            // A leaf layer accepts no state, so the pop-order cut fires
+            // at its first leaf or never: its leaves pop all or none.
+#ifndef NDEBUG
+            check_leaf_pops(*workers[0].remat, layer_end, leaves.pops,
+                            result.reachable_decision_sets,
+                            result.violation_found, cfg, red.abs);
+#endif
+            if (!truncated && leaves.leaves > 0) {
+                if (states_accepted > cfg.max_states)
+                    result.exhaustive = false;
+                else
+                    leaves.commit(result, *workers[0].remat);
+            }
+            break;
         }
         layer_begin = layer_end;
         layer_end = deltas.size();

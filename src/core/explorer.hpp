@@ -39,7 +39,9 @@
 //     and redoing steps along an undo trail (store/rematerialize.hpp)
 //     -- it never forks; candidate children are keyed by ghost
 //     stepping -- one cloned behavior, no fork -- and only keys that
-//     survive deduplication become records;
+//     survive deduplication become records.  A node at max_depth is
+//     never expanded, so it is not re-materialized either: its parent
+//     classifies it (decisions, quiescence) when it keys it;
 //   * the in-RAM reference (kReference) holds live System snapshots,
 //     making children by System::fork() + one apply_choice, and keys
 //     them on collision-free canonical strings: the oracle the store

@@ -75,6 +75,10 @@ void GhostStepper::run_step(const System& sys, ProcessId p, GhostStep& g) {
     const SharedPayload* digested = nullptr;
     Digest128 hash{};
     for (const auto& [dest, payload] : g.out.sends) {
+        // System::transition's destination check: the explorer never
+        // redoes a leaf's step, so no System may ever see this send.
+        require(dest >= 1 && dest <= sys.n(),
+                "ghost step: send destination out of range");
         if (digested == nullptr || !payload.same_body(*digested)) {
             digested = &payload;
             hash = digest_send_(p, *payload);

@@ -293,6 +293,10 @@ struct ChildLayout {
         bool collapsed = false;
         bool stepped = false;
         Digest128 behavior{};  ///< fold_state digest, iff stepped
+
+        /// Its live-message count, the last header word; not collapsed
+        /// only.
+        std::uint64_t live_messages() const { return head[head_words - 1]; }
     };
 
     /// Consecutive live messages of one child buffer: a stretch of the

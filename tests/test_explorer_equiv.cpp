@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,19 @@ ExploreResult expect_all_engines_agree(const Algorithm& algorithm,
         }
     }
     return anchor;
+}
+
+/// The decisions `witness` reaches, replayed on a fresh System.
+std::set<Value> witness_decisions(const Algorithm& algorithm,
+                                  const ExploreConfig& cfg,
+                                  const std::vector<StepChoice>& witness) {
+    System sys(algorithm, cfg.n, cfg.inputs, cfg.plan);
+    sys.set_recording(false);
+    for (const StepChoice& choice : witness) sys.apply_choice(choice);
+    std::set<Value> decisions;
+    for (ProcessId p = 1; p <= cfg.n; ++p)
+        if (auto d = sys.decision_of(p)) decisions.insert(*d);
+    return decisions;
 }
 
 ExploreConfig base_config(int n, int k, int depth) {
@@ -676,14 +690,8 @@ TEST(ReducedEquivalence, WitnessReplaysToViolation) {
     ASSERT_TRUE(red.violation_found);
     ASSERT_FALSE(red.witness.empty());
 
-    System sys(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    sys.set_recording(false);
-    for (const StepChoice& choice : red.witness) sys.apply_choice(choice);
-    std::set<Value> decisions;
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        auto d = sys.decision_of(p);
-        if (d) decisions.insert(*d);
-    }
+    const std::set<Value> decisions =
+            witness_decisions(algorithm, cfg, red.witness);
     EXPECT_GT(static_cast<int>(decisions.size()), cfg.k)
             << "reduced witness does not replay to a violation";
 }
@@ -718,6 +726,233 @@ TEST(ReducedEquivalence, RunToRunDeterminism) {
     const ExploreResult a = explore_schedules(*algorithm, cfg);
     const ExploreResult b = explore_schedules(*algorithm, cfg);
     expect_same_verdict(a, b, "reduced(4) run-to-run");
+}
+
+// ---------------------------------------------------------------------
+// Depth-bound sweep.
+//
+// The store path pops the last BFS layer from the classifications its
+// parents made when they keyed it (core/explorer.cpp, classify_leaf):
+// a leaf is never materialized.  Sweeping max_depth from 0 until the
+// reference is exhaustive makes every layer the leaf layer once.  At
+// each depth kFast must equal the reference, witness included, at 1
+// and 4 threads, with a 1 KiB frontier window (spilling) and under a
+// max_states cut just below the depth's state count (which cuts at the
+// first leaf).  kReduced explores a quotient, so it must equal itself
+// across the same configurations, replay its witness to a violation,
+// report only observables the exhaustive reference reports, and match
+// them once the reference is exhaustive.  (Debug builds also
+// materialize every leaf and check its classification.)
+
+/// `cfg` at 4 threads, with a 1 KiB window, and at 1 and 4 threads cut
+/// at `anchor`'s state count minus one: each must give `anchor`'s
+/// verdict, or `cut`'s for the cut runs.
+void expect_depth_configs_agree(const Algorithm& algorithm, ExploreConfig cfg,
+                                const ExploreResult& anchor,
+                                const ExploreResult& cut,
+                                const std::string& label) {
+    ExploreConfig c = cfg;
+    c.threads = 4;
+    expect_same_verdict(anchor, explore_schedules(algorithm, c),
+                        label + " 4 threads");
+    c = cfg;
+    c.store.frontier_ram_bytes = 1024;
+    expect_same_verdict(anchor, explore_schedules(algorithm, c),
+                        label + " 1 KiB window");
+    for (const int threads : {1, 4}) {
+        c = cfg;
+        c.threads = threads;
+        c.max_states = anchor.states_explored - 1;
+        expect_same_verdict(cut, explore_schedules(algorithm, c),
+                            label + " cut, " + std::to_string(threads) +
+                                    " threads");
+    }
+}
+
+void expect_depth_sweep_agrees(const Algorithm& algorithm, ExploreConfig cfg,
+                               const std::string& name) {
+    std::vector<ExploreResult> refs;
+    cfg.mode = ExploreMode::kReference;
+    cfg.threads = 1;
+    for (cfg.max_depth = 0; refs.empty() || !refs.back().exhaustive;
+         ++cfg.max_depth) {
+        ASSERT_LT(cfg.max_depth, 40) << name << ": never exhaustive";
+        refs.push_back(explore_schedules(algorithm, cfg));
+    }
+    const ExploreResult& full = refs.back();
+    for (std::size_t depth = 0; depth < refs.size(); ++depth) {
+        const ExploreResult& ref = refs[depth];
+        const std::string label = name + " depth " + std::to_string(depth);
+        cfg.max_depth = static_cast<int>(depth);
+        ExploreConfig c = cfg;
+        c.mode = ExploreMode::kReference;
+        c.max_states = ref.states_explored - 1;
+        const ExploreResult ref_cut = explore_schedules(algorithm, c);
+        EXPECT_FALSE(ref_cut.exhaustive) << label;
+        c = cfg;
+        c.mode = ExploreMode::kFast;
+        expect_same_verdict(ref, explore_schedules(algorithm, c),
+                            label + ": fast");
+        expect_depth_configs_agree(algorithm, c, ref, ref_cut,
+                                   label + ": fast");
+
+        ReductionOptions absorption_por;
+        absorption_por.symmetry = false;
+        for (const ReductionOptions& axes :
+             {ReductionOptions{}, absorption_por}) {
+            c = cfg;
+            c.mode = ExploreMode::kReduced;
+            c.reduction = axes;
+            const std::string rlabel =
+                    label + (axes.symmetry ? ": reduced" :
+                                             ": reduced, absorption + POR");
+            const ExploreResult red = explore_schedules(algorithm, c);
+            ExploreConfig cc = c;
+            cc.max_states = red.states_explored - 1;
+            const ExploreResult red_cut = explore_schedules(algorithm, cc);
+            expect_depth_configs_agree(algorithm, c, red, red_cut, rlabel);
+            if (red.violation_found) {
+                const std::set<Value> decided =
+                        witness_decisions(algorithm, c, red.witness);
+                EXPECT_GT(static_cast<int>(decided.size()), c.k) << rlabel;
+            }
+            for (const auto& ds : red.reachable_decision_sets)
+                EXPECT_TRUE(full.reachable_decision_sets.count(ds) != 0)
+                        << rlabel << ": unreachable decision set";
+            for (const auto& qo : red.quiescent_outcomes)
+                EXPECT_TRUE(full.quiescent_outcomes.count(qo) != 0)
+                        << rlabel << ": unreachable quiescent outcome";
+            if (ref.exhaustive) {
+                EXPECT_TRUE(red.exhaustive) << rlabel;
+                expect_observables_equal(ref, red, rlabel);
+            }
+        }
+    }
+}
+
+// The first violation sits at the bound, at depth 3; quiescent outcomes
+// first appear at depth 5.
+TEST(DepthSweep, Flooding) {
+    algo::FloodingKSet algorithm(2);
+    expect_depth_sweep_agrees(algorithm, base_config(3, 1, 0), "flooding");
+}
+
+// p3 crashes in its second step, whose sends are all lost: a leaf that
+// step reaches can be quiescent only because it was p3's last.
+TEST(DepthSweep, MidRunCrashWithOmissions) {
+    auto algorithm = algo::make_flp_kset(3, 1);
+    ExploreConfig cfg = base_config(3, 1, 0);
+    cfg.plan.set_crash_omit_all(3, 2, 3);
+    expect_depth_sweep_agrees(*algorithm, cfg, "flp crash omit-all");
+}
+
+TEST(DepthSweep, KSetWithTwoDead) {
+    auto algorithm = algo::make_flp_kset(4, 2);
+    ExploreConfig cfg = base_config(4, 2, 0);
+    cfg.plan.set_initially_dead({3, 4});
+    expect_depth_sweep_agrees(*algorithm, cfg, "flp k=2 dead{3,4}");
+}
+
+/// p1 and p3 decide their ids on their first steps, and p3 then sends
+/// p2 a message.  p2 decides 2 on the first step that delivers it, or
+/// else alone on its fourth step.  So {1, 2, 3} is reached at depth 3
+/// and {1, 2} only at depth 5: a leaf can add a decision set although a
+/// larger set holding its parent's set and its step's value was
+/// recorded before.
+class HelpedOrSlow final : public Behavior {
+  public:
+    explicit HelpedOrSlow(ProcessId id) : id_(id) {}
+    StepOutput on_step(const StepInput& in) override {
+        StepOutput out;
+        if (decided_) return out;
+        if (id_ == 2 && in.delivered.empty() && ++steps_ < 4) return out;
+        decided_ = true;
+        out.decision = id_;
+        if (id_ == 3) out.send(2, make_payload("go"));
+        return out;
+    }
+    std::string state_digest() const override {
+        return std::to_string(steps_) + (decided_ ? " decided" : "");
+    }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<HelpedOrSlow>(*this);
+    }
+
+  private:
+    ProcessId id_;
+    int steps_ = 0;
+    bool decided_ = false;
+};
+
+class HelpedOrSlowAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId id, int,
+                                            Value) const override {
+        return std::make_unique<HelpedOrSlow>(id);
+    }
+    std::string name() const override { return "helped-or-slow"; }
+};
+
+TEST(DepthSweep, LeafSetUnderARecordedSuperset) {
+    HelpedOrSlowAlgorithm algorithm;
+    expect_depth_sweep_agrees(algorithm, base_config(3, 1, 0),
+                              "helped or slow");
+}
+
+/// Decides its own id on its first step and again on its second: the
+/// protocol bug System::transition rejects.  The first step also sends
+/// the process a message, so that the menu offers its second step (it
+/// drops a decided correct process's steps only while its buffer is
+/// empty).  It declares no reduction claim, so absorption keeps a
+/// decided process in the key and does not skip its second step.
+class DecidesTwice final : public Behavior {
+  public:
+    explicit DecidesTwice(ProcessId id) : id_(id) {}
+    StepOutput on_step(const StepInput&) override {
+        StepOutput out;
+        if (steps_ == 0) out.send(id_, make_payload("again"));
+        if (steps_++ < 2) out.decision = id_;
+        return out;
+    }
+    std::string state_digest() const override {
+        return "steps " + std::to_string(steps_);
+    }
+    std::unique_ptr<Behavior> clone() const override {
+        return std::make_unique<DecidesTwice>(*this);
+    }
+
+  private:
+    ProcessId id_;
+    int steps_ = 0;
+};
+
+class DecidesTwiceAlgorithm final : public Algorithm {
+  public:
+    std::unique_ptr<Behavior> make_behavior(ProcessId id, int,
+                                            Value) const override {
+        return std::make_unique<DecidesTwice>(id);
+    }
+    std::string name() const override { return "decides-twice"; }
+};
+
+// At max_depth 2 the second decision is a leaf's step.  No engine may
+// let it pass: the reference applies it, and the store path, which no
+// longer redoes a leaf's step, checks it when it classifies the leaf.
+TEST(DepthSweep, DecidingTwiceThrowsAtTheLeaves) {
+    DecidesTwiceAlgorithm algorithm;
+    ExploreConfig cfg = base_config(2, 1, 2);
+    for (const ExploreMode mode : {ExploreMode::kReference, ExploreMode::kFast,
+                                   ExploreMode::kReduced}) {
+        cfg.mode = mode;
+        try {
+            explore_schedules(algorithm, cfg);
+            ADD_FAILURE() << to_string(mode) << ": no error";
+        } catch (const UsageError& e) {
+            EXPECT_NE(std::string(e.what()).find("decided twice"),
+                      std::string::npos)
+                    << to_string(mode) << ": " << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
