@@ -58,9 +58,10 @@ struct Args {
         auto it = flags.find(key);
         return it == flags.end() ? fallback : it->second;
     }
+    /// The integer value of --key, or `fallback` when the flag is absent.
     int geti(const std::string& key, int fallback) const {
         auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stoi(it->second);
+        return it == flags.end() ? fallback : parse_int_flag(key, it->second);
     }
 };
 
@@ -81,12 +82,14 @@ Args parse(int argc, char** argv) {
     return args;
 }
 
-std::vector<ProcessId> parse_ids(const std::string& csv) {
+/// The comma-separated process ids of the flag --key.
+std::vector<ProcessId> parse_ids(const std::string& key,
+                                 const std::string& csv) {
     std::vector<ProcessId> out;
     std::istringstream in(csv);
     std::string tok;
     while (std::getline(in, tok, ','))
-        if (!tok.empty()) out.push_back(std::stoi(tok));
+        if (!tok.empty()) out.push_back(parse_int_flag(key, tok));
     return out;
 }
 
@@ -109,7 +112,7 @@ int cmd_run(const Args& args) {
     auto algorithm = make_algorithm(args, n, f);
 
     FailurePlan plan;
-    if (args.has("dead")) plan.set_initially_dead(parse_ids(args.flags.at("dead")));
+    if (args.has("dead")) plan.set_initially_dead(parse_ids("dead", args.flags.at("dead")));
 
     std::unique_ptr<FdOracle> oracle;
     if (algorithm->needs_failure_detector()) {
@@ -191,7 +194,7 @@ int cmd_explore(const Args& args) {
     cfg.inputs = distinct_inputs(n);
     cfg.k = args.geti("k", 1);
     cfg.max_depth = args.geti("depth", 10);
-    if (args.has("dead")) cfg.plan.set_initially_dead(parse_ids(args.flags.at("dead")));
+    if (args.has("dead")) cfg.plan.set_initially_dead(parse_ids("dead", args.flags.at("dead")));
     core::ExploreResult r = core::explore_schedules(*algorithm, cfg);
     std::cout << r.summary() << "\n";
     if (r.violation_found) {

@@ -91,9 +91,10 @@ std::vector<Value> outcome_of(const System& sys, int n) {
 //
 // A behavior digest walks the whole local state of its process.  A
 // child configuration differs from its parent by exactly one step of
-// one process, so the engines carry the per-process behavior state
-// alongside each node and re-render only the stepped process's entry: a
-// key costs one behavior rendering, not n.
+// one process, so the engines re-render only the stepped process's
+// entry: the reference renders a popped node's n digests once, the
+// store path carries them along its undo trail, and a child's key costs
+// one behavior rendering, not n.
 
 /// Canonical string key (reference mode).  `digests[p-1]` must be
 /// steps_of(p) > 0 ? last_digest(p) : "" (the iff-stepped convention).
@@ -134,9 +135,9 @@ using store::MessageHashes;
 // ---------------------------------------------------------------------
 // Ghost stepping (store path).
 //
-// The profile of the snapshot engine is dominated by materializing and
-// destroying forked Systems for candidate children that deduplication
-// then rejects (the reachable graph has far more edges than vertices).
+// The reference forks and destroys a System for every candidate child,
+// most of which deduplication then rejects (the reachable graph has far
+// more edges than vertices).
 // The store path therefore computes a child's dedup key WITHOUT
 // forking: it clones only the stepping process's behavior, runs the
 // step on the clone, and hashes the parent's configuration with the
@@ -296,44 +297,25 @@ Digest128 lay_out_child(const store::MaterializedNode& node,
 }
 
 // ---------------------------------------------------------------------
-// Layer-parallel plumbing shared by the layered engines.
+// Reference engine (kReference): a sequential FIFO BFS.
 //
-// Each engine owns one work-stealing TaskScheduler for the whole
-// exploration; per-worker scratch is sized to sched.size() and reused
-// across every layer a worker touches.  Layers (blocks, on the store
-// path) below exec::TaskScheduler::sequential_threshold run inline:
-// per-region handoff overhead dwarfs the work on tiny layers.
-// Dispatched work is chunked with the scheduler's auto grain and
-// rebalanced by stealing.  The steal count is recorded into the result
-// as observability -- it describes the machine and the timing, not the
-// exploration, so it stays out of every report and equivalence
-// comparison.
-
-// ---------------------------------------------------------------------
-// Snapshot engine (reference mode).
-//
-// The frontier holds *live* System snapshots; a child is parent->fork()
-// plus one apply_choice.  Recording is off: the schedule script kept
-// alongside each node is the record.  Deliberately simple and entirely
-// in-RAM: this is the collision-free cross-check the hashed store-path
-// engine is validated against, so it shares none of its machinery but
-// the move menu (prefix_menu), which by design is the one both engines
-// enumerate.
-//
-// The BFS is layered so that layers can be expanded in parallel:
-// expansion (pure, per-node) happens through parallel_map_grained, and
-// all mutation of the shared result/visited state happens in a
-// sequential merge that consumes the expansions in input order.  The
-// merge keeps the bookkeeping order of a plain sequential BFS --
-// pop-time max_states check, expansion counting, first-in-BFS-order
-// witness, child insertion order -- so the output is byte-identical
-// across engines and thread counts.
+// A frontier node is only its schedule -- a script link and its depth.
+// Popping a node replays its schedule on a fresh non-recording System
+// and renders the node's behavior digests once; each (process,
+// prefix_menu move) child is then keyed as fork() + one apply_choice +
+// canonical_state_string, and the fork is dropped at once.  Only the
+// visited keys and the script links outlive a pop, so no System outlives
+// the pop that made it.  Deliberately simple and entirely in-RAM: this
+// is the collision-free cross-check the hashed store-path engine is
+// validated against, so it shares none of its machinery but the move
+// menu (prefix_menu), which by design is the one both engines
+// enumerate.  Its bookkeeping order -- pop-time max_states check,
+// counting at pop time, (process, menu) child order, first-in-BFS-order
+// witness -- is the order the store path's merge reproduces.
 
 /// One link of a shared schedule-prefix chain.  Frontier nodes share
 /// their prefixes structurally instead of copying O(depth) StepChoices
-/// per node; a witness schedule is materialized only when a violation
-/// is actually found.  shared_ptr reference counts are atomic, so
-/// chains may be extended concurrently from distinct expansions.
+/// per node.
 struct ScriptLink {
     std::shared_ptr<const ScriptLink> parent;
     StepChoice choice;
@@ -347,144 +329,96 @@ std::vector<StepChoice> materialize_script(const ScriptLink* tail) {
     return out;
 }
 
-struct Child {
-    std::string key;
-    std::unique_ptr<System> sys;
-    std::vector<std::string> digests;  ///< per-process behavior digests
-    StepChoice choice;
-};
-
-struct Expansion {
-    std::set<Value> decided;
-    bool is_quiescent = false;
-    std::vector<Value> outcome;  ///< filled iff is_quiescent
-    bool at_depth = false;
-    std::vector<Child> children;
-};
-
 struct Node {
-    std::unique_ptr<System> sys;
-    /// steps_of(p) > 0 ? last_digest(p) : "" per process -- see the
-    /// state-key comment.
-    std::vector<std::string> digests;
     std::shared_ptr<const ScriptLink> script;  ///< nullptr at the root
     int depth = 0;
 };
 
-/// Expands one frontier node: classifies it and, unless it is quiescent
-/// or at the depth bound, forks one child per (process, prefix_menu
-/// move).  Touches only the node and freshly forked copies -- safe to
-/// run concurrently on distinct nodes.
-Expansion expand_node(const Node& node, const ExploreConfig& cfg) {
-    Expansion e;
-    const System& sys = *node.sys;
-    e.decided = decision_set(sys, cfg.n);
-    if (quiescent(sys, cfg)) {
-        e.is_quiescent = true;
-        e.outcome = outcome_of(sys, cfg.n);
-        return e;
-    }
-    if (node.depth >= cfg.max_depth) {
-        e.at_depth = true;
-        return e;
-    }
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        for (const std::size_t count : prefix_menu(sys, p)) {
-            Child child;
-            child.choice = sys.prefix_choice(p, count);
-            child.sys = sys.fork();
-            child.sys->apply_choice(child.choice);
-            // Only process p stepped: every other behavior digest is
-            // unchanged from the parent.
-            child.digests = node.digests;
-            child.digests[p - 1] = child.sys->last_digest(p);
-            child.key = canonical_state_string(*child.sys, cfg.n,
-                                               child.digests);
-            e.children.push_back(std::move(child));
-        }
-    }
-    return e;
-}
-
-ExploreResult explore_snapshot(const Algorithm& algorithm,
-                               const ExploreConfig& cfg) {
+ExploreResult explore_reference(const Algorithm& algorithm,
+                                const ExploreConfig& cfg) {
     ExploreResult result;
     // Deterministic container on purpose (ksa-verify): the frontier is
     // cut off by max_states, so *which* states fall inside the explored
     // set must not depend on hash-iteration order or hash seeding --
     // two runs of the explorer must produce identical reports.
     std::set<std::string> visited;
-
-    exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
-    const std::size_t threshold =
-            exec::TaskScheduler::sequential_threshold(sched.size());
-
-    std::vector<Node> layer;
-    {
-        auto root =
-                std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        root->set_recording(false);
-        Node node;
-        node.digests.assign(static_cast<std::size_t>(cfg.n), std::string());
-        visited.insert(canonical_state_string(*root, cfg.n, node.digests));
-        node.sys = std::move(root);
-        layer.push_back(std::move(node));
-    }
-
-    bool truncated = false;
-    while (!layer.empty() && !truncated) {
-        // Parallel phase: expand every node of the layer independently
-        // (inline below the adaptive threshold -- byte-identical).
-        std::vector<Expansion> expansions = exec::parallel_map_grained(
-                sched, layer.size(), /*grain=*/0,
-                [&](std::size_t i, int) { return expand_node(layer[i], cfg); },
-                threshold);
-
-        // Sequential merge, in input order (= a sequential BFS's pop
-        // order).
-        std::vector<Node> next;
-        for (std::size_t i = 0; i < layer.size(); ++i) {
-            if (visited.size() > cfg.max_states) {
-                result.exhaustive = false;
-                truncated = true;
-                break;
-            }
-            ++result.schedules_expanded;
-            Expansion& e = expansions[i];
-            result.reachable_decision_sets.insert(e.decided);
-            if (static_cast<int>(e.decided.size()) > cfg.k &&
-                !result.violation_found) {
-                result.violation_found = true;
-                result.witness = materialize_script(layer[i].script.get());
-            }
-            if (e.is_quiescent) {
-                result.quiescent_outcomes.insert(std::move(e.outcome));
-                continue;
-            }
-            if (e.at_depth) {
-                result.exhaustive = false;
-                continue;
-            }
-            for (Child& c : e.children) {
-                if (visited.insert(std::move(c.key)).second) {
-                    Node node;
-                    node.sys = std::move(c.sys);
-                    node.digests = std::move(c.digests);
-                    node.script = std::make_shared<const ScriptLink>(
-                            ScriptLink{layer[i].script, std::move(c.choice)});
-                    node.depth = layer[i].depth + 1;
-                    next.push_back(std::move(node));
-                } else {
-                    ++result.dedup_hits;
-                }
-            }
+    std::vector<std::string> digests(static_cast<std::size_t>(cfg.n));
+    visited.insert(canonical_state_string(
+            System(algorithm, cfg.n, cfg.inputs, cfg.plan), cfg.n, digests));
+    std::deque<Node> frontier(1);  // the root
+    while (!frontier.empty()) {
+        if (visited.size() > cfg.max_states) {
+            result.exhaustive = false;
+            break;
         }
-        layer = std::move(next);
+        const Node node = std::move(frontier.front());
+        frontier.pop_front();
+        ++result.schedules_expanded;
+
+        std::vector<StepChoice> script = materialize_script(node.script.get());
+        System sys(algorithm, cfg.n, cfg.inputs, cfg.plan);
+        sys.set_recording(false);
+        for (const StepChoice& choice : script) sys.apply_choice(choice);
+
+        std::set<Value> decided = decision_set(sys, cfg.n);
+        if (static_cast<int>(decided.size()) > cfg.k &&
+            !result.violation_found) {
+            result.violation_found = true;
+            result.witness = std::move(script);
+        }
+        result.reachable_decision_sets.insert(std::move(decided));
+        if (quiescent(sys, cfg)) {
+            result.quiescent_outcomes.insert(outcome_of(sys, cfg.n));
+            continue;
+        }
+        if (node.depth >= cfg.max_depth) {
+            result.exhaustive = false;
+            continue;
+        }
+
+        for (ProcessId p = 1; p <= cfg.n; ++p)
+            digests[p - 1] = sys.steps_of(p) > 0 ? sys.last_digest(p) : "";
+        for (ProcessId p = 1; p <= cfg.n; ++p) {
+            const std::string own = digests[p - 1];
+            for (const std::size_t count : prefix_menu(sys, p)) {
+                StepChoice choice = sys.prefix_choice(p, count);
+                std::string key;
+                {
+                    const std::unique_ptr<System> child = sys.fork();
+                    child->apply_choice(choice);
+                    // Only process p stepped: every other behavior
+                    // digest is the node's.
+                    digests[p - 1] = child->last_digest(p);
+                    key = canonical_state_string(*child, cfg.n, digests);
+                }
+                if (visited.insert(std::move(key)).second)
+                    frontier.push_back(
+                            {std::make_shared<const ScriptLink>(
+                                     ScriptLink{node.script, std::move(choice)}),
+                             node.depth + 1});
+                else
+                    ++result.dedup_hits;
+            }
+            digests[p - 1] = own;
+        }
     }
     result.states_explored = visited.size();
-    result.parallel_steals = sched.steal_count();
     return result;
 }
+
+// ---------------------------------------------------------------------
+// Layer-parallel plumbing of the store path (the reference is
+// sequential).
+//
+// The store path owns one work-stealing TaskScheduler for the whole
+// exploration; per-worker scratch is sized to sched.size() and reused
+// across every block a worker touches.  Blocks below
+// exec::TaskScheduler::sequential_threshold run inline: per-region
+// handoff overhead dwarfs the work on tiny blocks.  Dispatched work is
+// chunked with the scheduler's auto grain and rebalanced by stealing.
+// The steal count is recorded into the result as observability -- it
+// describes the machine and the timing, not the exploration, so it
+// stays out of every report and equivalence comparison.
 
 // ---------------------------------------------------------------------
 // Store-path engine (kFast and kReduced): the layered ghost-step BFS
@@ -1312,7 +1246,7 @@ ExploreResult explore_schedules(const Algorithm& algorithm,
 
     switch (cfg.mode) {
         case ExploreMode::kReference:
-            return explore_snapshot(algorithm, cfg);
+            return explore_reference(algorithm, cfg);
         case ExploreMode::kFast:
         case ExploreMode::kReduced:
             return explore_reduced(algorithm, cfg);

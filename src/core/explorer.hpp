@@ -42,14 +42,16 @@
 //     survive deduplication become records.  A node at max_depth is
 //     never expanded, so it is not re-materialized either: its parent
 //     classifies it (decisions, quiescence) when it keys it;
-//   * the in-RAM reference (kReference) holds live System snapshots,
-//     making children by System::fork() + one apply_choice, and keys
-//     them on collision-free canonical strings: the oracle the store
+//   * the in-RAM reference (kReference) is one sequential FIFO BFS
+//     whose frontier nodes are schedules: popping a node replays its
+//     schedule on a fresh System, and each child is keyed as
+//     System::fork() + one apply_choice on collision-free canonical
+//     strings, the fork dropped at once.  It is the oracle the store
 //     path is cross-checked against;
-//   * frontier layers are expanded in parallel on the work-stealing
-//     scheduler (exec/task_scheduler.hpp, via exec/parallel_map.hpp)
-//     and merged sequentially in input order, so N-thread output is
-//     byte-identical to 1-thread output;
+//   * the store path expands its frontier layers in parallel on the
+//     work-stealing scheduler (exec/task_scheduler.hpp, via
+//     exec/parallel_map.hpp) and merges them sequentially in input
+//     order, so N-thread output is byte-identical to 1-thread output;
 //   * deduplication keys are deterministic 128-bit hashes
 //     (sim/digest.hpp) on the store path and canonical strings in the
 //     reference, and every mode inserts states in the same BFS order --
@@ -106,10 +108,14 @@ enum class ExploreMode {
     /// and incremental 128-bit hash dedup -- kReduced with every
     /// reduction axis off (ExploreConfig::reduction is ignored).
     kFast,
-    /// In-RAM snapshot stepping + canonical-string dedup: the reference
-    /// the store path is cross-checked against.  Slower (one full
-    /// string rendering per candidate state) and bounded by RAM (one
-    /// live System per frontier node), collision-free by construction.
+    /// A sequential in-RAM BFS with canonical-string dedup: the
+    /// reference the store path is cross-checked against.  A frontier
+    /// node is its schedule, replayed on a fresh System when popped;
+    /// each candidate child is a fork plus one step, keyed by a full
+    /// string rendering and dropped at once.  Slower than the store
+    /// path, bounded by RAM (the visited strings and the schedule
+    /// links), collision-free by construction.  Ignores
+    /// ExploreConfig::threads and ExploreConfig::store.
     kReference,
     /// The store path plus the reduction axes ExploreConfig::reduction
     /// selects (core/reduction.hpp): symmetry canonicalization of dedup
@@ -138,8 +144,9 @@ struct ExploreConfig {
     int max_depth = 12;    ///< schedule length bound
     std::size_t max_states = 200000;  ///< safety cap on distinct states
     ExploreMode mode = ExploreMode::kFast;
-    /// Worker threads for layer-parallel expansion (1 = sequential).
-    /// Output is byte-identical for every value.
+    /// Worker threads for the store path's layer-parallel expansion
+    /// (1 = sequential; kReference is always sequential and ignores
+    /// it).  Output is byte-identical for every value.
     int threads = 1;
     /// Which reductions kReduced applies (ignored by every other mode,
     /// kFast included).
@@ -192,7 +199,7 @@ struct ExploreVerdict {
 /// How an exploration ran: observability that depends on the engine,
 /// the machine, the timing or the store configuration, so it stays out
 /// of the verdict.  The store-path engine (kFast/kReduced) fills all of
-/// it; the in-RAM reference leaves the store and spill counters 0.
+/// it; the sequential in-RAM reference leaves every field 0.
 struct ExploreStats {
     /// Successful work steals during this exploration (timing-dependent
     /// by design).
@@ -231,7 +238,9 @@ struct ExploreResult : ExploreVerdict, ExploreStats {
 };
 
 /// Runs the exploration for `algorithm` (which must not use a failure
-/// detector -- exploring oracle nondeterminism is out of scope).
+/// detector -- exploring oracle nondeterminism is out of scope).  A
+/// crash plan that names a process outside 1..n is a UsageError, from
+/// the System every mode builds.
 ExploreResult explore_schedules(const Algorithm& algorithm,
                                 const ExploreConfig& config);
 

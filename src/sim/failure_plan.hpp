@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -102,7 +103,8 @@ public:
 
     /// Declares `p` faulty with the given spec.  Re-declaring replaces.
     void set_crash(ProcessId p, CrashSpec spec) {
-        KSA_REQUIRE(p >= 1, "FailurePlan::set_crash: invalid process id");
+        KSA_REQUIRE(p >= 1, "FailurePlan::set_crash: invalid process id p" +
+                                    std::to_string(p));
         KSA_REQUIRE(spec.after_own_steps >= 0,
                     "FailurePlan::set_crash: negative step count");
         KSA_REQUIRE(spec.after_own_steps > 0 || spec.omit_to.empty(),
@@ -110,7 +112,8 @@ public:
                     "no final step whose sends could be omitted");
         KSA_REQUIRE(spec.omit_to.empty() || *spec.omit_to.begin() >= 1,
                     "FailurePlan::set_crash: omission set contains an "
-                    "invalid process id");
+                    "invalid process id p" +
+                            std::to_string(*spec.omit_to.begin()));
         crashes_[p] = std::move(spec);
     }
 
@@ -123,7 +126,7 @@ public:
     }
 
     /// Declares `p` initially dead (never takes a step).
-    void set_initially_dead(ProcessId p) { crashes_[p] = CrashSpec{0, {}}; }
+    void set_initially_dead(ProcessId p) { set_crash(p, CrashSpec{}); }
 
     /// Declares every process in `ps` initially dead.
     void set_initially_dead(const std::vector<ProcessId>& ps) {

@@ -341,4 +341,15 @@ std::vector<StepChoice> schedule_of(const Run& run) {
     return out;
 }
 
+int parse_int_flag(std::string_view flag, std::string_view text) {
+    const char* last = text.data() + text.size();
+    int value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last)
+        throw UsageError("--" + std::string(flag) +
+                         " needs an integer in int range, got '" +
+                         std::string(text) + "'");
+    return value;
+}
+
 }  // namespace ksa

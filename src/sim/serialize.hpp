@@ -7,10 +7,12 @@
 //
 // Uses: archiving counterexample runs produced by the impossibility
 // engines, diffing runs across code changes, and replaying a run's
-// schedule in a fresh process (see schedule_of()).
+// schedule in a fresh process (see schedule_of()).  Also the integer
+// parse the command-line tools read their flags with (parse_int_flag()).
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "sim/run.hpp"
 #include "sim/scheduler.hpp"
@@ -34,5 +36,10 @@ Run run_from_string(const std::string& text);
 /// ScriptedScheduler against the same algorithm/inputs/plan/oracle,
 /// reproduces the run bit for bit.
 std::vector<StepChoice> schedule_of(const Run& run);
+
+/// `text` as an int.  Anything but a whole int in range is a UsageError
+/// naming the command-line flag --`flag` and the text; the command-line
+/// tools parse every integer flag through it.
+int parse_int_flag(std::string_view flag, std::string_view text);
 
 }  // namespace ksa

@@ -9,6 +9,19 @@
 
 namespace ksa {
 
+namespace {
+
+/// Throws UsageError unless `p`, which the crash plan names as `role`,
+/// lies in 1..n.
+void require_process_in_range(ProcessId p, int n, const char* role) {
+    if (p < 1 || p > n)
+        throw UsageError("System: the crash plan names " + std::string(role) +
+                         " p" + std::to_string(p) + ", outside 1.." +
+                         std::to_string(n));
+}
+
+}  // namespace
+
 System::System(const Algorithm& algorithm, int n, std::vector<Value> inputs,
                FailurePlan plan, FdOracle* oracle)
     : n_(n),
@@ -20,6 +33,13 @@ System::System(const Algorithm& algorithm, int n, std::vector<Value> inputs,
     require(n_ >= 1, "System: n must be >= 1");
     require(static_cast<int>(inputs_.size()) == n_,
             "System: need exactly n inputs");
+    // A plan naming a process outside 1..n would never be consulted, so
+    // the run would quietly be another instance's.
+    for (const ProcessId p : plan_.faulty()) {
+        require_process_in_range(p, n_, "faulty process");
+        for (const ProcessId q : plan_.spec(p).omit_to)
+            require_process_in_range(q, n_, "omission receiver");
+    }
     require(!uses_fd_ || oracle_ != nullptr,
             "System: algorithm queries a failure detector but no oracle given");
     behaviors_.reserve(n_);

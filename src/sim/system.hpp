@@ -63,7 +63,8 @@ public:
     /// Builds the initial configuration: behavior of process p gets
     /// inputs[p-1] as its proposal value.  `oracle` may be null iff the
     /// algorithm does not query a failure detector; it is borrowed and
-    /// must outlive the System.
+    /// must outlive the System.  Every process `plan` names, as faulty or
+    /// as an omission receiver, must lie in 1..n (UsageError otherwise).
     System(const Algorithm& algorithm, int n, std::vector<Value> inputs,
            FailurePlan plan, FdOracle* oracle = nullptr);
 

@@ -7,6 +7,7 @@
 
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
+#include "algo/paxos_consensus.hpp"
 #include "core/bounds.hpp"
 #include "core/explorer.hpp"
 #include "core/independence.hpp"
@@ -364,12 +365,47 @@ TEST(Explorer, TwoRunsProduceIdenticalReports) {
     EXPECT_EQ(a.summary(), b.summary());
 }
 
+/// The message of the UsageError `explore` throws ("" if it throws
+/// none).
+template <typename F>
+std::string usage_error_of(F explore) {
+    try {
+        explore();
+    } catch (const UsageError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+// Every mode refuses a detector-using algorithm and a crash plan that
+// names a process outside 1..n (it would explore another instance).
 TEST(Explorer, RejectsDetectorAlgorithms) {
     algo::FloodingKSet fine(1);
+    algo::PaxosConsensus detector;
     ExploreConfig cfg;
     cfg.n = 1;
     cfg.inputs = {1};
-    EXPECT_NO_THROW(explore_schedules(fine, cfg));
+    ExploreConfig dead = cfg;
+    dead.plan.set_initially_dead(2);
+    ExploreConfig omit = cfg;
+    omit.plan.set_crash(1, CrashSpec{1, {2}});
+    for (const ExploreMode mode : {ExploreMode::kReference,
+                                   ExploreMode::kFast, ExploreMode::kReduced}) {
+        cfg.mode = dead.mode = omit.mode = mode;
+        const std::string label = to_string(mode);
+        EXPECT_NO_THROW(explore_schedules(fine, cfg)) << label;
+        EXPECT_NE(usage_error_of([&] { explore_schedules(detector, cfg); }),
+                  "")
+                << label;
+        EXPECT_NE(usage_error_of([&] { explore_schedules(fine, dead); })
+                          .find("p2"),
+                  std::string::npos)
+                << label;
+        EXPECT_NE(usage_error_of([&] { explore_schedules(fine, omit); })
+                          .find("p2"),
+                  std::string::npos)
+                << label;
+    }
 }
 
 }  // namespace

@@ -571,10 +571,11 @@ TEST(Rematerializer, ScriptOfRootIsEmpty) {
 
 // ------------------------------------- fork + fault-injection round-trip
 
-/// Snapshot exploration (kReference) and the store path's Debug
-/// oracles lean on System::fork() copying EVERY piece of state a later step can observe -- including the effective
-/// FailurePlan extensions and forged-id bookkeeping that Byzantine
-/// fault actions mutate.  This drives an n=5 run with corruption and
+/// The reference explorer (kReference), which keys every candidate
+/// child on a fork, and the store path's Debug oracles lean on
+/// System::fork() copying EVERY piece of state a later step can
+/// observe -- including the effective FailurePlan extensions and
+/// forged-id bookkeeping that Byzantine fault actions mutate.  This drives an n=5 run with corruption and
 /// equivocation faults, forks mid-run, and requires the fork and the
 /// original to stay bit-identical under the same continuation.
 TEST(SystemFork, ByzantineFaultRoundTripAtN5) {

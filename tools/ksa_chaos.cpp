@@ -91,15 +91,7 @@ struct Args {
     /// Anything but a whole int in range is a UsageError naming both.
     int geti(const std::string& key, int fallback) const {
         auto it = flags.find(key);
-        if (it == flags.end()) return fallback;
-        const std::string& text = it->second;
-        const char* last = text.data() + text.size();
-        int value = 0;
-        const auto [end, ec] = std::from_chars(text.data(), last, value);
-        if (ec != std::errc() || end != last)
-            throw UsageError("--" + key + " needs an integer in int range, "
-                             "got '" + text + "'");
-        return value;
+        return it == flags.end() ? fallback : parse_int_flag(key, it->second);
     }
     std::string get(const std::string& key, std::string fallback) const {
         auto it = flags.find(key);
