@@ -13,19 +13,20 @@
 // k <= f border.
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/border_map.hpp"
 #include "exec/task_scheduler.hpp"
+#include "sim/types.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace ksa;
     // Rows are computed in parallel and printed in row order; output is
     // byte-identical for every thread count.
     const int threads =
-        argc > 1 ? std::atoi(argv[1]) : exec::hardware_threads();
+        argc > 1 ? bench::parse_threads(argv[1]) : exec::hardware_threads();
     std::cout << "E10: solvability maps (columns k = 1.." << "n-1)\n";
     std::cout << "  S solvable here | X impossible (easy reduction) | "
                  "x impossible (topology only)\n";
@@ -50,4 +51,7 @@ int main(int argc, char** argv) {
                  "(Theorem 8); the async column is X up to (n-1)/(n-f)\n"
                  "(Theorem 2), x up to f (topology), S from f+1 (flooding).\n";
     return 0;
+} catch (const ksa::Error& e) {
+    std::cerr << "bench_border_map: " << e.what() << "\n";
+    return 2;
 }

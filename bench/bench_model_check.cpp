@@ -52,6 +52,7 @@
 #include "core/explorer.hpp"
 #include "exec/task_scheduler.hpp"
 #include "sim/system.hpp"
+#include "sim/types.hpp"
 
 namespace {
 
@@ -146,7 +147,7 @@ constexpr double kTimeFloorMs = 5.0;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace ksa;
 
     std::string out_path;
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             out_path = argv[++i];
         else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = std::atoi(argv[++i]);
+            threads = bench::parse_threads(argv[++i]);
         else if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
         else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc)
@@ -649,4 +650,7 @@ int main(int argc, char** argv) {
 
     if (!out_path.empty()) report.write(out_path);
     return all && engines_agree && deep_ok ? 0 : 1;
+} catch (const ksa::Error& e) {
+    std::cerr << "bench_model_check: " << e.what() << "\n";
+    return 2;
 }

@@ -34,7 +34,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -50,6 +49,7 @@
 #include "core/explorer.hpp"
 #include "exec/task_scheduler.hpp"
 #include "sim/system.hpp"
+#include "sim/types.hpp"
 
 namespace {
 
@@ -131,7 +131,7 @@ void print_run(const char* what, int threads, int round, const TimedRun& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace ksa;
 
     std::string out_path;
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             out_path = argv[++i];
         else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = std::atoi(argv[++i]);
+            threads = bench::parse_threads(argv[++i]);
         else if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
         else if (std::strcmp(argv[i], "--check") == 0)
@@ -388,4 +388,7 @@ int main(int argc, char** argv) {
               << "\n";
     if (!out_path.empty()) report.write(out_path);
     return all_identical && scaling_ok ? 0 : 1;
+} catch (const ksa::Error& e) {
+    std::cerr << "bench_parallel_sweep: " << e.what() << "\n";
+    return 2;
 }

@@ -15,11 +15,11 @@
 // every thread count.  `bench_theorem2_border [threads]` defaults to
 // the hardware concurrency.
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "algo/flooding.hpp"
+#include "bench_util.hpp"
 #include "core/bounds.hpp"
 #include "core/kset_spec.hpp"
 #include "core/theorem2.hpp"
@@ -27,11 +27,12 @@
 #include "exec/task_scheduler.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
+#include "sim/types.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace ksa;
     const int threads =
-        argc > 1 ? std::atoi(argv[1]) : exec::hardware_threads();
+        argc > 1 ? bench::parse_threads(argv[1]) : exec::hardware_threads();
 
     std::cout << "E1: Theorem 2 border sweep (candidate: flooding, threshold "
                  "n-f)\n";
@@ -126,4 +127,7 @@ int main(int argc, char** argv) {
                   << (rows[i].ok ? "yes" : "NO") << "\n";
     }
     return certified == total_impossible ? 0 : 1;
+} catch (const ksa::Error& e) {
+    std::cerr << "bench_theorem2_border: " << e.what() << "\n";
+    return 2;
 }

@@ -13,19 +13,20 @@
 // every thread count.  `bench_theorem8_border [threads]` defaults to
 // the hardware concurrency.
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "algo/initial_clique.hpp"
+#include "bench_util.hpp"
 #include "core/theorem8.hpp"
 #include "exec/parallel_map.hpp"
 #include "exec/task_scheduler.hpp"
+#include "sim/types.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace ksa;
     const int threads =
-        argc > 1 ? std::atoi(argv[1]) : exec::hardware_threads();
+        argc > 1 ? bench::parse_threads(argv[1]) : exec::hardware_threads();
 
     std::cout << "E3: Theorem 8 border (k*n = (k+1)*f): the k+1-way "
                  "partition pasting\n\n";
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
     std::cout << "\nevery row shows k+1 distinct decisions in an admissible "
                  "crash-free run -> k-agreement violated at the border\n";
     return all ? 0 : 1;
+} catch (const ksa::Error& e) {
+    std::cerr << "bench_theorem8_border: " << e.what() << "\n";
+    return 2;
 }

@@ -5,9 +5,18 @@
 #include <iostream>
 #include <sstream>
 
+#include "sim/serialize.hpp"
 #include "sim/types.hpp"
 
 namespace ksa::bench {
+
+int parse_threads(std::string_view text) {
+    const int threads = parse_int_flag("threads", text);
+    if (threads < 1)
+        throw UsageError("--threads needs at least 1 thread, got '" +
+                         std::string(text) + "'");
+    return threads;
+}
 
 namespace {
 

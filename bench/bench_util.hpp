@@ -1,6 +1,7 @@
 #pragma once
-// Shared bench harness: a monotonic wall timer and a dependency-free
-// JSON reporter for the BENCH_*.json artifacts.
+// Shared bench harness: a monotonic wall timer, the benches' thread
+// count parser and a dependency-free JSON reporter for the BENCH_*.json
+// artifacts.
 //
 // Report schema (doc/performance.md §"Bench JSON schema"):
 //
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,10 @@ double time_call_ms(Fn&& fn) {
     fn();
     return t.elapsed_ms();
 }
+
+/// `text` as a thread count: an int of at least 1.  Anything else is a
+/// UsageError naming --threads and the text.
+int parse_threads(std::string_view text);
 
 /// One named measurement row of a bench report.
 class BenchEntry {

@@ -280,9 +280,9 @@ SweepReport resilience_sweep(const SweepConfig& config) {
 
     // Cells are few and wildly uneven (cost grows with n, and the
     // retry pass is per-cell), so they go through the work-stealing
-    // scheduler at grain 1: a worker stuck on an expensive high-n cell
-    // sheds the rest of its share to idle peers instead of serializing
-    // it behind the static-partition barrier (the pre-stealing sweep
+    // scheduler at grain 1: while a worker is stuck on an expensive
+    // high-n cell, idle peers claim the unclaimed cells of its block
+    // instead of leaving them queued behind it (a static partition
     // measured 0.979x "speedup" at 4 threads on exactly this skew).
     exec::TaskScheduler sched(config.threads);
     report.cells = exec::parallel_map_grained(

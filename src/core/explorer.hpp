@@ -201,8 +201,8 @@ struct ExploreVerdict {
 /// of the verdict.  The store-path engine (kFast/kReduced) fills all of
 /// it; the sequential in-RAM reference leaves every field 0.
 struct ExploreStats {
-    /// Successful work steals during this exploration (timing-dependent
-    /// by design).
+    /// Steals during this exploration: chunks a worker claimed from
+    /// another worker slot's block (timing-dependent by design).
     std::uint64_t parallel_steals = 0;
     /// Visited-store shard count in effect (2^StoreOptions::shard_bits).
     std::size_t store_shards = 0;

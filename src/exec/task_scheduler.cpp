@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "check/contract.hpp"
-#include "exec/steal_deque.hpp"
 
 namespace ksa::exec {
 
@@ -19,28 +18,15 @@ int hardware_threads() {
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
-namespace {
-
-/// splitmix64 mix step (same finalizer family as sim/digest.hpp and
-/// chaos/resilience.cpp): drives victim selection from a per-worker
-/// seed instead of wall clocks or std::random_device, so the lint
-/// raw-random rule keeps holding.  Steal order is timing-dependent
-/// anyway; the mixer only decorrelates the victim sweep across
-/// workers so they do not all hammer deque 0.
-std::uint64_t mix64(std::uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-}  // namespace
-
 struct TaskScheduler::Impl {
+    /// The next unclaimed chunk of one slot's block, alone on its
+    /// cache line so claims in different blocks do not contend.
+    struct alignas(64) Cursor {
+        std::atomic<std::size_t> next{0};
+    };
+
     // Scheduler configuration --------------------------------------------
     int slots = 1;                     ///< effective parallelism (>= 1)
-    int requested = 1;                 ///< pre-clamp logical parallelism
     std::vector<std::thread> workers;  ///< slots - 1 OS threads
 
     // Region handoff state, guarded by `mu` ------------------------------
@@ -61,21 +47,22 @@ struct TaskScheduler::Impl {
     std::size_t n_chunks = 0;
     const std::function<void(std::size_t, int)>* fn = nullptr;
     std::vector<std::exception_ptr> chunk_errors;  ///< slot per chunk
-    std::unique_ptr<StealDeque[]> deques;          ///< one per worker slot
+    std::unique_ptr<Cursor[]> cursors;             ///< one per worker slot
 
-    // Cross-thread region progress: how many chunks have not finished
-    // executing.  Decremented exactly once per chunk (by whoever ran
-    // it); drain() terminates on 0 because chunks are only ever
-    // created during region setup -- an empty sweep with chunks still
-    // outstanding means they are in flight elsewhere, not lost.
-    std::atomic<std::size_t> chunks_left{0};
     std::atomic<std::uint64_t> steals{0};  ///< cumulative, observability only
+
+    /// Slot w's block of chunks is [block_begin(w), block_begin(w + 1)):
+    /// contiguous, index-ordered, and empty when n_chunks < slots.
+    // ksa: wait_free -- pure arithmetic.
+    std::size_t block_begin(std::size_t w) const {
+        return n_chunks * w / static_cast<std::size_t>(slots);
+    }
 
     /// Chunk c covers [c*grain, min(count, (c+1)*grain)): pure
     /// arithmetic on (count, grain), independent of timing and of who
     /// runs it, so the work partition is deterministic.
     // ksa: wait_free -- runs outside any lock; it must never block, or
-    // stealing convoys behind it.
+    // the whole region waits on it.
     void run_chunk(std::size_t c, int w) noexcept {
         const std::size_t begin = c * grain;
         std::size_t end = begin + grain;
@@ -88,40 +75,24 @@ struct TaskScheduler::Impl {
             // together select the lowest throwing item index overall.
             chunk_errors[c] = std::current_exception();
         }
-        chunks_left.fetch_sub(1, std::memory_order_acq_rel);
     }
 
-    /// Worker slot w's share of the region: drain the own deque LIFO,
-    /// then steal the oldest chunk of pseudo-random victims until every
-    /// chunk of the region has finished executing.
+    /// Worker slot w's share of the region: one pass over the slots,
+    /// starting at its own, claiming each block's chunks front to back
+    /// until its cursor passes the block's end.  Cursors only grow
+    /// within a region, so one pass leaves every chunk claimed; the
+    /// caller's wait for active == 0 covers the chunks still running
+    /// elsewhere.  A chunk claimed from another slot's block is a steal.
     void drain(int w) {
-        std::uint64_t rng =
-            0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(w + 1);
-        std::size_t c = 0;
-        while (true) {
-            if (deques[w].pop_bottom(c)) {
+        const std::size_t s = static_cast<std::size_t>(slots);
+        for (std::size_t k = 0; k < s; ++k) {
+            const std::size_t v = (static_cast<std::size_t>(w) + k) % s;
+            const std::size_t end = block_begin(v + 1);
+            std::atomic<std::size_t>& next = cursors[v].next;
+            for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+                 c < end; c = next.fetch_add(1, std::memory_order_relaxed)) {
+                if (k != 0) steals.fetch_add(1, std::memory_order_relaxed);
                 run_chunk(c, w);
-                continue;
-            }
-            if (chunks_left.load(std::memory_order_acquire) == 0) return;
-            bool stole = false;
-            for (int attempt = 0; attempt < slots && !stole; ++attempt) {
-                const int victim = static_cast<int>(
-                    mix64(rng) % static_cast<std::uint64_t>(slots));
-                if (victim == w || deques[victim].looks_empty()) continue;
-                if (deques[victim].steal_top(c)) {
-                    steals.fetch_add(1, std::memory_order_relaxed);
-                    run_chunk(c, w);
-                    stole = true;
-                }
-            }
-            if (!stole) {
-                // Nothing visibly stealable but chunks still
-                // outstanding: they are in flight (or a CAS was lost
-                // to a peer).  Yield and re-sweep; no new chunks can
-                // appear, so this loop is bounded by region progress.
-                if (chunks_left.load(std::memory_order_acquire) == 0) return;
-                std::this_thread::yield();
             }
         }
     }
@@ -154,15 +125,13 @@ TaskScheduler::TaskScheduler(int threads)
 
 TaskScheduler::TaskScheduler(int threads, bool oversubscribe)
     : impl_(std::make_unique<Impl>()) {
-    const int requested = threads < 1 ? 1 : threads;
-    int slots = requested;
+    int slots = threads < 1 ? 1 : threads;
     if (!oversubscribe && slots > hardware_threads())
         slots = hardware_threads();
-    impl_->requested = requested;
     impl_->slots = slots;
-    impl_->deques = std::make_unique<StealDeque[]>(
+    impl_->cursors = std::make_unique<Impl::Cursor[]>(
         static_cast<std::size_t>(slots));
-    // Worker w owns deque w; the caller's thread owns deque slots - 1.
+    // Worker w drains from slot w; the caller's thread is slot slots - 1.
     for (int w = 0; w + 1 < slots; ++w)
         impl_->workers.emplace_back([this, w] { impl_->worker_loop(w); });
 }
@@ -177,8 +146,6 @@ TaskScheduler::~TaskScheduler() {
 }
 
 int TaskScheduler::size() const { return impl_->slots; }
-
-int TaskScheduler::requested() const { return impl_->requested; }
 
 std::uint64_t TaskScheduler::steal_count() const {
     return impl_->steals.load(std::memory_order_relaxed);
@@ -207,21 +174,13 @@ void TaskScheduler::run_chunked(
         im.n_chunks = n_chunks;
         im.fn = &fn;
         im.chunk_errors.assign(n_chunks, nullptr);
-        im.chunks_left.store(n_chunks, std::memory_order_relaxed);
         im.active = im.slots - 1;
-        // Deal chunks to deques in index order: worker w gets the
-        // contiguous block [n_chunks*w/slots, n_chunks*(w+1)/slots),
-        // pushed in reverse so the owner pops it in ascending order
-        // (cache-warm, and matching the sequential visit order) while
-        // thieves take from the far end of the block.
-        const std::size_t s = static_cast<std::size_t>(im.slots);
-        for (std::size_t w = 0; w < s; ++w) {
-            const std::size_t begin = n_chunks * w / s;
-            const std::size_t end = n_chunks * (w + 1) / s;
-            im.deques[w].reset(end > begin ? end - begin : 1);
-            for (std::size_t c = end; c > begin; --c)
-                im.deques[w].push_bottom(c - 1);
-        }
+        // Point every cursor at the front of its slot's block: the
+        // owner claims it in ascending order (cache-warm, matching the
+        // sequential visit order), and so does a peer that runs out.
+        for (std::size_t w = 0; w < static_cast<std::size_t>(im.slots); ++w)
+            im.cursors[w].next.store(im.block_begin(w),
+                                     std::memory_order_relaxed);
         ++im.generation;
     }
     im.work_cv.notify_all();

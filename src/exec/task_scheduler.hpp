@@ -11,11 +11,12 @@
 // BFS layer, an uneven sweep cell -- serialize its whole thread's
 // share while the other cores idle at the barrier (BENCH_sweep.json
 // recorded a 0.979x "speedup" at 4 threads under such a pool).  Here a
-// region is split into many grain-sized chunks, dealt to per-worker
-// Chase-Lev deques (steal_deque.hpp); each worker drains its own deque
-// LIFO and, when empty, steals the oldest chunk of a pseudo-randomly
-// chosen victim.  Load imbalance is repaired at chunk granularity
-// instead of being baked in at region start.
+// region is split into many grain-sized chunks, one contiguous block
+// of them per worker slot, each block with an atomic cursor at its
+// next unclaimed chunk.  A worker claims its own block front to back
+// by fetch_add on the cursor, then steals what is still unclaimed of
+// its peers' blocks the same way.  Load imbalance is repaired at chunk
+// granularity instead of being baked in at region start.
 //
 // The determinism contract (PR-1) survives unchanged, because stealing
 // moves WORK between workers, never RESULTS between slots:
@@ -28,8 +29,9 @@
 //     after the region completes, the lowest chunk index is re-thrown
 //     -- which is the lowest throwing item index, for every grain and
 //     every thread count;
-//   * the one timing-dependent quantity, who stole what, is surfaced
-//     only through steal_count() and must never reach a report.
+//   * the one timing-dependent quantity, which slot ran which chunk,
+//     is surfaced only through steal_count() and must never reach a
+//     report.
 //
 // So N-thread output is byte-identical to 1-thread output at any
 // grain, any thread count, on any machine -- tests/test_exec.cpp and
@@ -53,7 +55,8 @@ namespace ksa::exec {
 int hardware_threads();  // ksa: thread_safe
 
 /// A fixed-size pool of persistent workers executing grain-chunked
-/// index regions with work stealing.  Construction with an effective
+/// index regions, each worker stealing from its peers' blocks once its
+/// own block is claimed.  Construction with an effective
 /// size of 1 creates no workers; run_chunked then executes inline on
 /// the caller's thread (the reference behavior every parallel run must
 /// reproduce byte-for-byte).
@@ -87,12 +90,10 @@ public:
     /// passed to run_chunked's fn is always in [0, size()).
     int size() const;  // ksa: thread_safe -- immutable after construction
 
-    /// The parallelism the caller asked for, before the clamp.
-    int requested() const;  // ksa: thread_safe -- immutable after construction
-
-    /// Cumulative count of successful steals across all regions run on
-    /// this scheduler.  Timing-dependent by design: observability
-    /// only, never report material.
+    /// Cumulative count of steals across all regions run on this
+    /// scheduler; a steal is a chunk claimed from another slot's block.
+    /// Timing-dependent by design: observability only, never report
+    /// material.
     std::uint64_t steal_count() const;  // ksa: thread_safe -- relaxed atomic
 
     // ksa: guarded_by(mu) -- region handoff state lives behind
@@ -102,8 +103,9 @@ public:
     /// in [0, size()) identifies the executing worker slot (stable for
     /// the duration of one item -- index per-worker scratch with it).
     /// Work is cut into ceil(count/grain) chunks (grain == 0 selects
-    /// auto_grain), dealt across the workers' deques in index order
-    /// and rebalanced by stealing.  Blocks until every item returned.
+    /// auto_grain), one contiguous index-ordered block of chunks per
+    /// worker slot, and rebalanced by stealing.  Blocks until every
+    /// item returned.
     /// fn must be safe to invoke concurrently on distinct indices.  If
     /// items throw, the exception of the lowest item index is
     /// re-thrown after the region completes.

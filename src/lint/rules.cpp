@@ -159,8 +159,8 @@ const std::vector<RuleInfo>& rule_table() {
          "bodies annotated `ksa: wait_free`",
          "blocking call in a `ksa: wait_free` body: locks, condition "
          "waits, stream IO and allocation-heavy vocabulary stall the "
-         "worker and (under the future work-stealing deques) invite "
-         "scheduling-order divergence -- hoist the work out of the task"},
+         "worker, and the whole region waits for its chunk to finish -- "
+         "hoist the work out of the task"},
     };
     return kRules;
 }

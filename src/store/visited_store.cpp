@@ -186,8 +186,7 @@ void ShardedVisitedStore::insert_batch(exec::TaskScheduler& sched,
                     // ksa-lint: allow(parallel-capture-mutation)
                     verdict[i] = shard.insert(keys[i]) ? 1 : 0;
                 return 0;
-            },
-            /*min_parallel=*/2);
+            });
 }
 
 std::size_t ShardedVisitedStore::size() const {

@@ -1,15 +1,15 @@
 // The execution layer's determinism contract, enforced.
 //
-// The work-stealing core (task_scheduler.hpp / steal_deque.hpp)
-// promises that run_chunked visits every index exactly once, that
-// parallel maps produce results in input order, byte-identical for
-// every thread count and grain, and that exceptions are re-thrown
-// deterministically (lowest index wins).  This suite holds the deque
-// and the scheduler to those promises directly -- including a region
-// constructed so that at least one steal MUST happen -- and then holds
-// the production sweeps built on them (chaos::resilience_sweep,
-// core::border_map) to 1-thread-vs-N-thread byte-identity of their
-// rendered reports.
+// The work-stealing core (task_scheduler.hpp) promises that
+// run_chunked visits every index exactly once, that parallel maps
+// produce results in input order, byte-identical for every thread
+// count and grain, and that exceptions are re-thrown deterministically
+// (lowest index wins).  This suite holds the scheduler to those
+// promises directly -- including back-to-back regions claimed under
+// contention and a region constructed so that at least one steal MUST
+// happen -- and then holds the production sweeps built on it
+// (chaos::resilience_sweep, core::border_map) to 1-thread-vs-N-thread
+// byte-identity of their rendered reports.
 //
 // Oversubscribed schedulers (TaskScheduler(n, true)) are used wherever
 // the test needs real concurrency: the default constructor clamps to
@@ -29,81 +29,10 @@
 #include "chaos/resilience.hpp"
 #include "core/border_map.hpp"
 #include "exec/parallel_map.hpp"
-#include "exec/steal_deque.hpp"
 #include "exec/task_scheduler.hpp"
 
 namespace ksa::exec {
 namespace {
-
-// ---------------------------------------------------------------------
-// StealDeque: the Chase-Lev deque underneath the scheduler.
-
-TEST(StealDeque, OwnerPopsLifoThievesStealFifo) {
-    StealDeque d;
-    d.reset(8);
-    EXPECT_TRUE(d.looks_empty());
-    for (std::size_t v = 0; v < 4; ++v) d.push_bottom(v);
-    std::size_t out = 99;
-    ASSERT_TRUE(d.steal_top(out));
-    EXPECT_EQ(out, 0u);  // thieves take the oldest entry
-    ASSERT_TRUE(d.pop_bottom(out));
-    EXPECT_EQ(out, 3u);  // the owner takes the newest
-    ASSERT_TRUE(d.pop_bottom(out));
-    EXPECT_EQ(out, 2u);
-    ASSERT_TRUE(d.steal_top(out));
-    EXPECT_EQ(out, 1u);
-    EXPECT_FALSE(d.pop_bottom(out));
-    EXPECT_FALSE(d.steal_top(out));
-    EXPECT_TRUE(d.looks_empty());
-}
-
-TEST(StealDeque, ResetClearsAndGrowsCapacity) {
-    StealDeque d;
-    d.reset(2);
-    d.push_bottom(7);
-    d.push_bottom(9);
-    std::size_t out = 0;
-    ASSERT_TRUE(d.pop_bottom(out));
-    EXPECT_EQ(out, 9u);
-    d.reset(16);  // grows; the leftover entry 7 must be gone
-    EXPECT_TRUE(d.looks_empty());
-    EXPECT_FALSE(d.steal_top(out));
-    for (std::size_t v = 0; v < 16; ++v) d.push_bottom(v);
-    for (std::size_t v = 16; v-- > 0;) {
-        ASSERT_TRUE(d.pop_bottom(out));
-        EXPECT_EQ(out, v);
-    }
-}
-
-TEST(StealDeque, ConcurrentStealsDeliverEveryItemExactlyOnce) {
-    // One owner popping the bottom, three thieves racing on the top of
-    // the SAME deque: every pushed value must come out exactly once.
-    // Even on a single core the OS preempts across the CAS, and under
-    // TSan this is the test that vets the memory orders.
-    constexpr std::size_t kItems = 2048;
-    for (int rep = 0; rep < 5; ++rep) {
-        StealDeque d;
-        d.reset(kItems);
-        for (std::size_t v = 0; v < kItems; ++v) d.push_bottom(v);
-        std::vector<std::atomic<int>> seen(kItems);
-        std::atomic<bool> owner_done{false};
-        auto thief = [&] {
-            std::size_t out = 0;
-            while (!owner_done.load(std::memory_order_acquire))
-                if (d.steal_top(out)) seen[out].fetch_add(1);
-            while (d.steal_top(out)) seen[out].fetch_add(1);
-        };
-        std::thread t1(thief), t2(thief), t3(thief);
-        std::size_t out = 0;
-        while (d.pop_bottom(out)) seen[out].fetch_add(1);
-        owner_done.store(true, std::memory_order_release);
-        t1.join();
-        t2.join();
-        t3.join();
-        for (std::size_t v = 0; v < kItems; ++v)
-            EXPECT_EQ(seen[v].load(), 1) << "value " << v << " rep " << rep;
-    }
-}
 
 // ---------------------------------------------------------------------
 // TaskScheduler: the work-stealing region executor.
@@ -117,7 +46,6 @@ TEST(TaskScheduler, ClampsToHardwareUnlessOversubscribed) {
     EXPECT_EQ(TaskScheduler(0).size(), 1);
     EXPECT_EQ(TaskScheduler(-2).size(), 1);
     EXPECT_LE(TaskScheduler(64).size(), hw);
-    EXPECT_EQ(TaskScheduler(64).requested(), 64);
     EXPECT_EQ(TaskScheduler(4, /*oversubscribe=*/true).size(), 4);
 }
 
@@ -151,14 +79,38 @@ TEST(TaskScheduler, RunChunkedCoversEveryIndexExactlyOnce) {
     }
 }
 
+TEST(TaskScheduler, BackToBackRegionsClaimEveryIndexExactlyOnce) {
+    // Seven slots racing for grain-1 chunks, in regions of 2,048, 5 and
+    // 2,048 items run back to back on one scheduler, 20 times over:
+    // every index of every region must run exactly once.  The 5-item
+    // region leaves two slots with empty blocks, and each region must
+    // rewind the cursors the one before left past their blocks' ends.
+    // Even on a single core the OS preempts between claims, and under
+    // TSan this is the test that vets the cursors.
+    TaskScheduler sched(7, /*oversubscribe=*/true);
+    ASSERT_EQ(sched.size(), 7);
+    for (int rep = 0; rep < 20; ++rep) {
+        for (const std::size_t count :
+             {std::size_t{2048}, std::size_t{5}, std::size_t{2048}}) {
+            std::vector<std::atomic<int>> hits(count);
+            sched.run_chunked(count, /*grain=*/1, [&](std::size_t i, int) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(hits[i].load(), 1) << "rep " << rep << " count "
+                                             << count << " i " << i;
+        }
+    }
+}
+
 TEST(TaskScheduler, SkewedRegionForcesAtLeastOneSteal) {
     // A region built so that NO schedule can finish it without
-    // stealing: worker 0 owns chunks {0, 1}; the owner visits its block
-    // in ascending order and chunk 0 spin-waits until chunk 1 has run,
-    // so chunk 1 can only ever be executed by a thief (thieves take the
-    // far end of the block first, so a thief that grabs chunk 0 has
-    // already run chunk 1 itself).  The caller's drain loop never
-    // blocks, so it is guaranteed to come steal -- no deadlock.
+    // stealing: slot 0 owns chunks {0, 1} and claims its block front to
+    // back, and chunk 0 spin-waits until chunk 1 has run.  So whichever
+    // of chunks 0 and 1 slot 0 does not run first runs on another slot:
+    // if slot 0 claims chunk 0, chunk 1 can only be run by a thief.
+    // Slot 0 always reaches its own block and the caller's drain never
+    // blocks, so one of them gets to chunk 1 -- no deadlock.
     TaskScheduler sched(2, /*oversubscribe=*/true);
     ASSERT_EQ(sched.size(), 2);
     std::atomic<bool> chunk1_done{false};
